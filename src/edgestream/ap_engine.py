@@ -18,16 +18,33 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .assign_core import QualityRequest, SolverParams
-from .buff import buff_assign
+from .buff import buff_assign  # noqa: F401  (called by name through POLICIES)
 from .buffer_airtime import ClientLoad, allocate_airtime, equal_airtime
 from .cache import LruChunkCache
 from .catalog import Catalog
 from .client import ChunkRequest, DashClient
-from .cph import Assignment, AssignmentResult, cph_assign
+from .cph import Assignment, AssignmentResult, cph_assign, passthrough  # noqa: F401
 
-SCHEMES = ("CPH", "CPH-EQ", "BUFF", "CLIENT", "CLIENT-CACHE")
+
+class Policy(NamedTuple):
+    # name of the quality solver in this module, looked up per call so a
+    # wrapper installed in the module namespace is honoured; None = passthrough
+    solver: str | None
+    stall_aware: bool  # allocate_airtime, else equal_airtime
+    reads_cache: bool
+
+
+POLICIES = {
+    "CPH": Policy("cph_assign", stall_aware=True, reads_cache=True),
+    "CPH-EQ": Policy("cph_assign", stall_aware=False, reads_cache=True),
+    "BUFF": Policy("buff_assign", stall_aware=True, reads_cache=True),
+    "CLIENT": Policy(None, stall_aware=False, reads_cache=False),
+    "CLIENT-CACHE": Policy(None, stall_aware=False, reads_cache=True),
+}
+SCHEMES = tuple(POLICIES)
 
 _EPS = 1e-9
 
@@ -125,11 +142,12 @@ class ApEngine:
         record_events: bool = False,
         max_time_s: float | None = None,
     ):
-        if scheme not in SCHEMES:
+        if scheme not in POLICIES:
             raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
         if t_ap_s <= 0:
             raise ValueError("t_ap_s must be > 0")
         self.scheme = scheme
+        self.policy = POLICIES[scheme]
         self.catalog = catalog
         self.clients = sorted(clients, key=lambda c: c.client_id)
         self.capacity = dict(link_capacities_bps)
@@ -218,42 +236,19 @@ class ApEngine:
         return self.backhaul_bps
 
     def _assign(self, requests: list[QualityRequest]) -> AssignmentResult:
-        if self.scheme in ("CPH", "CPH-EQ"):
-            return cph_assign(requests, self.cache, self._available_backhaul_bps(), self.params)
-        if self.scheme == "BUFF":
-            return buff_assign(requests, self.cache, self._available_backhaul_bps(), self.params)
-        if self.scheme == "CLIENT-CACHE":
-            picks = tuple(
-                Assignment(
-                    client_id=r.client_id, video_id=r.video_id,
-                    chunk_index=r.chunk_index, quality_index=r.requested_quality,
-                    from_cache=self.cache.contains(r.video_id, r.chunk_index, r.requested_quality),
-                    requested_quality=r.requested_quality,
-                )
-                for r in requests
-            )
-            return AssignmentResult(picks, False, None, None)
-        # CLIENT: pure repeater, never reads the cache
-        picks = tuple(
-            Assignment(
-                client_id=r.client_id, video_id=r.video_id,
-                chunk_index=r.chunk_index, quality_index=r.requested_quality,
-                from_cache=False, requested_quality=r.requested_quality,
-            )
-            for r in requests
-        )
-        return AssignmentResult(picks, False, None, None)
+        if self.policy.solver is None:
+            cache = self.cache if self.policy.reads_cache else None
+            return AssignmentResult(passthrough(requests, cache), False, None, None)
+        solve = globals()[self.policy.solver]
+        return solve(requests, self.cache, self._available_backhaul_bps(), self.params)
 
     def _check_assignment(self, a: Assignment) -> None:
-        if self.scheme in ("CLIENT", "CLIENT-CACHE"):
-            if a.quality_index != a.requested_quality:
-                self.violations.append(
-                    f"t={self.now}: {self.scheme} rewrote quality for client {a.client_id}")
-        elif abs(a.quality_index - a.requested_quality) > self.params.gamma:
+        tolerance = self.params.gamma if self.policy.solver is not None else 0
+        if abs(a.quality_index - a.requested_quality) > tolerance:
             self.violations.append(
                 f"t={self.now}: quality shift beyond tolerance for client {a.client_id} "
                 f"({a.requested_quality} -> {a.quality_index})")
-        if self.scheme not in ("CLIENT",):
+        if self.policy.reads_cache:
             cached = self.cache.contains(a.video_id, a.chunk_index, a.quality_index)
             if a.from_cache != cached:
                 self.violations.append(
@@ -309,7 +304,7 @@ class ApEngine:
                 buffered_chunks=c.buffer_s / c.ladder.chunk_duration_s,
                 playing=c.playout_started,
             ))
-        if self.scheme in ("CPH", "BUFF"):
+        if self.policy.stall_aware:
             alloc = allocate_airtime(loads, self.params.b_min_s, self.t_ap_s,
                                      self.sufficient_chunks)
         else:
@@ -388,7 +383,7 @@ class ApEngine:
         if n1:
             requests = self._build_requests(n1)
             result = self._assign(requests)
-            if self.scheme in ("CPH", "CPH-EQ", "BUFF"):
+            if self.policy.solver is not None:
                 self.solver_calls += 1
                 if result.no_valid_config:
                     self.solver_fallbacks += 1

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .assign_core import QualityRequest, SolverParams, build_candidates
 from .cache import LruChunkCache
-from .cph import Assignment, AssignmentResult, canonical_order
+from .cph import Assignment, AssignmentResult, canonical_order, passthrough
 
 
 @dataclass
@@ -30,7 +30,6 @@ class BuffCandidate:
     cached: bool
     utility: float
     cost_bps: float
-    feasible_buffer: bool
 
 
 def _weighted_log_bitrate(bitrate_bps: float, cached: bool, params: SolverParams) -> float:
@@ -67,7 +66,6 @@ def buff_assign(
                 cached=c.cached,
                 utility=_weighted_log_bitrate(c.bitrate_bps, c.cached, params),
                 cost_bps=c.cost_bps,
-                feasible_buffer=safe,
             ))
 
     remaining = backhaul_bps
@@ -92,27 +90,19 @@ def buff_assign(
                 if (c.video_id, c.chunk_index, c.quality_index) == key:
                     c.cost_bps = 0.0
 
-    assignments = []
-    fell_back = False
+    assignments: list[Assignment] = []
     for ri, req in enumerate(requests):
         pick = chosen.get(ri)
-        if pick is not None:
-            assignments.append(Assignment(
-                client_id=req.client_id,
-                video_id=req.video_id,
-                chunk_index=req.chunk_index,
-                quality_index=pick.quality_index,
-                from_cache=pick.cached,
-                requested_quality=req.requested_quality,
-            ))
-        else:
-            fell_back = True
-            assignments.append(Assignment(
-                client_id=req.client_id,
-                video_id=req.video_id,
-                chunk_index=req.chunk_index,
-                quality_index=req.requested_quality,
-                from_cache=cache.contains(req.video_id, req.chunk_index, req.requested_quality),
-                requested_quality=req.requested_quality,
-            ))
+        if pick is None:
+            assignments += passthrough([req], cache)
+            continue
+        assignments.append(Assignment(
+            client_id=req.client_id,
+            video_id=req.video_id,
+            chunk_index=req.chunk_index,
+            quality_index=pick.quality_index,
+            from_cache=pick.cached,
+            requested_quality=req.requested_quality,
+        ))
+    fell_back = len(chosen) < len(requests)
     return AssignmentResult(tuple(assignments), fell_back, total_utility, total_cost)

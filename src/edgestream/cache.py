@@ -1,9 +1,9 @@
 """Chunk-granularity LRU cache with admit-all policy.
 
 Keys are (video_id, chunk_index, quality_index). Lookups via contains() are
-pure queries and never update recency; insert() and touch() do. Recency uses
-a strictly increasing logical counter so behavior is deterministic regardless
-of wall time.
+pure queries and never update recency; insert() and touch() do. Recency is
+the entries' order alone (no clock or timestamps), so behavior is
+deterministic regardless of wall time.
 """
 from __future__ import annotations
 
@@ -23,32 +23,20 @@ class LruChunkCache:
             raise ValueError("capacity_bits must be >= 0")
         self.capacity_bits = capacity_bits
         self.used_bits = 0.0
-        # insertion order = recency order, oldest first
-        self._entries: OrderedDict[ChunkKey, tuple[float, int]] = OrderedDict()
-        self._clock = 0
+        # key -> size_bits; insertion order = recency order, oldest first
+        self._entries: OrderedDict[ChunkKey, float] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def _tick(self) -> int:
-        self._clock += 1
-        return self._clock
 
     def contains(self, video_id: int, chunk_index: int, quality_index: int) -> bool:
         return (video_id, chunk_index, quality_index) in self._entries
 
     def size_of(self, video_id: int, chunk_index: int, quality_index: int) -> float | None:
-        entry = self._entries.get((video_id, chunk_index, quality_index))
-        return entry[0] if entry is not None else None
+        return self._entries.get((video_id, chunk_index, quality_index))
 
-    def insert(
-        self,
-        video_id: int,
-        chunk_index: int,
-        quality_index: int,
-        size_bits: float,
-        now: int | None = None,
-    ) -> list[ChunkKey]:
+    def insert(self, video_id: int, chunk_index: int, quality_index: int,
+               size_bits: float) -> list[ChunkKey]:
         """Admit the chunk, evicting LRU entries as needed.
 
         Returns evicted keys in eviction order. Re-inserting a present key
@@ -60,33 +48,24 @@ class LruChunkCache:
             raise OversizedObjectError(
                 f"size {size_bits} exceeds capacity {self.capacity_bits}"
             )
-        tick = self._tick() if now is None else now
         key = (video_id, chunk_index, quality_index)
         if key in self._entries:
-            old_size, _ = self._entries[key]
-            self._entries[key] = (old_size, tick)
             self._entries.move_to_end(key)
             return []
         evicted: list[ChunkKey] = []
         while self.used_bits + size_bits > self.capacity_bits:
-            old_key, (old_size, _) = self._entries.popitem(last=False)
+            old_key, old_size = self._entries.popitem(last=False)
             self.used_bits -= old_size
             evicted.append(old_key)
-        self._entries[key] = (size_bits, tick)
+        self._entries[key] = size_bits
         self.used_bits += size_bits
         return evicted
 
-    def touch(
-        self, video_id: int, chunk_index: int, quality_index: int, now: int | None = None
-    ) -> None:
+    def touch(self, video_id: int, chunk_index: int, quality_index: int) -> None:
         """Mark a use (cache hit). Missing key is a no-op."""
         key = (video_id, chunk_index, quality_index)
-        entry = self._entries.get(key)
-        if entry is None:
-            return
-        tick = self._tick() if now is None else now
-        self._entries[key] = (entry[0], tick)
-        self._entries.move_to_end(key)
+        if key in self._entries:
+            self._entries.move_to_end(key)
 
     def keys_by_recency(self) -> list[ChunkKey]:
         """Oldest first; exposed for tests and state dumps."""

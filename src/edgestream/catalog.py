@@ -61,15 +61,6 @@ class Catalog:
             return size
         return self.ladders[video_id].nominal_size_bits(quality_index)
 
-    def total_size_bits(self) -> float:
-        """Sum of every chunk at every quality (upper bound on cache demand)."""
-        total = 0.0
-        for lad in self.ladders:
-            for m in range(lad.levels):
-                for k in range(lad.chunk_count):
-                    total += self.chunk_size_bits(lad.video_id, k, m)
-        return total
-
 
 def make_synthetic_catalog(
     video_count: int,
@@ -123,10 +114,6 @@ class PopularityModel:
     def sample_video(self, rng: np.random.Generator) -> int:
         """Video ids are popularity-ranked: id 0 is the most popular."""
         return int(rng.choice(self.video_count, p=self.pmf()))
-
-
-def sample_video(popularity: PopularityModel, rng: np.random.Generator) -> int:
-    return popularity.sample_video(rng)
 
 
 # Trace file format (UTF-8 text):

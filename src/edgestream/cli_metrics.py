@@ -23,7 +23,7 @@ import numpy as np
 from scipy import stats
 
 from .ap_engine import SCHEMES, ApEngine
-from .assign_core import QualityRequest, SolverParams
+from .assign_core import QualityRequest, SolverParams, tolerated_set
 from .cache import LruChunkCache
 from .catalog import PopularityModel, make_synthetic_catalog
 from .client import DashClient
@@ -232,7 +232,13 @@ def _run_task(task):
     cfg, scheme, rep, param, param_value = task
     result = run_replication(cfg, scheme, rep)
     row = _result_row(cfg, scheme, rep, result, param, param_value)
-    return row, result.violations
+    violations = list(result.violations)
+    if not result.all_finished:  # the metrics describe a run cut short
+        where = f" at {param}={param_value}" if param else ""
+        violations.append(f"{scheme} replication {rep}{where} unfinished at t={result.t_end_s}: "
+                          f"{result.delivered_chunks} of {cfg.n_clients * cfg.chunk_count} "
+                          "chunks delivered")
+    return row, violations
 
 
 def _execute(tasks: list, jobs: int):
@@ -376,7 +382,9 @@ def print_summary(rows: list[dict], stream=sys.stdout) -> None:
 
 
 def gen_random_instance(rng: np.random.Generator):
-    """Small random assignment instance for exhaustive cross-checking."""
+    """Small random assignment instance for exhaustive cross-checking; some
+    are bursts of 6-8 clients on one chunk, with gamma capped so the
+    exhaustive space (product of tolerance windows) stays within 10^5."""
     n_videos = int(rng.integers(1, 3))
     ladders = []
     for _ in range(n_videos):
@@ -384,18 +392,15 @@ def gen_random_instance(rng: np.random.Generator):
         rates = np.sort(rng.uniform(1e5, 5e6, size=levels))
         rates = tuple(float(r) + 1e3 * i for i, r in enumerate(rates))
         ladders.append(rates)
-    params = SolverParams(
-        gamma=int(rng.integers(0, 3)),
-        mu_c=float(rng.uniform(1.0, 2.0)),
-        b_min_s=4.0,
-        b_max_s=15.0,
-    )
-    n_clients = int(rng.integers(1, 5))
-    shared_everything = bool(rng.random() < 0.4)
+    gamma = int(rng.integers(0, 3))
+    mu_c = float(rng.uniform(1.0, 2.0))
+    burst = bool(rng.random() < 0.15)
+    n_clients = int(rng.integers(6, 9) if burst else rng.integers(1, 5))
+    shared_everything = burst or bool(rng.random() < 0.4)
     tau = 2.0
     requests = []
     for cid in range(n_clients):
-        for _ in range(int(rng.integers(1, 3))):
+        for _ in range(1 if burst else int(rng.integers(1, 3))):
             if shared_everything:
                 video, chunk = 0, 0
             else:
@@ -420,6 +425,11 @@ def gen_random_instance(rng: np.random.Generator):
                 fifo_backlog_bits=float(rng.choice([0.0, rng.uniform(0.0, 2e7)])),
                 backhaul_rate_bps=float(rng.uniform(1e6, 4e7)),
             ))
+    while gamma > 0 and math.prod(
+            len(tolerated_set(r.requested_quality, gamma, len(r.bitrates_bps)))
+            for r in requests) > 10**5:
+        gamma -= 1
+    params = SolverParams(gamma=gamma, mu_c=mu_c, b_min_s=4.0, b_max_s=15.0)
     cache = LruChunkCache()
     for req in requests:
         for m in range(len(req.bitrates_bps)):
@@ -510,11 +520,11 @@ def _parse_sweep_values(param: str, raw: str) -> list:
         raise ConfigError(f"bad sweep value in {raw!r}") from None
 
 
-def _finish(rows, violations, args) -> int:
+def _finish(cfg, rows, violations, args) -> int:
     if args.out_csv:
         write_csv(rows, args.out_csv)
     if args.out_json:
-        write_json(_config_from_args(args), rows, args.out_json)
+        write_json(cfg, rows, args.out_json)
     print_summary(rows)
     if violations:
         for v in violations[:20]:
@@ -550,12 +560,12 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg = _config_from_args(args)
             rows, violations = run_scenario(cfg, jobs=args.jobs)
-            return _finish(rows, violations, args)
+            return _finish(cfg, rows, violations, args)
         if args.command == "sweep":
             cfg = _config_from_args(args)
             values = _parse_sweep_values(args.param, args.values)
             rows, violations = run_sweep(cfg, args.param, values, jobs=args.jobs)
-            return _finish(rows, violations, args)
+            return _finish(cfg, rows, violations, args)
         if args.command == "oracle-check":
             checked, mismatches = oracle_check(args.instances, args.seed, args.dump)
             print(f"checked {checked} instances, {mismatches} mismatches")

@@ -65,6 +65,25 @@ class AssignmentResult:
     total_cost_bps: float | None
 
 
+def passthrough(
+    requests: Sequence[QualityRequest], cache: LruChunkCache | None
+) -> tuple[Assignment, ...]:
+    """Every request at its requested quality, served from `cache` when it
+    holds that exact chunk; None means the cache is never read."""
+    return tuple(
+        Assignment(
+            client_id=r.client_id,
+            video_id=r.video_id,
+            chunk_index=r.chunk_index,
+            quality_index=r.requested_quality,
+            from_cache=cache is not None
+            and cache.contains(r.video_id, r.chunk_index, r.requested_quality),
+            requested_quality=r.requested_quality,
+        )
+        for r in requests
+    )
+
+
 def pareto_min(points: Sequence[tuple]) -> list[tuple]:
     """Keep the non-dominated (utility, cost, ...) points.
 
@@ -208,21 +227,6 @@ def _request_groups(
     return order, groups, candidates
 
 
-def _fallback(requests: Sequence[QualityRequest], cache: LruChunkCache) -> AssignmentResult:
-    assignments = tuple(
-        Assignment(
-            client_id=r.client_id,
-            video_id=r.video_id,
-            chunk_index=r.chunk_index,
-            quality_index=r.requested_quality,
-            from_cache=cache.contains(r.video_id, r.chunk_index, r.requested_quality),
-            requested_quality=r.requested_quality,
-        )
-        for r in requests
-    )
-    return AssignmentResult(assignments, True, None, None)
-
-
 def _result_from_picks(
     requests: Sequence[QualityRequest],
     order: list[int],
@@ -263,7 +267,7 @@ def cph_assign(
     best = solve_groups(groups, backhaul_bps, params.pareto_cap,
                         prune_by_paid_set=params.pareto_cap is None)
     if best is None:
-        return _fallback(requests, cache)
+        return AssignmentResult(passthrough(requests, cache), True, None, None)
     utility, cost, picks = best
     return _result_from_picks(requests, order, candidates, picks, utility, cost)
 
@@ -308,7 +312,7 @@ def brute_force_assign(
         if best is None or (u, -c, _neg_lex(picks)) > (best[0], -best[1], _neg_lex(best[2])):
             best = (u, c, picks)
     if best is None:
-        return _fallback(requests, cache)
+        return AssignmentResult(passthrough(requests, cache), True, None, None)
     return _result_from_picks(requests, order, candidates, best[2], best[0], best[1])
 
 

@@ -259,12 +259,11 @@ def test_csv_output_is_byte_identical_across_processes(tmp_path):
     for name in ("first.csv", "second.csv"):
         out = tmp_path / name
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from edgestream.cli_metrics import main; "
-             "sys.exit(main(sys.argv[1:]))",
+            [sys.executable, "-m", "edgestream",
              "run", "--config", str(cfg), "--out-csv", str(out)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"\n") == 1 + 2 * 2  # header + scheme*rep rows

@@ -214,6 +214,18 @@ class TestMainExitCodes:
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 2 and lines[1].startswith("CLIENT,0,1,")
 
+    def test_unfinished_run_is_exit_3(self, tmp_path, capsys):
+        # no backhaul and a cold cache: nothing is delivered before max_time_s
+        cfg = tmp_path / "starved.cfg"
+        cfg.write_text(
+            "schemes = CLIENT, CPH\nn_clients = 2\nn_videos = 2\n"
+            "chunk_count = 8\nreps = 1\nbackhaul_mbps = 0\nmax_time_s = 60\n")
+        assert main(["run", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        for scheme in ("CLIENT", "CPH"):
+            assert (f"{scheme} replication 0 unfinished at t=60.0: "
+                    "0 of 16 chunks delivered") in err
+
     def test_violations_are_exit_3(self, monkeypatch, capsys):
         monkeypatch.setattr(cm, "run_scenario",
                             lambda cfg, jobs=1: ([], ["fake violation"]))

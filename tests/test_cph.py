@@ -1,6 +1,7 @@
 """Compositional Pareto solver: frontier algebra, merge order, exactness, instance files."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgestream import cph
 from edgestream.assign_core import QualityRequest, SolverParams
 from edgestream.cache import LruChunkCache
-from edgestream.cli_metrics import gen_random_instance
+from edgestream.cli_metrics import ScenarioConfig, gen_random_instance, run_replication
 from edgestream.cph import (
     Assignment,
     SolveGroup,
@@ -24,6 +26,26 @@ from edgestream.cph import (
     pareto_min,
     solve_groups,
 )
+
+
+class Metered(tuple):
+    """A group's items that count how often the merge scans them.
+
+    solve_groups scans a group's items once per frontier entry, so a
+    frontier that outgrows `limit()` fails at once instead of hanging.
+    """
+
+    def __new__(cls, items, limit):
+        obj = super().__new__(cls, items)
+        obj.scans = 0
+        obj.limit = limit
+        return obj
+
+    def __iter__(self):
+        self.scans += 1
+        if self.scans > self.limit():
+            raise AssertionError("in-cluster frontier outgrew its paid sets")
+        return super().__iter__()
 
 
 class TestParetoMin:
@@ -131,22 +153,12 @@ class TestSolveGroups:
     def test_large_shared_cluster_stays_tractable(self):
         # 3^14 unpruned configurations. Configurations with the same paid set
         # cost the same, so one survives per paid set, and five paid sets fit
-        # under 1000: the merges scan at most 1 + 13 * 5 frontier entries.
+        # under 1000: no frontier holds more than 5 entries.
         # Everyone on level 2 pays 900 once.
-        scans = 0
-
-        class Metered(tuple):
-            # the merge iterates a group's items once per frontier entry
-            def __iter__(self):
-                nonlocal scans
-                scans += 1
-                if scans > 1 + 13 * 5:
-                    raise AssertionError("in-cluster frontier outgrew its paid sets")
-                return super().__iter__()
-
         groups = [_group(g, "v0", [(1, 100), (2, 300), (3, 900)], keyed=True)
                   for g in range(14)]
-        groups = [SolveGroup(g.group_id, g.cluster_key, Metered(g.items)) for g in groups]
+        groups = [SolveGroup(g.group_id, g.cluster_key, Metered(g.items, lambda: 5))
+                  for g in groups]
         assert solve_groups(groups, 1000.0) == (42.0, 900.0, (2,) * 14)
 
     def test_infeasible_returns_none(self):
@@ -299,3 +311,38 @@ class TestInstanceFiles:
         path.write_text("# nothing\n")
         with pytest.raises(ValueError):
             load_instance(str(path))
+
+
+@pytest.mark.parametrize("scheme", ["CPH", "CPH-EQ", "BUFF"])
+def test_synchronized_burst_replication_stays_clean(scheme, monkeypatch):
+    # 12 clients of one video start together, so solver calls hold clusters
+    # of up to 12 requests: 5^12 unpruned configurations at gamma = 2.
+    # Inside a cluster with K chargeable chunks the frontier keeps, for each
+    # entry it entered the cluster with, one entry per paid subset and per
+    # rounding of that subset's cost: summed in another order, K + 1 terms
+    # round to at most 2K + 1 neighbouring floats.
+    solve = cph.solve_groups
+
+    def metered_solve(groups, *args, **kwargs):
+        wrapped, first = [], {}
+        for g in groups:
+            key = g.cluster_key
+            if key not in first:
+                items = first[key] = Metered(g.items, lambda: math.inf)
+            else:
+                paid = {i.content_key for h in groups if h.cluster_key == key
+                        for i in h.items if i.cost_bps > 0}
+                items = Metered(g.items, lambda f=first[key], k=len(paid):
+                                f.scans * 2 ** k * (2 * k + 1))
+            wrapped.append(SolveGroup(g.group_id, key, items))
+        return solve(wrapped, *args, **kwargs)
+
+    monkeypatch.setattr(cph, "solve_groups", metered_solve)
+    cfg = dataclasses.replace(ScenarioConfig(), n_clients=12, n_videos=1,
+                              start_offset_max_s=0.0, chunk_count=20)
+    result = run_replication(cfg, scheme, rep=0)
+    assert result.all_finished
+    assert result.delivered_chunks == 12 * 20
+    assert result.violations == []
+    assert result.solver_calls > 0
+    assert result.solver_fallbacks == 0
