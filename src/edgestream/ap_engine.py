@@ -10,6 +10,12 @@ waiting clients, and each client's downlink queue drains at its airtime
 share of link capacity. Chunk completions are delivered to clients at exact
 sub-interval times.
 
+Which clients each phase visits: advance and request issue visit every
+client once; candidate building and the solver see only the interval's new
+requests; airtime allocation sees only the clients whose downlink queue
+holds data; and the drain visits only the clients granted a share, once per
+backhaul sub-segment. Rider lookup in the backhaul FIFO is one dict probe.
+
 The engine is deterministic by construction: no randomness, no iteration
 over unordered containers where order can leak into results.
 """
@@ -163,6 +169,8 @@ class ApEngine:
         self._by_id = {c.client_id: c for c in self.clients}
         self.dl_queues: dict[int, deque[DlItem]] = {c.client_id: deque() for c in self.clients}
         self.fifo: deque[BackhaulJob] = deque()
+        # the FIFO's jobs by (video, chunk, quality); at most one per key
+        self.fifo_by_key: dict[tuple[int, int, int], BackhaulJob] = {}
         self.intake: list[ChunkRequest] = []
         self.violations: list[str] = []
         self.events: list[DeliveryEvent] = []
@@ -275,25 +283,32 @@ class ApEngine:
                     enqueue_time_s=self.now, backhaul_delay_s=0.0,
                 ))
                 continue
-            existing = next((j for j in self.fifo if (j.video_id, j.chunk_index,
-                                                      j.quality_index) == key), None)
+            existing = self.fifo_by_key.get(key)
             if existing is not None:
                 existing.waiters.append((a.client_id, req.issue_time_s, a.requested_quality))
             else:
                 if key in enqueued_this_rai:
                     self.violations.append(
                         f"t={self.now}: chunk {key} charged to backhaul twice in one interval")
-                self.fifo.append(BackhaulJob(
+                job = BackhaulJob(
                     video_id=a.video_id, chunk_index=a.chunk_index,
                     quality_index=a.quality_index, size_bits=size,
                     remaining_bits=size, media_s=media, enqueue_time_s=self.now,
                     waiters=[(a.client_id, req.issue_time_s, a.requested_quality)],
-                ))
+                )
+                self.fifo.append(job)
+                self.fifo_by_key[key] = job
                 enqueued_this_rai.add(key)
 
-    def _allocate(self) -> dict[int, float]:
+    def _allocate(self) -> list[tuple[int, float, deque[DlItem]]]:
+        """(client id, drain rate, queue) of every client granted airtime for
+        the interval, in client order. An empty queue gets a share of exactly
+        0 from either allocator and never counts as risky, so it is left out
+        of the loads; the other shares come out bitwise the same."""
         loads = []
         for c in self.clients:
+            if not self.dl_queues[c.client_id]:
+                continue
             bits, media, avg_rate = self._queue_snapshot(c.client_id)
             loads.append(ClientLoad(
                 client_id=c.client_id,
@@ -312,7 +327,9 @@ class ApEngine:
         total = alloc.total()
         if total > 1.0 + 1e-9:
             self.violations.append(f"t={self.now}: airtime shares sum to {total}")
-        return alloc.shares
+        return [(load.client_id, load.link_capacity_bps * alloc.shares[load.client_id],
+                 self.dl_queues[load.client_id])
+                for load in loads if alloc.shares[load.client_id] > 0]
 
     def _deliver(self, t: float, client_id: int, item: DlItem) -> None:
         client = self._by_id[client_id]
@@ -336,23 +353,19 @@ class ApEngine:
             ))
         self.intake.extend(client.maybe_issue_requests(t))
 
-    def _serve_segment(self, t0: float, t1: float, shares: dict[int, float]) -> None:
-        """Drain downlink queues over [t0, t1]; deliveries fire in time order."""
+    def _serve_segment(self, t0: float, t1: float,
+                       served: list[tuple[int, float, deque[DlItem]]]) -> None:
+        """Drain the served queues over [t0, t1]; deliveries fire in time order."""
         if t1 <= t0:
             return
         completions: list[tuple[float, int, DlItem]] = []
-        for c in self.clients:
-            theta = shares.get(c.client_id, 0.0)
-            if theta <= 0:
-                continue
-            rate = self.capacity[c.client_id] * theta
-            q = self.dl_queues[c.client_id]
+        for cid, rate, q in served:
             cursor = t0
             while q and cursor < t1 - _EPS:
                 head = q[0]
                 finish = cursor + head.remaining_bits / rate
                 if finish <= t1 + _EPS:
-                    completions.append((min(finish, t1), c.client_id, head))
+                    completions.append((min(finish, t1), cid, head))
                     q.popleft()
                     cursor = finish
                 else:
@@ -376,8 +389,7 @@ class ApEngine:
     def step_rai(self) -> None:
         t = self.now
         for c in self.clients:
-            c.advance_to(t)
-            self.intake.extend(c.maybe_issue_requests(t))
+            self.intake.extend(c.maybe_issue_requests(t))  # advances c to t first
         n1 = sorted(self.intake, key=lambda r: (r.issue_time_s, r.client_id, r.chunk_index))
         self.intake = []
         if n1:
@@ -388,7 +400,7 @@ class ApEngine:
                 if result.no_valid_config:
                     self.solver_fallbacks += 1
             self._enqueue_assignments(n1, result)
-        shares = self._allocate()
+        served = self._allocate()
 
         end = t + self.t_ap_s
         cursor = t
@@ -403,16 +415,17 @@ class ApEngine:
                 # job finishes inside the window: pop it outright so float
                 # roundoff can never strand a sliver of it in the queue
                 seg_end = min(t_done, end)
-                self._serve_segment(cursor, seg_end, shares)
+                self._serve_segment(cursor, seg_end, served)
                 drained += head.remaining_bits
                 head.remaining_bits = 0.0
                 self.fifo.popleft()
+                del self.fifo_by_key[head.video_id, head.chunk_index, head.quality_index]
                 self._complete_backhaul_job(seg_end, head)
                 cursor = seg_end
                 if cursor >= end - _EPS:
                     break
                 continue
-            self._serve_segment(cursor, end, shares)
+            self._serve_segment(cursor, end, served)
             if self.fifo and self.backhaul_bps > 0:
                 sent = (end - cursor) * self.backhaul_bps
                 head = self.fifo[0]

@@ -20,7 +20,6 @@ from dataclasses import dataclass, fields, replace
 from multiprocessing import Pool
 
 import numpy as np
-from scipy import stats
 
 from .ap_engine import SCHEMES, ApEngine
 from .assign_core import QualityRequest, SolverParams, tolerated_set
@@ -286,6 +285,7 @@ def mean_ci(values: list[float]) -> tuple[float, float]:
     if n == 1:
         return mean, float("nan")
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    from scipy import stats  # deferred: it dominates the cost of importing edgestream
     half = stats.t.ppf(0.975, n - 1) * math.sqrt(var / n)
     return mean, half
 

@@ -67,6 +67,7 @@ class DashClient:
         self.start_threshold_s = b_max_s if start_threshold_s is None else start_threshold_s
         self.max_in_flight = max_in_flight
         self.rates = deque(maxlen=rate_window)
+        self.total_media_s = ladder.chunk_count * ladder.chunk_duration_s
         self.start_time_s = start_time_s
 
         self.buffer_s = 0.0
@@ -80,10 +81,6 @@ class DashClient:
         self.finish_time_s: float | None = None
         self.last_time_s = 0.0
         self.delivered_chunks = 0
-
-    @property
-    def total_media_s(self) -> float:
-        return self.ladder.chunk_count * self.ladder.chunk_duration_s
 
     def advance_to(self, t: float) -> None:
         """Consume buffer up to time t; idle time with an empty buffer

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import subprocess
 import sys
 import time
@@ -129,7 +130,8 @@ def test_zero_tolerance_preserves_every_request(scheme):
 def n_sweep():
     """20-rep sweep over the client population, all five schemes."""
     t0 = time.monotonic()
-    rows, violations = run_sweep(ScenarioConfig(), "n_clients", [1, 5, 10, 20])
+    rows, violations = run_sweep(ScenarioConfig(), "n_clients", [1, 5, 10, 20],
+                                 jobs=min(2, os.cpu_count() or 1))
     return rows, violations, time.monotonic() - t0
 
 
@@ -196,7 +198,8 @@ def test_single_video_cache_amplification():
 
 def test_cache_weight_raises_hit_ratio_within_ci():
     cfg = dataclasses.replace(ScenarioConfig(), schemes=("CPH",))
-    rows, violations = run_sweep(cfg, "mu_c", [1.0, 1.3, 1.5])
+    rows, violations = run_sweep(cfg, "mu_c", [1.0, 1.3, 1.5],
+                                 jobs=min(2, os.cpu_count() or 1))
     assert violations == []
     by_mu = {}
     for row in rows:

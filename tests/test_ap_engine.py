@@ -163,3 +163,26 @@ def test_full_replication_pipeline_all_schemes():
         assert res.violations == []
         assert res.all_finished
         assert res.delivered_chunks == 3 * 20
+
+
+def test_late_requester_rides_the_queued_backhaul_job():
+    # 4e5-bit chunks on a 1e5 bps backhaul take 4 s each, so the job client 0
+    # queues at t=0 is still waiting when client 1 asks for the same chunk at
+    # t=0.5; both burst the whole 8 s video to fill their 8 s buffers
+    catalog = make_synthetic_catalog(1, 2, 2e5, 2e6, 2.0, 4)
+    clients = [DashClient(0, catalog.ladder(0), 8.0),
+               DashClient(1, catalog.ladder(0), 8.0, start_time_s=0.5)]
+    engine = ApEngine("CLIENT", catalog, clients, {0: 2e7, 1: 2e7}, LruChunkCache(),
+                      1e5, 0.5, SolverParams(), record_events=True)
+    engine.step_rai()
+    engine.step_rai()
+    assert [(j.chunk_index, [w[0] for w in j.waiters]) for j in engine.fifo] == \
+        [(k, [0, 1]) for k in range(4)]
+    assert engine.fifo_by_key == {(0, k, 0): j for k, j in enumerate(engine.fifo)}
+    res = engine.run()
+    assert res.violations == []
+    assert res.all_finished
+    chunk_bits = 4 * catalog.chunk_size_bits(0, 0, 0)
+    assert res.pipe_bits == pytest.approx(chunk_bits)
+    assert res.backhaul_attributed_bits == pytest.approx(2 * chunk_bits)
+    assert not engine.fifo and engine.fifo_by_key == {}

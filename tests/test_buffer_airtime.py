@@ -237,6 +237,25 @@ def test_allocation_scale_consistency(raw):
     assert a.risky == b.risky
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_client_strategy, min_size=1, max_size=8),
+       st.lists(_client_strategy, max_size=8))
+def test_empty_queues_leave_other_shares_bitwise_equal(raw, raw_idle):
+    # the engine leaves clients with empty queues out of the loads, which
+    # is sound only if they get exactly 0 and move no other share by a bit;
+    # like the engine's, both lists are in client order
+    busy = [ClientLoad(2 * i, *row) for i, row in enumerate(raw)]
+    idle = [ClientLoad(2 * i + 1, 0.0, *row[1:]) for i, row in enumerate(raw_idle)]
+    mixed = sorted(busy + idle, key=lambda c: c.client_id)
+    for alloc in (lambda cs: allocate_airtime(cs, b_min_s=4.0, t_ap_s=0.5),
+                  lambda cs: equal_airtime(cs, t_ap_s=0.5)):
+        alone, together = alloc(busy), alloc(mixed)
+        assert {c.client_id: together.shares[c.client_id] for c in busy} == alone.shares
+        assert all(together.shares[c.client_id] == 0.0 for c in idle)
+        assert together.risky == alone.risky
+        assert together.total() == alone.total()
+
+
 class TestEqualAirtime:
     # C*T = 20e6 * 0.5 = 1e7 bits per interval, so a 1e7-bit queue can use it all
     def test_equal_split_skips_empty_queues(self):
