@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from .buffer_airtime import BufferEstimateInput, estimate_buffer
 from .cache import LruChunkCache
 
+BITRATE_UNIT_BPS = 1e3  # log() argument unit for utility values
+
 
 @dataclass(frozen=True)
 class SolverParams:
@@ -19,8 +21,6 @@ class SolverParams:
     mu_c: float = 1.3
     b_min_s: float = 4.0
     b_max_s: float = 15.0
-    pareto_cap: int | None = None  # max configurations retained after pruning
-    bitrate_unit_bps: float = 1e3  # log() argument unit for utility values
 
     def __post_init__(self):
         if self.gamma < 0:
@@ -29,8 +29,6 @@ class SolverParams:
             raise ValueError("mu_c must be >= 1")
         if not (0 < self.b_min_s < self.b_max_s):
             raise ValueError("need 0 < b_min_s < b_max_s")
-        if self.pareto_cap is not None and self.pareto_cap < 1:
-            raise ValueError("pareto_cap must be >= 1 when set")
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,6 @@ def utility(
     b_hat_s: float,
     b_min_s: float,
     b_max_s: float,
-    bitrate_unit_bps: float = 1e3,
 ) -> float:
     """Buffer-aware log-bitrate utility of delivering one chunk.
 
@@ -100,7 +97,7 @@ def utility(
     """
     if bitrate_bps <= 0:
         raise ValueError("bitrate_bps must be > 0")
-    q = bitrate_bps / bitrate_unit_bps
+    q = bitrate_bps / BITRATE_UNIT_BPS
     w = mu_c if cached else 1.0
     if b_hat_s >= b_min_s:
         return w * math.log(q) + math.log(min(b_hat_s, b_max_s))
@@ -149,6 +146,6 @@ def build_candidates(
             cost_bps=delivery_cost(rate, cached),
             estimated_buffer_s=b_hat,
             utility=utility(rate, cached, params.mu_c, b_hat,
-                            params.b_min_s, params.b_max_s, params.bitrate_unit_bps),
+                            params.b_min_s, params.b_max_s),
         ))
     return out

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .assign_core import QualityRequest, SolverParams, build_candidates
+from .assign_core import BITRATE_UNIT_BPS, QualityRequest, SolverParams, build_candidates
 from .cache import LruChunkCache
 from .cph import Assignment, AssignmentResult, canonical_order, passthrough
 
@@ -33,7 +33,7 @@ class BuffCandidate:
 
 
 def _weighted_log_bitrate(bitrate_bps: float, cached: bool, params: SolverParams) -> float:
-    q = bitrate_bps / params.bitrate_unit_bps
+    q = bitrate_bps / BITRATE_UNIT_BPS
     w = params.mu_c if cached else 1.0
     return w * math.log(q)
 

@@ -74,7 +74,6 @@ class ScenarioConfig:
     radius_m: float = 70.0
     start_offset_max_s: float = 35.0
     cache_capacity_bits: float = math.inf
-    pareto_cap: int | None = None
     sufficient_chunks: float = 2.0
     reps: int = 20
     base_seed: int = 1
@@ -104,19 +103,17 @@ class ScenarioConfig:
             raise ConfigError("max_bitrate_bps must exceed min_bitrate_bps")
         if self.b_max_s < self.b_min_s:
             raise ConfigError("b_max_s must be >= b_min_s")
-        if self.pareto_cap is not None and self.pareto_cap < 1:
-            raise ConfigError("pareto_cap must be >= 1 or none")
         if self.cache_capacity_bits <= 0:
             raise ConfigError("cache_capacity_bits must be > 0 (inf for unbounded)")
 
 
 _INT_FIELDS = {"n_clients", "n_videos", "levels", "chunk_count", "gamma",
-               "reps", "base_seed", "pareto_cap"}
+               "reps", "base_seed"}
 _FLOAT_FIELDS = {"min_bitrate_bps", "max_bitrate_bps", "chunk_duration_s",
                  "zipf_exponent", "mu_c", "b_min_s", "b_max_s", "backhaul_mbps",
                  "t_ap_s", "radius_m", "start_offset_max_s", "cache_capacity_bits",
                  "sufficient_chunks", "max_time_s"}
-_OPTIONAL_FIELDS = {"pareto_cap", "max_time_s"}
+_OPTIONAL_FIELDS = {"max_time_s"}
 
 
 def _parse_value(key: str, raw: str):
@@ -185,8 +182,7 @@ def run_replication(cfg: ScenarioConfig, scheme: str, rep: int,
     capacities = {i: link_capacity_bps(distances[i], radio)
                   for i in range(cfg.n_clients)}
     params = SolverParams(
-        gamma=cfg.gamma, mu_c=cfg.mu_c, b_min_s=cfg.b_min_s,
-        b_max_s=cfg.b_max_s, pareto_cap=cfg.pareto_cap,
+        gamma=cfg.gamma, mu_c=cfg.mu_c, b_min_s=cfg.b_min_s, b_max_s=cfg.b_max_s,
     )
     engine = ApEngine(
         scheme=scheme, catalog=catalog, clients=clients,

@@ -3,13 +3,18 @@
 The solver forms one group of scored candidates per request, merges groups
 by Cartesian product under the shared-download cost rule (a chunk fetched
 for one client is free for every other client picking the identical
-content), and prunes merged frontiers to Pareto-optimal
-(utility, cost) points. Inside a cluster of groups that can share content
-(same video and chunk) a locally dominated pick can win globally once
-enough clients share its cost, so a configuration is only compared with
-those that have paid for the same content: they face identical costs for
-the rest of the cluster. Across clusters costs are strictly additive and
-pruning after every merge preserves exactness.
+content), and after every merge keeps the Pareto-optimal (utility, cost)
+points among configurations that have paid for the same content. Within a
+cluster of groups that can share content (same video and chunk) those face
+identical costs for the rest of the cluster, while a pick dominated by one
+with another paid set can still win once enough clients share its cost. A
+cluster boundary resets the paid set, so there the same rule prunes the
+whole frontier: across clusters costs are strictly additive.
+
+Exact up to float rounding: costs are summed in group order, so one paid
+set's configurations can differ in the last ulp, and a point dropped as
+dominated can round to a tie that the oracle breaks on picks the other way
+(the open canonical-cost FOUND entry in CHANGES.md).
 
 Determinism contract: requests are put into one canonical order and both
 the heuristic and the brute-force oracle accumulate utility and cost by an
@@ -36,8 +41,7 @@ class SolveItem:
     quality_index: int
     utility: float
     cost_bps: float
-    # items with equal content_key share one download cost; None never shares
-    content_key: Hashable | None = None
+    content_key: Hashable  # items with equal keys share one download cost
 
 
 @dataclass(frozen=True)
@@ -101,63 +105,41 @@ def pareto_min(points: Sequence[tuple]) -> list[tuple]:
     return kept
 
 
-def _truncate(frontier: list[tuple], cap: int | None) -> list[tuple]:
-    if cap is None or len(frontier) <= cap:
-        return frontier
-    ranked = sorted(frontier, key=lambda p: (-p[0], p[1], p[2:]))
-    return sorted(ranked[:cap], key=lambda p: (p[1], -p[0], p[2:]))
-
-
 def solve_groups(
-    groups: Sequence[SolveGroup],
-    capacity_bps: float,
-    pareto_cap: int | None = None,
-    prune_by_paid_set: bool = True,
+    groups: Sequence[SolveGroup], capacity_bps: float
 ) -> tuple[float, float, tuple[int, ...]] | None:
-    """Best (utility, cost, picks) over all feasible configurations.
+    """Best (utility, cost, picks) over all feasible configurations, exact
+    up to float rounding (see the module docstring).
 
-    Groups sharing a cluster_key must be contiguous in `groups`. With
-    prune_by_paid_set=True (the default) a merge inside a cluster prunes
-    only among configurations with the same paid content, which keeps the
-    heuristic exact up to float rounding: a point dropped as dominated can
-    round to a tie with a kept one after later additions, and the oracle
-    breaks such ties on picks, which may favour the dropped point. False
-    prunes across paid sets after every merge, the plain variant that can
-    discard shared-cost optima.
-    Returns None when no configuration fits the capacity.
+    Groups sharing a cluster_key must be contiguous in `groups`. After each
+    merge only configurations with the same paid set are compared; a
+    cluster boundary resets the paid set first. Returns None when no
+    configuration fits the capacity.
     """
-    # configuration = (utility, cost, picks, shared) where shared maps
-    # content_key -> already-paid marker within the current cluster
+    # configuration = (utility, cost, picks, paid) where paid holds the
+    # content keys already charged within the current cluster
     frontier: list[tuple[float, float, tuple[int, ...], frozenset]] = [
         (0.0, 0.0, (), frozenset())
     ]
     for gi, group in enumerate(groups):
         cluster_ends = gi + 1 == len(groups) or groups[gi + 1].cluster_key != group.cluster_key
         merged: list[tuple[float, float, tuple[int, ...], frozenset]] = []
-        for (u, c, picks, shared) in frontier:
+        for (u, c, picks, paid) in frontier:
             for item in group.items:
-                if item.content_key is not None and item.content_key in shared:
-                    cost = c
-                    shared2 = shared
-                else:
-                    cost = c + item.cost_bps
-                    if item.content_key is not None and item.cost_bps > 0:
-                        shared2 = shared | {item.content_key}
-                    else:
-                        shared2 = shared
+                shared = item.content_key in paid
+                cost = c if shared else c + item.cost_bps
                 if cost > capacity_bps:
                     continue
-                merged.append((u + item.utility, cost, picks + (item.quality_index,), shared2))
+                if cluster_ends:
+                    paid2 = frozenset()  # later clusters share no content with this one
+                elif shared or item.cost_bps <= 0:
+                    paid2 = paid
+                else:
+                    paid2 = paid | {item.content_key}
+                merged.append((u + item.utility, cost, picks + (item.quality_index,), paid2))
         if not merged:
             return None
-        if cluster_ends:
-            # shared state is dead weight beyond the cluster boundary
-            merged = _prune_configs(merged, pareto_cap, reset_shared=True)
-        elif not prune_by_paid_set:
-            merged = _prune_configs(merged, pareto_cap, reset_shared=False)
-        else:
-            merged = _prune_within_paid_sets(merged)
-        frontier = merged
+        frontier = _prune_within_paid_sets(merged)
 
     best = max(frontier, key=lambda p: (p[0], -p[1], _neg_lex(p[2])))
     return best[0], best[1], best[2]
@@ -168,25 +150,14 @@ def _neg_lex(picks: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-q for q in picks)
 
 
-def _prune_configs(configs, cap, reset_shared):
-    # picks determine the shared set, so it survives pruning via lookup;
-    # mid-cluster prunes (plain variant) must keep it, boundary prunes drop it
-    pts = [(u, c, picks) for (u, c, picks, _) in configs]
-    pts = _truncate(pareto_min(pts), cap)
-    if reset_shared:
-        return [(u, c, picks, frozenset()) for (u, c, picks) in pts]
-    shared_by_picks = {picks: shared for (_, _, picks, shared) in configs}
-    return [(u, c, picks, shared_by_picks[picks]) for (u, c, picks) in pts]
-
-
 def _prune_within_paid_sets(configs):
     # equal paid sets mean equal costs for every completion of the cluster,
-    # so dominance among them is final and Cartesian growth stays bounded
+    # so dominance among them is final and Cartesian growth stays bounded;
+    # picks are unique, so pareto_min never compares the paid sets
     by_paid: dict[frozenset, list[tuple]] = {}
-    for (u, c, picks, shared) in configs:
-        by_paid.setdefault(shared, []).append((u, c, picks))
-    return [(u, c, picks, shared) for shared, pts in by_paid.items()
-            for (u, c, picks) in pareto_min(pts)]
+    for config in configs:
+        by_paid.setdefault(config[3], []).append(config)
+    return [config for same_paid in by_paid.values() for config in pareto_min(same_paid)]
 
 
 def canonical_order(requests: Sequence[QualityRequest]) -> list[int]:
@@ -262,10 +233,7 @@ def cph_assign(
     if not requests:
         return AssignmentResult((), False, 0.0, 0.0)
     order, groups, candidates = _request_groups(requests, cache, params)
-    # in-cluster pruning by paid set is exact but keeps up to one frontier
-    # per subset of the cluster's uncached levels; only afford it when uncapped
-    best = solve_groups(groups, backhaul_bps, params.pareto_cap,
-                        prune_by_paid_set=params.pareto_cap is None)
+    best = solve_groups(groups, backhaul_bps)
     if best is None:
         return AssignmentResult(passthrough(requests, cache), True, None, None)
     utility, cost, picks = best
@@ -297,11 +265,9 @@ def brute_force_assign(
         feasible = True
         for item in combo:
             u += item.utility
-            if item.content_key is not None and item.content_key in seen:
-                pass
-            else:
+            if item.content_key not in seen:
                 c += item.cost_bps
-                if item.content_key is not None and item.cost_bps > 0:
+                if item.cost_bps > 0:
                     seen.add(item.content_key)
             if c > backhaul_bps:
                 feasible = False
@@ -318,11 +284,13 @@ def brute_force_assign(
 
 # Instance files for the oracle differential harness. UTF-8 text, one record
 # per line:
-#   params <gamma> <mu_c> <b_min_s> <b_max_s> <pareto_cap|none> <unit_bps>
+#   params <gamma> <mu_c> <b_min_s> <b_max_s>
 #   backhaul <bps>
 #   cached <video> <chunk> <quality> <size_bits>
 #   request <client> <video> <chunk> <m> <tau> <buffer> <C> <share> \
 #           <dlq_bits> <dlq_media> <backlog_bits> <bh_rate> <rate0,rate1,...>
+_RECORD_FIELDS = {"params": 5, "backhaul": 2, "cached": 5, "request": 14}
+
 
 def dump_instance(
     path: str,
@@ -338,10 +306,9 @@ def dump_instance(
                 keys.add((r.video_id, r.chunk_index, m))
     with open(path, "w", encoding="utf-8") as f:
         f.write("# solver instance\n")
-        cap = "none" if params.pareto_cap is None else str(params.pareto_cap)
         f.write(
             f"params {params.gamma} {params.mu_c!r} {params.b_min_s!r} "
-            f"{params.b_max_s!r} {cap} {params.bitrate_unit_bps!r}\n"
+            f"{params.b_max_s!r}\n"
         )
         f.write(f"backhaul {backhaul_bps!r}\n")
         for (v, k, m) in sorted(keys):
@@ -372,18 +339,19 @@ def load_instance(
                 continue
             parts = line.split()
             try:
-                if parts[0] == "params" and len(parts) == 7:
-                    cap = None if parts[5] == "none" else int(parts[5])
+                want = _RECORD_FIELDS.get(parts[0])
+                if want is not None and len(parts) != want:
+                    raise ValueError(f"{parts[0]} record needs {want} fields, got {len(parts)}")
+                if parts[0] == "params":
                     params = SolverParams(
                         gamma=int(parts[1]), mu_c=float(parts[2]),
                         b_min_s=float(parts[3]), b_max_s=float(parts[4]),
-                        pareto_cap=cap, bitrate_unit_bps=float(parts[6]),
                     )
-                elif parts[0] == "backhaul" and len(parts) == 2:
+                elif parts[0] == "backhaul":
                     backhaul = float(parts[1])
-                elif parts[0] == "cached" and len(parts) == 5:
+                elif parts[0] == "cached":
                     cache.insert(int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4]))
-                elif parts[0] == "request" and len(parts) == 14:
+                elif parts[0] == "request":
                     requests.append(QualityRequest(
                         client_id=int(parts[1]), video_id=int(parts[2]),
                         chunk_index=int(parts[3]), requested_quality=int(parts[4]),
@@ -395,7 +363,7 @@ def load_instance(
                     ))
                 else:
                     raise ValueError(f"unknown record {parts[0]!r}")
-            except (ValueError, IndexError) as e:
+            except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from None
     if backhaul is None or params is None:
         raise ValueError(f"{path}: missing params or backhaul record")

@@ -29,6 +29,7 @@ from edgestream.cli_metrics import (
     run_sweep,
 )
 from edgestream.cph import SolveGroup, SolveItem, pareto_min, solve_groups
+from plain_fold import plain_fold
 from reference_lru import ReferenceLru
 from replay_oracle import replay_buffer_projection
 
@@ -49,9 +50,10 @@ def test_solver_matches_exhaustive_oracle_on_500_instances():
 
 
 def _group(gid, cluster, pairs, keyed=False):
+    # keyed groups share content by level; the others never share
     items = tuple(
         SolveItem(quality_index=m, utility=float(u), cost_bps=float(c),
-                  content_key=("v", m) if keyed else None)
+                  content_key=("v", m) if keyed else (gid, m))
         for m, (u, c) in enumerate(pairs)
     )
     return SolveGroup(gid, cluster, items)
@@ -76,7 +78,7 @@ def test_shared_content_merge_beats_eager_pruning():
         _group(2, "v0", [(4, 300), (7, 700), (15, 1700)], keyed=True),
     ]
     deferred = solve_groups(shared, 2000.0)
-    eager = solve_groups(shared, 2000.0, prune_by_paid_set=False)
+    eager = plain_fold(shared, 2000.0)
     assert deferred == (35.0, 1700.0, (2, 2, 2))
     assert eager == (27.0, 700.0, (1, 1, 1))
 
@@ -162,6 +164,9 @@ def test_bitrate_ordering_under_contention(n_sweep, n):
 def test_stall_ordering_at_heavy_load(n_sweep):
     rows, _, _ = n_sweep
     stalls = _means(rows, 20, "stall_ratio")
+    # Vacuous as it stands: at N=20 with the 20 Mbps default backhaul every
+    # scheme stalls about 0, so this holds as 0 >= 0. ROADMAP item 1 keeps
+    # it unchanged and asks for a strict test at a backhaul-bound point.
     assert stalls["CLIENT"] >= 2.0 * stalls["CPH"]
 
 

@@ -88,7 +88,6 @@ class TestSolverParams:
         dict(mu_c=0.9),
         dict(b_min_s=15.0, b_max_s=4.0),
         dict(b_min_s=0.0),
-        dict(pareto_cap=0),
     ])
     def test_invalid_params(self, kw):
         with pytest.raises(ValueError):

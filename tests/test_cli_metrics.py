@@ -41,7 +41,6 @@ class TestScenarioConfig:
         dict(min_bitrate_bps=2e6, max_bitrate_bps=1e6),
         dict(gamma=-1),
         dict(b_min_s=10.0, b_max_s=5.0),
-        dict(pareto_cap=0),
         dict(cache_capacity_bits=0.0),
         dict(backhaul_mbps=-1.0),
         dict(start_offset_max_s=-1.0),
@@ -61,7 +60,6 @@ class TestLoadConfig:
             "n_clients = 3   # tail comment\n"
             "chunk_count = 12\n"
             "schemes = CPH, CLIENT\n"
-            "pareto_cap = none\n"
             "max_time_s = 500.0\n"
             "mu_c = 1.5\n"
             "\n")
@@ -69,7 +67,6 @@ class TestLoadConfig:
         assert cfg.n_clients == 3
         assert cfg.chunk_count == 12
         assert cfg.schemes == ("CPH", "CLIENT")
-        assert cfg.pareto_cap is None
         assert cfg.max_time_s == 500.0
         assert cfg.mu_c == 1.5
         assert cfg.n_videos == 10  # untouched default
@@ -79,6 +76,7 @@ class TestLoadConfig:
         "n_clients = abc",
         "n_clients 3",
         "gamma = -2",
+        "pareto_cap = 4",
     ])
     def test_bad_lines_rejected(self, tmp_path, line):
         path = tmp_path / "bad.cfg"

@@ -26,6 +26,7 @@ from edgestream.cph import (
     pareto_min,
     solve_groups,
 )
+from plain_fold import plain_fold
 
 
 class Metered(tuple):
@@ -85,9 +86,10 @@ class TestParetoMin:
 
 
 def _group(gid, cluster, pairs, keyed=False):
+    # keyed groups share content by level; the others never share
     items = tuple(
         SolveItem(quality_index=m, utility=float(u), cost_bps=float(c),
-                  content_key=("v", m) if keyed else None)
+                  content_key=("v", m) if keyed else (gid, m))
         for m, (u, c) in enumerate(pairs)
     )
     return SolveGroup(gid, cluster, items)
@@ -117,8 +119,8 @@ class TestSolveGroups:
             _group(1, "v0", [(6, 300), (11, 700), (12, 1700)], keyed=True),
             _group(2, "v0", [(4, 300), (7, 700), (15, 1700)], keyed=True),
         ]
-        got = solve_groups(shared, 2000.0, prune_by_paid_set=False)
-        # per-merge pruning drops the locally dominated expensive level
+        got = plain_fold(shared, 2000.0)
+        # pruning across paid sets drops the locally dominated expensive level
         assert got == (27.0, 700.0, (1, 1, 1))
 
     def test_in_cluster_pruning_matches_exhaustive_fold(self):
@@ -142,7 +144,7 @@ class TestSolveGroups:
                     u += item.utility
                     if item.content_key not in paid:
                         c += item.cost_bps
-                        if item.content_key is not None and item.cost_bps > 0:
+                        if item.cost_bps > 0:
                             paid.add(item.content_key)
                 picks = tuple(item.quality_index for item in combo)
                 if c <= capacity and (best is None or (u, -c, [-q for q in picks])
@@ -175,18 +177,6 @@ class TestSolveGroups:
     def test_zero_cost_item_survives_zero_capacity(self):
         groups = [_group(0, "a", [(1, 0), (9, 500)])]
         assert solve_groups(groups, 0.0) == (1.0, 0.0, (0,))
-
-    def test_pareto_cap_keeps_result_feasible(self):
-        rng = np.random.default_rng(3)
-        groups = [
-            _group(g, f"k{g}",
-                   [(float(rng.uniform(0, 10)), float(rng.integers(0, 500)))
-                    for _ in range(4)])
-            for g in range(6)
-        ]
-        got = solve_groups(groups, 900.0, pareto_cap=2)
-        assert got is not None
-        assert got[1] <= 900.0
 
 
 def _mk_request(cid, video, chunk, m, rates, share=0.5) -> QualityRequest:
@@ -302,8 +292,15 @@ class TestInstanceFiles:
 
     def test_load_rejects_malformed_lines(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("params 2 1.3 4.0 15.0 none 1000.0\nbogus 1 2\n")
-        with pytest.raises(ValueError):
+        path.write_text("params 2 1.3 4.0 15.0\nbogus 1 2\n")
+        with pytest.raises(ValueError, match=r"bad\.txt:2: unknown record 'bogus'"):
+            load_instance(str(path))
+
+    def test_load_names_the_record_with_the_wrong_field_count(self, tmp_path):
+        # the older params record also carried a Pareto cap and a bitrate unit
+        path = tmp_path / "old.txt"
+        path.write_text("params 2 1.3 4.0 15.0 none 1000.0\nbackhaul 2e7\n")
+        with pytest.raises(ValueError, match=r"old\.txt:1: params record needs 5 fields, got 7"):
             load_instance(str(path))
 
     def test_load_requires_header_records(self, tmp_path):
