@@ -12,7 +12,6 @@ from .assign_core import (
 from .buff import buff_assign
 from .buffer_airtime import (
     AirtimeAllocation,
-    BufferEstimateInput,
     ClientLoad,
     allocate_airtime,
     equal_airtime,
@@ -46,7 +45,6 @@ from .cph import (
     Assignment,
     AssignmentResult,
     SolveGroup,
-    SolveItem,
     brute_force_assign,
     canonical_order,
     cph_assign,
@@ -62,7 +60,7 @@ __all__ = [
     "CandidateQuality", "QualityRequest", "SolverParams", "build_candidates",
     "delivery_cost", "tolerated_set", "utility",
     "buff_assign",
-    "AirtimeAllocation", "BufferEstimateInput", "ClientLoad",
+    "AirtimeAllocation", "ClientLoad",
     "allocate_airtime", "equal_airtime", "estimate_buffer",
     "LruChunkCache", "OversizedObjectError",
     "Catalog", "CatalogError", "PopularityModel", "QualityLadder",
@@ -71,7 +69,7 @@ __all__ = [
     "ScenarioConfig", "load_config", "mean_ci", "oracle_check",
     "run_replication", "run_scenario", "run_sweep", "summarize",
     "write_csv", "write_json",
-    "Assignment", "AssignmentResult", "SolveGroup", "SolveItem",
+    "Assignment", "AssignmentResult", "SolveGroup",
     "brute_force_assign", "canonical_order", "cph_assign",
     "dump_instance", "load_instance", "pareto_min", "solve_groups",
     "RadioConfig", "link_capacity_bps", "path_loss_db", "place_clients",

@@ -32,7 +32,7 @@ from .buffer_airtime import ClientLoad, allocate_airtime, equal_airtime
 from .cache import LruChunkCache
 from .catalog import Catalog
 from .client import ChunkRequest, DashClient
-from .cph import Assignment, AssignmentResult, cph_assign, passthrough  # noqa: F401
+from .cph import Assignment, AssignmentResult, assign_qualities, cph_assign  # noqa: F401
 
 
 class Policy(NamedTuple):
@@ -246,7 +246,8 @@ class ApEngine:
     def _assign(self, requests: list[QualityRequest]) -> AssignmentResult:
         if self.policy.solver is None:
             cache = self.cache if self.policy.reads_cache else None
-            return AssignmentResult(passthrough(requests, cache), False, None, None)
+            kept = [r.requested_quality for r in requests]
+            return AssignmentResult(assign_qualities(requests, kept, cache), False, None, None)
         solve = globals()[self.policy.solver]
         return solve(requests, self.cache, self._available_backhaul_bps(), self.params)
 

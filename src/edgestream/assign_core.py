@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .buffer_airtime import BufferEstimateInput, estimate_buffer
+from .buffer_airtime import estimate_buffer
 from .cache import LruChunkCache
 
 BITRATE_UNIT_BPS = 1e3  # log() argument unit for utility values
@@ -55,9 +55,7 @@ class QualityRequest:
 
 @dataclass(frozen=True)
 class CandidateQuality:
-    client_id: int
-    video_id: int
-    chunk_index: int
+    """One scored tolerated level of a request; the request says whose."""
     quality_index: int
     bitrate_bps: float
     cached: bool
@@ -127,7 +125,7 @@ def build_candidates(
             backhaul_delay_s = (request.fifo_backlog_bits + chunk_bits) / request.backhaul_rate_bps
         else:
             backhaul_delay_s = math.inf
-        b_hat = estimate_buffer(BufferEstimateInput(
+        b_hat = estimate_buffer(
             current_buffer_s=request.buffer_s,
             backhaul_delay_s=backhaul_delay_s,
             dl_transmit_s=dl_transmit_s,
@@ -135,11 +133,8 @@ def build_candidates(
             dl_queue_media_s=request.dl_queue_media_s,
             effective_rate_bps=effective_rate,
             from_cache=cached,
-        ))
+        )
         out.append(CandidateQuality(
-            client_id=request.client_id,
-            video_id=request.video_id,
-            chunk_index=request.chunk_index,
             quality_index=m,
             bitrate_bps=rate,
             cached=cached,

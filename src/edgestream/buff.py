@@ -11,25 +11,11 @@ keep their requested quality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .assign_core import BITRATE_UNIT_BPS, QualityRequest, SolverParams, build_candidates
 from .cache import LruChunkCache
-from .cph import Assignment, AssignmentResult, canonical_order, passthrough
-
-
-@dataclass
-class BuffCandidate:
-    request_index: int
-    client_id: int
-    video_id: int
-    chunk_index: int
-    quality_index: int
-    bitrate_bps: float
-    cached: bool
-    utility: float
-    cost_bps: float
+from .cph import AssignmentResult, assign_qualities, canonical_order
 
 
 def _weighted_log_bitrate(bitrate_bps: float, cached: bool, params: SolverParams) -> float:
@@ -46,9 +32,9 @@ def buff_assign(
 ) -> AssignmentResult:
     if not requests:
         return AssignmentResult((), False, 0.0, 0.0)
-    order = canonical_order(requests)
-    pool: list[BuffCandidate] = []
-    for ri in order:
+    # pool entry = (rank, request index, chunk key, candidate, weighted utility)
+    pool = []
+    for ri in canonical_order(requests):
         req = requests[ri]
         cands = build_candidates(req, cache, params)
         min_level = min(c.quality_index for c in cands)
@@ -56,53 +42,35 @@ def buff_assign(
             safe = c.estimated_buffer_s >= 0
             if not safe and c.quality_index != min_level:
                 continue
-            pool.append(BuffCandidate(
-                request_index=ri,
-                client_id=c.client_id,
-                video_id=c.video_id,
-                chunk_index=c.chunk_index,
-                quality_index=c.quality_index,
-                bitrate_bps=c.bitrate_bps,
-                cached=c.cached,
-                utility=_weighted_log_bitrate(c.bitrate_bps, c.cached, params),
-                cost_bps=c.cost_bps,
-            ))
+            u = _weighted_log_bitrate(c.bitrate_bps, c.cached, params)
+            rank = (-u, -c.quality_index, req.client_id, req.video_id, req.chunk_index)
+            pool.append((rank, ri, (req.video_id, req.chunk_index, c.quality_index), c, u))
 
     remaining = backhaul_bps
-    chosen: dict[int, BuffCandidate] = {}
+    chosen: dict[int, int] = {}  # request index -> quality
+    paid: set = set()  # chunks being fetched once; identical picks ride along free
     total_utility = 0.0
     total_cost = 0.0
     while True:
-        affordable = [c for c in pool
-                      if c.request_index not in chosen and c.cost_bps <= remaining]
-        if not affordable:
+        best = None  # (entry, cost) of the lowest-ranked affordable candidate
+        for entry in pool:
+            rank, ri, key, c, _ = entry
+            cost = 0.0 if key in paid else c.cost_bps
+            if ri not in chosen and cost <= remaining and (best is None or rank < best[0][0]):
+                best = entry, cost
+        if best is None:
             break
-        best = min(affordable, key=lambda c: (
-            -c.utility, -c.quality_index, c.client_id, c.video_id, c.chunk_index))
-        chosen[best.request_index] = best
-        total_utility += best.utility
-        total_cost += best.cost_bps
-        remaining -= best.cost_bps
-        if best.cost_bps > 0:
-            # the chunk is being fetched once; identical picks ride along free
-            key = (best.video_id, best.chunk_index, best.quality_index)
-            for c in pool:
-                if (c.video_id, c.chunk_index, c.quality_index) == key:
-                    c.cost_bps = 0.0
+        (_, ri, key, c, u), cost = best
+        chosen[ri] = c.quality_index
+        total_utility += u
+        total_cost += cost
+        remaining -= cost
+        if cost > 0:
+            paid.add(key)
 
-    assignments: list[Assignment] = []
-    for ri, req in enumerate(requests):
-        pick = chosen.get(ri)
-        if pick is None:
-            assignments += passthrough([req], cache)
-            continue
-        assignments.append(Assignment(
-            client_id=req.client_id,
-            video_id=req.video_id,
-            chunk_index=req.chunk_index,
-            quality_index=pick.quality_index,
-            from_cache=pick.cached,
-            requested_quality=req.requested_quality,
-        ))
+    qualities = [r.requested_quality for r in requests]
+    for ri, m in chosen.items():
+        qualities[ri] = m
     fell_back = len(chosen) < len(requests)
-    return AssignmentResult(tuple(assignments), fell_back, total_utility, total_cost)
+    return AssignmentResult(assign_qualities(requests, qualities, cache),
+                            fell_back, total_utility, total_cost)

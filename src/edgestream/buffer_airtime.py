@@ -15,34 +15,31 @@ import math
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class BufferEstimateInput:
-    current_buffer_s: float
-    backhaul_delay_s: float     # download wait incl. queueing; 0 if cache-served
-    dl_transmit_s: float        # candidate bits / (C * theta)
-    dl_queue_bits: float
-    dl_queue_media_s: float     # playable seconds of whole untransmitted chunks
-    effective_rate_bps: float   # C * theta assumed during selection
-    from_cache: bool
-
-
-def estimate_buffer(inp: BufferEstimateInput) -> float:
+def estimate_buffer(
+    *,
+    current_buffer_s: float,
+    backhaul_delay_s: float,    # download wait incl. queueing; 0 if cache-served
+    dl_transmit_s: float,       # candidate bits / (C * theta)
+    dl_queue_bits: float,
+    dl_queue_media_s: float,    # playable seconds of whole untransmitted chunks
+    effective_rate_bps: float,  # C * theta assumed during selection
+    from_cache: bool,
+) -> float:
     """Projected buffer seconds at candidate arrival; may be negative."""
-    if inp.dl_queue_bits < 0 or inp.dl_queue_media_s < 0:
+    if dl_queue_bits < 0 or dl_queue_media_s < 0:
         raise ValueError("queue fields must be non-negative")
-    b = inp.current_buffer_s
-    t_dl = inp.dl_transmit_s
-    if inp.dl_queue_bits == 0:
-        if inp.from_cache:
-            return b - t_dl
-        return b - (inp.backhaul_delay_s + t_dl)
-    if inp.effective_rate_bps > 0:
-        drain_s = inp.dl_queue_bits / inp.effective_rate_bps
+    b = current_buffer_s
+    if dl_queue_bits == 0:
+        if from_cache:
+            return b - dl_transmit_s
+        return b - (backhaul_delay_s + dl_transmit_s)
+    if effective_rate_bps > 0:
+        drain_s = dl_queue_bits / effective_rate_bps
     else:
         drain_s = math.inf
-    if inp.from_cache:
-        return b - drain_s - t_dl + inp.dl_queue_media_s
-    return b - max(drain_s, inp.backhaul_delay_s) - t_dl + inp.dl_queue_media_s
+    if from_cache:
+        return b - drain_s - dl_transmit_s + dl_queue_media_s
+    return b - max(drain_s, backhaul_delay_s) - dl_transmit_s + dl_queue_media_s
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,14 @@ The solver forms one group of scored candidates per request, merges groups
 by Cartesian product under the shared-download cost rule (a chunk fetched
 for one client is free for every other client picking the identical
 content), and after every merge keeps the Pareto-optimal (utility, cost)
-points among configurations that have paid for the same content. Within a
-cluster of groups that can share content (same video and chunk) those face
-identical costs for the rest of the cluster, while a pick dominated by one
-with another paid set can still win once enough clients share its cost. A
-cluster boundary resets the paid set, so there the same rule prunes the
-whole frontier: across clusters costs are strictly additive.
+points among configurations that have paid for the same content. A
+cluster is a run of groups for one video and chunk, so within it an equal
+quality is the same chunk and shares one download. Configurations with the
+same paid levels face identical costs for the rest of the cluster, while a
+pick dominated by one with other paid levels can still win once enough
+clients share its cost. A cluster boundary resets the paid set, so there the
+same rule prunes the whole frontier: across clusters costs are strictly
+additive.
 
 Exact up to float rounding: costs are summed in group order, so one paid
 set's configurations can differ in the last ulp, and a point dropped as
@@ -36,19 +38,13 @@ from .assign_core import (
 from .cache import LruChunkCache
 
 
-@dataclass(frozen=True)
-class SolveItem:
-    quality_index: int
-    utility: float
-    cost_bps: float
-    content_key: Hashable  # items with equal keys share one download cost
+BRUTE_FORCE_LIMIT = 10**6  # most combinations brute_force_assign enumerates
 
 
 @dataclass(frozen=True)
 class SolveGroup:
-    group_id: int
-    cluster_key: Hashable
-    items: tuple[SolveItem, ...]
+    cluster_key: Hashable  # (video, chunk): an equal quality is one download
+    items: tuple[CandidateQuality, ...]
 
 
 @dataclass(frozen=True)
@@ -69,22 +65,23 @@ class AssignmentResult:
     total_cost_bps: float | None
 
 
-def passthrough(
-    requests: Sequence[QualityRequest], cache: LruChunkCache | None
+def assign_qualities(
+    requests: Sequence[QualityRequest],
+    qualities: Sequence[int],
+    cache: LruChunkCache | None,
 ) -> tuple[Assignment, ...]:
-    """Every request at its requested quality, served from `cache` when it
-    holds that exact chunk; None means the cache is never read."""
+    """Each request at its quality, served from `cache` when it holds that
+    exact chunk; None means the cache is never read."""
     return tuple(
         Assignment(
             client_id=r.client_id,
             video_id=r.video_id,
             chunk_index=r.chunk_index,
-            quality_index=r.requested_quality,
-            from_cache=cache is not None
-            and cache.contains(r.video_id, r.chunk_index, r.requested_quality),
+            quality_index=m,
+            from_cache=cache is not None and cache.contains(r.video_id, r.chunk_index, m),
             requested_quality=r.requested_quality,
         )
-        for r in requests
+        for r, m in zip(requests, qualities)
     )
 
 
@@ -111,31 +108,31 @@ def solve_groups(
     """Best (utility, cost, picks) over all feasible configurations, exact
     up to float rounding (see the module docstring).
 
-    Groups sharing a cluster_key must be contiguous in `groups`. After each
-    merge only configurations with the same paid set are compared; a
-    cluster boundary resets the paid set first. Returns None when no
-    configuration fits the capacity.
+    Groups sharing a cluster_key must be contiguous in `groups`; within a
+    cluster an equal quality_index shares one download. After each merge
+    only configurations with the same paid set are compared; a cluster
+    boundary resets the paid set first. Returns None when no configuration
+    fits the capacity.
     """
-    # configuration = (utility, cost, picks, paid) where paid holds the
-    # content keys already charged within the current cluster
-    frontier: list[tuple[float, float, tuple[int, ...], frozenset]] = [
-        (0.0, 0.0, (), frozenset())
-    ]
+    # configuration = (utility, cost, picks, paid) where paid is a bitmask of
+    # the quality levels already charged within the current cluster
+    frontier: list[tuple[float, float, tuple[int, ...], int]] = [(0.0, 0.0, (), 0)]
     for gi, group in enumerate(groups):
         cluster_ends = gi + 1 == len(groups) or groups[gi + 1].cluster_key != group.cluster_key
-        merged: list[tuple[float, float, tuple[int, ...], frozenset]] = []
+        merged: list[tuple[float, float, tuple[int, ...], int]] = []
         for (u, c, picks, paid) in frontier:
             for item in group.items:
-                shared = item.content_key in paid
+                level = 1 << item.quality_index
+                shared = paid & level
                 cost = c if shared else c + item.cost_bps
                 if cost > capacity_bps:
                     continue
                 if cluster_ends:
-                    paid2 = frozenset()  # later clusters share no content with this one
+                    paid2 = 0  # later clusters share no content with this one
                 elif shared or item.cost_bps <= 0:
                     paid2 = paid
                 else:
-                    paid2 = paid | {item.content_key}
+                    paid2 = paid | level
                 merged.append((u + item.utility, cost, picks + (item.quality_index,), paid2))
         if not merged:
             return None
@@ -154,7 +151,7 @@ def _prune_within_paid_sets(configs):
     # equal paid sets mean equal costs for every completion of the cluster,
     # so dominance among them is final and Cartesian growth stays bounded;
     # picks are unique, so pareto_min never compares the paid sets
-    by_paid: dict[frozenset, list[tuple]] = {}
+    by_paid: dict[int, list[tuple]] = {}
     for config in configs:
         by_paid.setdefault(config[3], []).append(config)
     return [config for same_paid in by_paid.values() for config in pareto_min(same_paid)]
@@ -177,49 +174,30 @@ def _request_groups(
     requests: Sequence[QualityRequest],
     cache: LruChunkCache,
     params: SolverParams,
-) -> tuple[list[int], list[SolveGroup], list[list[CandidateQuality]]]:
+) -> tuple[list[int], list[SolveGroup]]:
     order = canonical_order(requests)
-    groups: list[SolveGroup] = []
-    candidates: list[list[CandidateQuality]] = []
-    for gi, ri in enumerate(order):
-        req = requests[ri]
-        cands = build_candidates(req, cache, params)
-        items = tuple(
-            SolveItem(
-                quality_index=c.quality_index,
-                utility=c.utility,
-                cost_bps=c.cost_bps,
-                content_key=(c.video_id, c.chunk_index, c.quality_index),
-            )
-            for c in cands
-        )
-        groups.append(SolveGroup(gi, (req.video_id, req.chunk_index), items))
-        candidates.append(cands)
-    return order, groups, candidates
+    groups = [
+        SolveGroup((requests[ri].video_id, requests[ri].chunk_index),
+                   tuple(build_candidates(requests[ri], cache, params)))
+        for ri in order
+    ]
+    return order, groups
 
 
-def _result_from_picks(
+def _result(
     requests: Sequence[QualityRequest],
+    cache: LruChunkCache,
     order: list[int],
-    candidates: list[list[CandidateQuality]],
-    picks: tuple[int, ...],
-    utility: float,
-    cost: float,
+    best: tuple[float, float, tuple[int, ...]] | None,
 ) -> AssignmentResult:
-    by_input: dict[int, Assignment] = {}
-    for gi, ri in enumerate(order):
-        req = requests[ri]
-        cand = next(c for c in candidates[gi] if c.quality_index == picks[gi])
-        by_input[ri] = Assignment(
-            client_id=req.client_id,
-            video_id=req.video_id,
-            chunk_index=req.chunk_index,
-            quality_index=cand.quality_index,
-            from_cache=cand.cached,
-            requested_quality=req.requested_quality,
-        )
-    assignments = tuple(by_input[i] for i in range(len(requests)))
-    return AssignmentResult(assignments, False, utility, cost)
+    # picks follow the canonical order; None keeps the requests, flagged
+    qualities = [r.requested_quality for r in requests]
+    if best is None:
+        return AssignmentResult(assign_qualities(requests, qualities, cache), True, None, None)
+    utility, cost, picks = best
+    for ri, m in zip(order, picks):
+        qualities[ri] = m
+    return AssignmentResult(assign_qualities(requests, qualities, cache), False, utility, cost)
 
 
 def cph_assign(
@@ -232,12 +210,8 @@ def cph_assign(
     qualities (flagged) when no configuration fits the backhaul budget."""
     if not requests:
         return AssignmentResult((), False, 0.0, 0.0)
-    order, groups, candidates = _request_groups(requests, cache, params)
-    best = solve_groups(groups, backhaul_bps)
-    if best is None:
-        return AssignmentResult(passthrough(requests, cache), True, None, None)
-    utility, cost, picks = best
-    return _result_from_picks(requests, order, candidates, picks, utility, cost)
+    order, groups = _request_groups(requests, cache, params)
+    return _result(requests, cache, order, solve_groups(groups, backhaul_bps))
 
 
 def brute_force_assign(
@@ -245,30 +219,30 @@ def brute_force_assign(
     cache: LruChunkCache,
     backhaul_bps: float,
     params: SolverParams,
-    guard: int = 10**6,
 ) -> AssignmentResult:
     """Exhaustive oracle over all tolerated combinations; same fold and
     tie-breaking as cph_assign so optima compare bitwise."""
     if not requests:
         return AssignmentResult((), False, 0.0, 0.0)
-    order, groups, candidates = _request_groups(requests, cache, params)
+    order, groups = _request_groups(requests, cache, params)
     space = 1
     for g in groups:
         space *= len(g.items)
-        if space > guard:
-            raise ValueError(f"instance too large for exhaustive search (> {guard})")
+        if space > BRUTE_FORCE_LIMIT:
+            raise ValueError(f"instance too large for exhaustive search (> {BRUTE_FORCE_LIMIT})")
     best: tuple[float, float, tuple[int, ...]] | None = None
     for combo in itertools.product(*(g.items for g in groups)):
         u = 0.0
         c = 0.0
         seen: set = set()
         feasible = True
-        for item in combo:
+        for g, item in zip(groups, combo):
             u += item.utility
-            if item.content_key not in seen:
+            chunk = (g.cluster_key, item.quality_index)
+            if chunk not in seen:
                 c += item.cost_bps
                 if item.cost_bps > 0:
-                    seen.add(item.content_key)
+                    seen.add(chunk)
             if c > backhaul_bps:
                 feasible = False
                 break
@@ -277,9 +251,7 @@ def brute_force_assign(
         picks = tuple(item.quality_index for item in combo)
         if best is None or (u, -c, _neg_lex(picks)) > (best[0], -best[1], _neg_lex(best[2])):
             best = (u, c, picks)
-    if best is None:
-        return AssignmentResult(passthrough(requests, cache), True, None, None)
-    return _result_from_picks(requests, order, candidates, best[2], best[0], best[1])
+    return _result(requests, cache, order, best)
 
 
 # Instance files for the oracle differential harness. UTF-8 text, one record
@@ -352,14 +324,20 @@ def load_instance(
                 elif parts[0] == "cached":
                     cache.insert(int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4]))
                 elif parts[0] == "request":
+                    rates = tuple(float(x) for x in parts[13].split(","))
+                    if not (rates[0] > 0 and all(b > a for a, b in zip(rates, rates[1:]))):
+                        raise ValueError("request ladder must be positive and strictly ascending")
+                    m = int(parts[4])
+                    if not 0 <= m < len(rates):
+                        raise ValueError(f"requested quality {m} outside ladder of {len(rates)}")
                     requests.append(QualityRequest(
                         client_id=int(parts[1]), video_id=int(parts[2]),
-                        chunk_index=int(parts[3]), requested_quality=int(parts[4]),
+                        chunk_index=int(parts[3]), requested_quality=m,
                         chunk_duration_s=float(parts[5]), buffer_s=float(parts[6]),
                         link_capacity_bps=float(parts[7]), equal_share=float(parts[8]),
                         dl_queue_bits=float(parts[9]), dl_queue_media_s=float(parts[10]),
                         fifo_backlog_bits=float(parts[11]), backhaul_rate_bps=float(parts[12]),
-                        bitrates_bps=tuple(float(x) for x in parts[13].split(",")),
+                        bitrates_bps=rates,
                     ))
                 else:
                     raise ValueError(f"unknown record {parts[0]!r}")

@@ -17,9 +17,10 @@ def plain_fold(groups, capacity_bps):
         merged = []
         for (u, c, picks, paid) in frontier:
             for item in group.items:
-                cost = c if item.content_key in paid else c + item.cost_bps
+                chunk = (group.cluster_key, item.quality_index)
+                cost = c if chunk in paid else c + item.cost_bps
                 if cost <= capacity_bps:
-                    paid2 = paid | {item.content_key} if item.cost_bps > 0 else paid
+                    paid2 = paid | {chunk} if item.cost_bps > 0 else paid
                     merged.append((u + item.utility, cost, picks + (item.quality_index,), paid2))
         if not merged:
             return None

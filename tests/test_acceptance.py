@@ -18,7 +18,8 @@ import time
 import numpy as np
 import pytest
 
-from edgestream.buffer_airtime import BufferEstimateInput, estimate_buffer
+from edgestream.assign_core import CandidateQuality
+from edgestream.buffer_airtime import estimate_buffer
 from edgestream.cache import LruChunkCache, OversizedObjectError
 from edgestream.cli_metrics import (
     ScenarioConfig,
@@ -28,7 +29,7 @@ from edgestream.cli_metrics import (
     run_scenario,
     run_sweep,
 )
-from edgestream.cph import SolveGroup, SolveItem, pareto_min, solve_groups
+from edgestream.cph import SolveGroup, pareto_min, solve_groups
 from plain_fold import plain_fold
 from reference_lru import ReferenceLru
 from replay_oracle import replay_buffer_projection
@@ -49,21 +50,21 @@ def test_solver_matches_exhaustive_oracle_on_500_instances():
 # ---- 2: worked merge examples, exact -----------------------------------
 
 
-def _group(gid, cluster, pairs, keyed=False):
-    # keyed groups share content by level; the others never share
+def _group(cluster, pairs):
+    # groups of one cluster share content by level; other clusters never do
     items = tuple(
-        SolveItem(quality_index=m, utility=float(u), cost_bps=float(c),
-                  content_key=("v", m) if keyed else (gid, m))
+        CandidateQuality(quality_index=m, bitrate_bps=1.0, cached=False,
+                         cost_bps=float(c), estimated_buffer_s=0.0, utility=float(u))
         for m, (u, c) in enumerate(pairs)
     )
-    return SolveGroup(gid, cluster, items)
+    return SolveGroup(cluster, items)
 
 
 def test_distinct_content_merge_reaches_known_optimum():
     groups = [
-        _group(0, "a", [(3, 150), (10, 400), (4, 500)]),
-        _group(1, "b", [(3, 450), (10, 450), (12, 800)]),
-        _group(2, "c", [(2, 100), (9, 300), (11, 900)]),
+        _group("a", [(3, 150), (10, 400), (4, 500)]),
+        _group("b", [(3, 450), (10, 450), (12, 800)]),
+        _group("c", [(2, 100), (9, 300), (11, 900)]),
     ]
     utility, cost, picks = solve_groups(groups, 1200.0)
     assert utility == 29.0
@@ -73,9 +74,9 @@ def test_distinct_content_merge_reaches_known_optimum():
 
 def test_shared_content_merge_beats_eager_pruning():
     shared = [
-        _group(0, "v0", [(5, 300), (9, 700), (8, 1700)], keyed=True),
-        _group(1, "v0", [(6, 300), (11, 700), (12, 1700)], keyed=True),
-        _group(2, "v0", [(4, 300), (7, 700), (15, 1700)], keyed=True),
+        _group("v0", [(5, 300), (9, 700), (8, 1700)]),
+        _group("v0", [(6, 300), (11, 700), (12, 1700)]),
+        _group("v0", [(4, 300), (7, 700), (15, 1700)]),
     ]
     deferred = solve_groups(shared, 2000.0)
     eager = plain_fold(shared, 2000.0)
@@ -223,7 +224,7 @@ def test_buffer_projection_hand_cases_exact():
                     dl_transmit_s=1.0, dl_queue_bits=0.0, dl_queue_media_s=0.0,
                     effective_rate_bps=1e6, from_cache=False)
         base.update(kw)
-        return estimate_buffer(BufferEstimateInput(**base))
+        return estimate_buffer(**base)
 
     assert run(backhaul_delay_s=3.0) == 4.0
     assert run(backhaul_delay_s=3.0, dl_queue_bits=4e6, dl_queue_media_s=6.0) == 9.0
@@ -241,7 +242,7 @@ def test_buffer_projection_matches_replay_on_1000_states():
         from_cache = bool(rng.integers(0, 2))
         t_b = 0.0 if from_cache else float(rng.uniform(0.0, 10.0))
         b0 = float(rng.uniform(-5.0, 20.0))
-        got = estimate_buffer(BufferEstimateInput(
+        got = estimate_buffer(
             current_buffer_s=b0,
             backhaul_delay_s=t_b,
             dl_transmit_s=cand_bits / rate,
@@ -249,7 +250,7 @@ def test_buffer_projection_matches_replay_on_1000_states():
             dl_queue_media_s=sum(m for _, m in chunks),
             effective_rate_bps=rate,
             from_cache=from_cache,
-        ))
+        )
         want = replay_buffer_projection(b0, chunks, cand_bits, rate,
                                         from_cache, t_b)
         assert abs(got - want) <= 0.5

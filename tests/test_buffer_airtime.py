@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from edgestream.buffer_airtime import (
     AirtimeAllocation,
-    BufferEstimateInput,
     ClientLoad,
     allocate_airtime,
     equal_airtime,
@@ -19,7 +18,7 @@ from edgestream.buffer_airtime import (
 from replay_oracle import replay_buffer_projection
 
 
-def _inp(**kw) -> BufferEstimateInput:
+def _est(**kw) -> float:
     base = dict(
         current_buffer_s=8.0,
         backhaul_delay_s=0.0,
@@ -30,45 +29,45 @@ def _inp(**kw) -> BufferEstimateInput:
         from_cache=False,
     )
     base.update(kw)
-    return BufferEstimateInput(**base)
+    return estimate_buffer(**base)
 
 
 class TestEstimateBuffer:
     def test_backhaul_empty_queue(self):
         # B=8, backhaul wait 3, transfer 1 -> 4
-        assert estimate_buffer(_inp(backhaul_delay_s=3.0)) == 4.0
+        assert _est(backhaul_delay_s=3.0) == 4.0
 
     def test_backhaul_backlogged_queue(self):
         # drain 4e6/1e6 = 4 s overlaps the 3 s backhaul wait; queued media adds 6 s
-        got = estimate_buffer(_inp(
-            backhaul_delay_s=3.0, dl_queue_bits=4e6, dl_queue_media_s=6.0))
+        got = _est(
+            backhaul_delay_s=3.0, dl_queue_bits=4e6, dl_queue_media_s=6.0)
         assert got == 8.0 - max(4.0, 3.0) - 1.0 + 6.0 == 9.0
 
     def test_cache_empty_queue(self):
-        assert estimate_buffer(_inp(from_cache=True)) == 7.0
+        assert _est(from_cache=True) == 7.0
 
     def test_cache_backlogged_queue(self):
-        got = estimate_buffer(_inp(
-            from_cache=True, dl_queue_bits=4e6, dl_queue_media_s=6.0))
+        got = _est(
+            from_cache=True, dl_queue_bits=4e6, dl_queue_media_s=6.0)
         assert got == 8.0 - 4.0 - 1.0 + 6.0 == 9.0
 
     def test_identity_limit(self):
         # cache-served, nothing queued, instantaneous transfer: buffer unchanged
-        assert estimate_buffer(_inp(from_cache=True, dl_transmit_s=0.0)) == 8.0
+        assert _est(from_cache=True, dl_transmit_s=0.0) == 8.0
 
     def test_negative_projection_preserved(self):
-        got = estimate_buffer(_inp(current_buffer_s=1.0, backhaul_delay_s=9.0))
+        got = _est(current_buffer_s=1.0, backhaul_delay_s=9.0)
         assert got == -9.0  # magnitude = expected stall, must not be clamped
 
     def test_backlog_with_zero_rate_is_unbounded_wait(self):
-        got = estimate_buffer(_inp(dl_queue_bits=1e6, dl_queue_media_s=2.0,
-                                   effective_rate_bps=0.0))
+        got = _est(dl_queue_bits=1e6, dl_queue_media_s=2.0,
+                   effective_rate_bps=0.0)
         assert got == -math.inf
 
     @pytest.mark.parametrize("field", ["dl_queue_bits", "dl_queue_media_s"])
     def test_negative_queue_fields_rejected(self, field):
         with pytest.raises(ValueError):
-            estimate_buffer(_inp(**{field: -1.0}))
+            _est(**{field: -1.0})
 
     def test_differential_against_event_replay(self):
         # the closed form must match a chunk-by-chunk drain simulation
@@ -82,7 +81,7 @@ class TestEstimateBuffer:
             from_cache = bool(rng.integers(0, 2))
             t_b = 0.0 if from_cache else float(rng.uniform(0.0, 10.0))
             b0 = float(rng.uniform(-5.0, 20.0))
-            got = estimate_buffer(BufferEstimateInput(
+            got = estimate_buffer(
                 current_buffer_s=b0,
                 backhaul_delay_s=t_b,
                 dl_transmit_s=cand_bits / rate,
@@ -90,7 +89,7 @@ class TestEstimateBuffer:
                 dl_queue_media_s=sum(m for _, m in chunks),
                 effective_rate_bps=rate,
                 from_cache=from_cache,
-            ))
+            )
             want = replay_buffer_projection(b0, chunks, cand_bits, rate,
                                             from_cache, t_b)
             assert got == pytest.approx(want, abs=0.5)

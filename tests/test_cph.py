@@ -11,13 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgestream import cph
-from edgestream.assign_core import QualityRequest, SolverParams
+from edgestream.assign_core import CandidateQuality, QualityRequest, SolverParams
 from edgestream.cache import LruChunkCache
 from edgestream.cli_metrics import ScenarioConfig, gen_random_instance, run_replication
 from edgestream.cph import (
     Assignment,
     SolveGroup,
-    SolveItem,
     brute_force_assign,
     canonical_order,
     cph_assign,
@@ -85,43 +84,54 @@ class TestParetoMin:
         assert len(set((k[0], k[1]) for k in kept)) == len(kept)
 
 
-def _group(gid, cluster, pairs, keyed=False):
-    # keyed groups share content by level; the others never share
+def _group(cluster, pairs):
+    # groups of one cluster share content by level; other clusters never do
     items = tuple(
-        SolveItem(quality_index=m, utility=float(u), cost_bps=float(c),
-                  content_key=("v", m) if keyed else (gid, m))
+        CandidateQuality(quality_index=m, bitrate_bps=1.0, cached=False,
+                         cost_bps=float(c), estimated_buffer_s=0.0, utility=float(u))
         for m, (u, c) in enumerate(pairs)
     )
-    return SolveGroup(gid, cluster, items)
+    return SolveGroup(cluster, items)
 
 
 class TestSolveGroups:
     def test_additive_clusters_reach_known_optimum(self):
         groups = [
-            _group(0, "a", [(3, 150), (10, 400), (4, 500)]),
-            _group(1, "b", [(3, 450), (10, 450), (12, 800)]),
-            _group(2, "c", [(2, 100), (9, 300), (11, 900)]),
+            _group("a", [(3, 150), (10, 400), (4, 500)]),
+            _group("b", [(3, 450), (10, 450), (12, 800)]),
+            _group("c", [(2, 100), (9, 300), (11, 900)]),
         ]
         assert solve_groups(groups, 1200.0) == (29.0, 1150.0, (1, 1, 1))
 
     def test_shared_cluster_pays_each_download_once(self):
         shared = [
-            _group(0, "v0", [(5, 300), (9, 700), (8, 1700)], keyed=True),
-            _group(1, "v0", [(6, 300), (11, 700), (12, 1700)], keyed=True),
-            _group(2, "v0", [(4, 300), (7, 700), (15, 1700)], keyed=True),
+            _group("v0", [(5, 300), (9, 700), (8, 1700)]),
+            _group("v0", [(6, 300), (11, 700), (12, 1700)]),
+            _group("v0", [(4, 300), (7, 700), (15, 1700)]),
         ]
         # all three on the top level: 1700 paid once, utilities sum to 35
         assert solve_groups(shared, 2000.0) == (35.0, 1700.0, (2, 2, 2))
 
     def test_eager_pruning_misses_shared_cost_optimum(self):
         shared = [
-            _group(0, "v0", [(5, 300), (9, 700), (8, 1700)], keyed=True),
-            _group(1, "v0", [(6, 300), (11, 700), (12, 1700)], keyed=True),
-            _group(2, "v0", [(4, 300), (7, 700), (15, 1700)], keyed=True),
+            _group("v0", [(5, 300), (9, 700), (8, 1700)]),
+            _group("v0", [(6, 300), (11, 700), (12, 1700)]),
+            _group("v0", [(4, 300), (7, 700), (15, 1700)]),
         ]
         got = plain_fold(shared, 2000.0)
         # pruning across paid sets drops the locally dominated expensive level
         assert got == (27.0, 700.0, (1, 1, 1))
+
+    def test_equal_quality_shares_only_within_a_cluster(self):
+        pair = [(1, 100), (5, 600)]
+        one = [_group("v0", pair), _group("v0", pair)]
+        two = [_group("v0", pair), _group("v1", pair)]
+        # one cluster: the top level is one download, paid once
+        assert solve_groups(one, 1200.0) == (10.0, 600.0, (1, 1))
+        assert solve_groups(one, 600.0) == (10.0, 600.0, (1, 1))
+        # two clusters: each group pays for its own download
+        assert solve_groups(two, 1200.0) == (10.0, 1200.0, (1, 1))
+        assert solve_groups(two, 600.0) == (2.0, 200.0, (0, 0))
 
     def test_in_cluster_pruning_matches_exhaustive_fold(self):
         # pruning among configurations with the same paid content must keep
@@ -129,10 +139,10 @@ class TestSolveGroups:
         rng = np.random.default_rng(11)
         for _ in range(20):
             groups = [
-                _group(g, "v0" if g < 6 else f"k{g}",
+                _group("v0" if g < 6 else f"k{g}",
                        [(float(rng.uniform(0, 10)),
                          float(rng.choice([0, rng.integers(1, 500)])))
-                        for _ in range(4)], keyed=g < 6)
+                        for _ in range(4)])
                 for g in range(7)
             ]
             capacity = float(rng.integers(300, 2000))
@@ -140,12 +150,13 @@ class TestSolveGroups:
             for combo in itertools.product(*(g.items for g in groups)):
                 u = c = 0.0
                 paid = set()
-                for item in combo:
+                for g, item in zip(groups, combo):
                     u += item.utility
-                    if item.content_key not in paid:
+                    chunk = (g.cluster_key, item.quality_index)
+                    if chunk not in paid:
                         c += item.cost_bps
                         if item.cost_bps > 0:
-                            paid.add(item.content_key)
+                            paid.add(chunk)
                 picks = tuple(item.quality_index for item in combo)
                 if c <= capacity and (best is None or (u, -c, [-q for q in picks])
                                       > (best[0], -best[1], [-q for q in best[2]])):
@@ -157,25 +168,23 @@ class TestSolveGroups:
         # cost the same, so one survives per paid set, and five paid sets fit
         # under 1000: no frontier holds more than 5 entries.
         # Everyone on level 2 pays 900 once.
-        groups = [_group(g, "v0", [(1, 100), (2, 300), (3, 900)], keyed=True)
-                  for g in range(14)]
-        groups = [SolveGroup(g.group_id, g.cluster_key, Metered(g.items, lambda: 5))
-                  for g in groups]
+        groups = [_group("v0", [(1, 100), (2, 300), (3, 900)]) for _ in range(14)]
+        groups = [SolveGroup(g.cluster_key, Metered(g.items, lambda: 5)) for g in groups]
         assert solve_groups(groups, 1000.0) == (42.0, 900.0, (2,) * 14)
 
     def test_infeasible_returns_none(self):
-        groups = [_group(0, "a", [(1, 100), (2, 200)])]
+        groups = [_group("a", [(1, 100), (2, 200)])]
         assert solve_groups(groups, 50.0) is None
 
     def test_capacity_boundary_is_inclusive(self):
-        groups = [_group(0, "a", [(1, 100), (2, 200)])]
+        groups = [_group("a", [(1, 100), (2, 200)])]
         assert solve_groups(groups, 200.0) == (2.0, 200.0, (1,))
 
     def test_no_groups_is_the_empty_solution(self):
         assert solve_groups([], 100.0) == (0.0, 0.0, ())
 
     def test_zero_cost_item_survives_zero_capacity(self):
-        groups = [_group(0, "a", [(1, 0), (9, 500)])]
+        groups = [_group("a", [(1, 0), (9, 500)])]
         assert solve_groups(groups, 0.0) == (1.0, 0.0, (0,))
 
 
@@ -269,6 +278,14 @@ class TestCphAssign:
             assert fast.total_utility == slow.total_utility
             assert fast.total_cost_bps == slow.total_cost_bps
 
+    def test_brute_force_refuses_instances_past_its_limit(self):
+        rates = (1e6, 2e6, 4e6, 8e6, 1.6e7)
+        reqs = [_mk_request(c, 0, c, 2, rates) for c in range(9)]
+        # five tolerated levels each: 5**9 combinations > BRUTE_FORCE_LIMIT
+        assert 5 ** 9 > cph.BRUTE_FORCE_LIMIT
+        with pytest.raises(ValueError, match="instance too large"):
+            brute_force_assign(reqs, LruChunkCache(), 2e7, SolverParams(gamma=2))
+
 
 class TestInstanceFiles:
     def test_round_trip_preserves_instance_and_solution(self, tmp_path):
@@ -303,6 +320,20 @@ class TestInstanceFiles:
         with pytest.raises(ValueError, match=r"old\.txt:1: params record needs 5 fields, got 7"):
             load_instance(str(path))
 
+    @pytest.mark.parametrize("m, rates, message", [
+        (5, "1e6,2e6", "requested quality 5 outside ladder of 2"),
+        (0, "2e6,1e6", "ladder must be positive and strictly ascending"),
+        (0, "1e6,1e6", "ladder must be positive and strictly ascending"),
+        (0, "0.0,1e6", "ladder must be positive and strictly ascending"),
+    ], ids=["quality-outside-ladder", "descending", "repeated-level", "zero-rate"])
+    def test_load_rejects_bad_request_records(self, tmp_path, m, rates, message):
+        path = tmp_path / "req.txt"
+        path.write_text(
+            "params 2 1.3 4.0 15.0\nbackhaul 2e7\n"
+            f"request 0 0 0 {m} 2.0 8.0 2e7 0.5 0.0 0.0 0.0 2e7 {rates}\n")
+        with pytest.raises(ValueError, match=rf"req\.txt:3: .*{message}"):
+            load_instance(str(path))
+
     def test_load_requires_header_records(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# nothing\n")
@@ -327,11 +358,11 @@ def test_synchronized_burst_replication_stays_clean(scheme, monkeypatch):
             if key not in first:
                 items = first[key] = Metered(g.items, lambda: math.inf)
             else:
-                paid = {i.content_key for h in groups if h.cluster_key == key
+                paid = {i.quality_index for h in groups if h.cluster_key == key
                         for i in h.items if i.cost_bps > 0}
                 items = Metered(g.items, lambda f=first[key], k=len(paid):
                                 f.scans * 2 ** k * (2 * k + 1))
-            wrapped.append(SolveGroup(g.group_id, key, items))
+            wrapped.append(SolveGroup(key, items))
         return solve(wrapped, *args, **kwargs)
 
     monkeypatch.setattr(cph, "solve_groups", metered_solve)
