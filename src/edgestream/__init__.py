@@ -18,16 +18,7 @@ from .buffer_airtime import (
     estimate_buffer,
 )
 from .cache import LruChunkCache, OversizedObjectError
-from .catalog import (
-    Catalog,
-    CatalogError,
-    PopularityModel,
-    QualityLadder,
-    dump_trace_catalog,
-    load_trace_catalog,
-    make_synthetic_catalog,
-    zipf_pmf,
-)
+from .catalog import CatalogError, QualityLadder, make_synthetic_catalog, zipf_pmf
 from .client import ChunkRequest, DashClient, harmonic_mean_rate, select_quality
 from .cli_metrics import (
     ScenarioConfig,
@@ -53,7 +44,7 @@ from .cph import (
     pareto_min,
     solve_groups,
 )
-from .radio import RadioConfig, link_capacity_bps, path_loss_db, place_clients
+from .radio import link_capacity_bps, path_loss_db, place_clients
 
 __all__ = [
     "SCHEMES", "ApEngine", "DeliveryEvent", "SimulationResult",
@@ -63,8 +54,7 @@ __all__ = [
     "AirtimeAllocation", "ClientLoad",
     "allocate_airtime", "equal_airtime", "estimate_buffer",
     "LruChunkCache", "OversizedObjectError",
-    "Catalog", "CatalogError", "PopularityModel", "QualityLadder",
-    "dump_trace_catalog", "load_trace_catalog", "make_synthetic_catalog", "zipf_pmf",
+    "CatalogError", "QualityLadder", "make_synthetic_catalog", "zipf_pmf",
     "ChunkRequest", "DashClient", "harmonic_mean_rate", "select_quality",
     "ScenarioConfig", "load_config", "mean_ci", "oracle_check",
     "run_replication", "run_scenario", "run_sweep", "summarize",
@@ -72,5 +62,5 @@ __all__ = [
     "Assignment", "AssignmentResult", "SolveGroup",
     "brute_force_assign", "canonical_order", "cph_assign",
     "dump_instance", "load_instance", "pareto_min", "solve_groups",
-    "RadioConfig", "link_capacity_bps", "path_loss_db", "place_clients",
+    "link_capacity_bps", "path_loss_db", "place_clients",
 ]

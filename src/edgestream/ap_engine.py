@@ -30,7 +30,6 @@ from .assign_core import QualityRequest, SolverParams
 from .buff import buff_assign  # noqa: F401  (called by name through POLICIES)
 from .buffer_airtime import ClientLoad, allocate_airtime, equal_airtime
 from .cache import LruChunkCache
-from .catalog import Catalog
 from .client import ChunkRequest, DashClient
 from .cph import Assignment, AssignmentResult, assign_qualities, cph_assign  # noqa: F401
 
@@ -137,7 +136,6 @@ class ApEngine:
     def __init__(
         self,
         scheme: str,
-        catalog: Catalog,
         clients: list[DashClient],
         link_capacities_bps: dict[int, float],
         cache: LruChunkCache,
@@ -154,7 +152,6 @@ class ApEngine:
             raise ValueError("t_ap_s must be > 0")
         self.scheme = scheme
         self.policy = POLICIES[scheme]
-        self.catalog = catalog
         self.clients = sorted(clients, key=lambda c: c.client_id)
         self.capacity = dict(link_capacities_bps)
         self.cache = cache
@@ -211,16 +208,15 @@ class ApEngine:
         backlog = sum(job.remaining_bits for job in self.fifo)
         out = []
         for r in n1:
-            ladder = self.catalog.ladder(r.video_id)
-            bits, media, _ = self._queue_snapshot(r.client_id)
             client = self._by_id[r.client_id]
+            bits, media, _ = self._queue_snapshot(r.client_id)
             out.append(QualityRequest(
                 client_id=r.client_id,
                 video_id=r.video_id,
                 chunk_index=r.chunk_index,
                 requested_quality=r.quality_index,
-                bitrates_bps=ladder.bitrates_bps,
-                chunk_duration_s=ladder.chunk_duration_s,
+                bitrates_bps=client.ladder.bitrates_bps,
+                chunk_duration_s=client.ladder.chunk_duration_s,
                 buffer_s=client.buffer_s,
                 link_capacity_bps=self.capacity[r.client_id],
                 equal_share=share,
@@ -270,8 +266,8 @@ class ApEngine:
         enqueued_this_rai: set[tuple[int, int, int]] = set()
         for req, a in zip(n1, result.assignments):
             self._check_assignment(a)
-            ladder = self.catalog.ladder(a.video_id)
-            size = self.catalog.chunk_size_bits(a.video_id, a.chunk_index, a.quality_index)
+            ladder = self._by_id[a.client_id].ladder
+            size = ladder.nominal_size_bits(a.quality_index)
             media = ladder.chunk_duration_s
             key = (a.video_id, a.chunk_index, a.quality_index)
             if a.from_cache:
@@ -342,8 +338,7 @@ class ApEngine:
             self.cache_bits += item.size_bits
         else:
             self.backhaul_attributed_bits += item.size_bits
-        ladder = self.catalog.ladder(item.video_id)
-        self.bitrate_sum_bps += ladder.bitrates_bps[item.quality_index]
+        self.bitrate_sum_bps += client.ladder.bitrates_bps[item.quality_index]
         if self.record_events:
             self.events.append(DeliveryEvent(
                 time_s=t, client_id=client_id, video_id=item.video_id,

@@ -16,7 +16,8 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+import typing
+from dataclasses import asdict, dataclass, replace
 from multiprocessing import Pool
 
 import numpy as np
@@ -24,10 +25,10 @@ import numpy as np
 from .ap_engine import SCHEMES, ApEngine
 from .assign_core import QualityRequest, SolverParams, tolerated_set
 from .cache import LruChunkCache
-from .catalog import PopularityModel, make_synthetic_catalog
+from .catalog import make_synthetic_catalog, zipf_pmf
 from .client import DashClient
 from .cph import brute_force_assign, cph_assign, dump_instance
-from .radio import RadioConfig, link_capacity_bps, place_clients
+from .radio import link_capacity_bps, place_clients
 
 METRIC_NAMES = (
     "mean_bitrate_kbps",
@@ -47,10 +48,6 @@ SWEEP_PARAMS = ("n_clients", "backhaul_mbps", "mu_c", "gamma", "n_videos")
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class InvariantViolation(RuntimeError):
     pass
 
 
@@ -86,8 +83,8 @@ class ScenarioConfig:
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
         positive = ("n_clients", "n_videos", "levels", "chunk_duration_s",
-                    "chunk_count", "zipf_exponent", "mu_c", "b_min_s", "b_max_s",
-                    "t_ap_s", "radius_m", "reps", "min_bitrate_bps", "max_bitrate_bps")
+                    "chunk_count", "zipf_exponent", "t_ap_s", "radius_m", "reps",
+                    "min_bitrate_bps", "max_bitrate_bps")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
@@ -95,45 +92,40 @@ class ScenarioConfig:
             raise ConfigError("backhaul_mbps must be >= 0")
         if self.start_offset_max_s < 0:
             raise ConfigError("start_offset_max_s must be >= 0")
-        if self.gamma < 0:
-            raise ConfigError("gamma must be >= 0")
         if self.levels < 2:
             raise ConfigError("levels must be >= 2")
         if self.max_bitrate_bps <= self.min_bitrate_bps:
             raise ConfigError("max_bitrate_bps must exceed min_bitrate_bps")
-        if self.b_max_s < self.b_min_s:
-            raise ConfigError("b_max_s must be >= b_min_s")
         if self.cache_capacity_bits <= 0:
             raise ConfigError("cache_capacity_bits must be > 0 (inf for unbounded)")
+        try:
+            self.solver_params()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+    def solver_params(self) -> SolverParams:
+        return SolverParams(gamma=self.gamma, mu_c=self.mu_c,
+                            b_min_s=self.b_min_s, b_max_s=self.b_max_s)
 
 
-_INT_FIELDS = {"n_clients", "n_videos", "levels", "chunk_count", "gamma",
-               "reps", "base_seed"}
-_FLOAT_FIELDS = {"min_bitrate_bps", "max_bitrate_bps", "chunk_duration_s",
-                 "zipf_exponent", "mu_c", "b_min_s", "b_max_s", "backhaul_mbps",
-                 "t_ap_s", "radius_m", "start_offset_max_s", "cache_capacity_bits",
-                 "sufficient_chunks", "max_time_s"}
-_OPTIONAL_FIELDS = {"max_time_s"}
+_FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
 
 
 def _parse_value(key: str, raw: str):
-    if key == "schemes":
+    """One config or sweep value, typed by the ScenarioConfig annotation."""
+    kind = _FIELD_TYPES[key]
+    if kind == tuple[str, ...]:
         return tuple(part.strip() for part in raw.split(",") if part.strip())
-    if key in _OPTIONAL_FIELDS and raw.lower() in ("none", "null"):
+    if type(None) in typing.get_args(kind) and raw.lower() in ("none", "null"):
         return None
     try:
-        if key in _INT_FIELDS:
-            return int(raw)
-        if key in _FLOAT_FIELDS:
-            return float(raw)
+        return int(raw) if kind is int else float(raw)
     except ValueError:
         raise ConfigError(f"bad value for {key}: {raw!r}") from None
-    raise ConfigError(f"unknown config key: {key}")
 
 
 def load_config(path: str) -> ScenarioConfig:
     """Read `key = value` lines; # starts a comment; unknown keys are errors."""
-    known = {f.name for f in fields(ScenarioConfig)}
     overrides = {}
     try:
         with open(path) as fh:
@@ -144,7 +136,7 @@ def load_config(path: str) -> ScenarioConfig:
                 if "=" not in text:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, raw = (part.strip() for part in text.split("=", 1))
-                if key not in known:
+                if key not in _FIELD_TYPES:
                     raise ConfigError(f"{path}:{lineno}: unknown config key: {key}")
                 overrides[key] = _parse_value(key, raw)
     except OSError as exc:
@@ -162,10 +154,9 @@ def run_replication(cfg: ScenarioConfig, scheme: str, rep: int,
     """Simulate one scheme for one replication; returns the engine result."""
     seed = cfg.base_seed + rep
     rng = np.random.default_rng(seed)
-    radio = RadioConfig(radius_m=cfg.radius_m)
-    distances = place_clients(cfg.n_clients, radio, rng)
-    popularity = PopularityModel(cfg.zipf_exponent, cfg.n_videos)
-    videos = [popularity.sample_video(rng) for _ in range(cfg.n_clients)]
+    distances = place_clients(cfg.n_clients, cfg.radius_m, rng)
+    pmf = zipf_pmf(cfg.zipf_exponent, cfg.n_videos)
+    videos = [int(rng.choice(cfg.n_videos, p=pmf)) for _ in range(cfg.n_clients)]
     offsets = [float(rng.uniform(0.0, cfg.start_offset_max_s))
                for _ in range(cfg.n_clients)]
 
@@ -175,21 +166,17 @@ def run_replication(cfg: ScenarioConfig, scheme: str, rep: int,
         chunk_duration_s=cfg.chunk_duration_s, chunk_count=cfg.chunk_count,
     )
     clients = [
-        DashClient(i, catalog.ladder(videos[i]), cfg.b_max_s,
+        DashClient(i, catalog[videos[i]], cfg.b_max_s,
                    start_time_s=offsets[i])
         for i in range(cfg.n_clients)
     ]
-    capacities = {i: link_capacity_bps(distances[i], radio)
-                  for i in range(cfg.n_clients)}
-    params = SolverParams(
-        gamma=cfg.gamma, mu_c=cfg.mu_c, b_min_s=cfg.b_min_s, b_max_s=cfg.b_max_s,
-    )
+    capacities = {i: link_capacity_bps(distances[i]) for i in range(cfg.n_clients)}
     engine = ApEngine(
-        scheme=scheme, catalog=catalog, clients=clients,
+        scheme=scheme, clients=clients,
         link_capacities_bps=capacities,
         cache=LruChunkCache(cfg.cache_capacity_bits),
         backhaul_bps=cfg.backhaul_mbps * 1e6,
-        t_ap_s=cfg.t_ap_s, params=params,
+        t_ap_s=cfg.t_ap_s, params=cfg.solver_params(),
         sufficient_chunks=cfg.sufficient_chunks,
         record_events=record_events, max_time_s=cfg.max_time_s,
     )
@@ -197,7 +184,7 @@ def run_replication(cfg: ScenarioConfig, scheme: str, rep: int,
 
 
 def _result_row(cfg: ScenarioConfig, scheme: str, rep: int, result,
-                param: str = "", param_value: str = "") -> dict:
+                param: str, param_value: str) -> dict:
     latencies = result.startup_latencies_s
     return {
         "scheme": scheme,
@@ -237,21 +224,21 @@ def _run_task(task):
 
 
 def _execute(tasks: list, jobs: int):
+    """(rows, violations) of every (cfg, scheme, rep, param, param_value) task."""
     if jobs <= 1 or len(tasks) <= 1:
-        return [_run_task(t) for t in tasks]
-    with Pool(processes=jobs) as pool:
-        return pool.map(_run_task, tasks)
-
-
-def run_scenario(cfg: ScenarioConfig, jobs: int = 1,
-                 param: str = "", param_value: str = ""):
-    """All (scheme, replication) rows for one configuration."""
-    tasks = [(cfg, scheme, rep, param, param_value)
-             for scheme in cfg.schemes for rep in range(cfg.reps)]
-    outputs = _execute(tasks, jobs)
+        outputs = [_run_task(t) for t in tasks]
+    else:
+        with Pool(processes=jobs) as pool:
+            outputs = pool.map(_run_task, tasks)
     rows = [row for row, _ in outputs]
     violations = [v for _, vs in outputs for v in vs]
     return rows, violations
+
+
+def run_scenario(cfg: ScenarioConfig, jobs: int = 1):
+    """All (scheme, replication) rows for one configuration."""
+    return _execute([(cfg, scheme, rep, "", "")
+                     for scheme in cfg.schemes for rep in range(cfg.reps)], jobs)
 
 
 def run_sweep(cfg: ScenarioConfig, param: str, values: list, jobs: int = 1):
@@ -263,10 +250,7 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list, jobs: int = 1):
         sub.validate()
         tasks.extend((sub, scheme, rep, param, repr(value))
                      for scheme in sub.schemes for rep in range(sub.reps))
-    outputs = _execute(tasks, jobs)
-    rows = [row for row, _ in outputs]
-    violations = [v for _, vs in outputs for v in vs]
-    return rows, violations
+    return _execute(tasks, jobs)
 
 
 # ---- aggregation and output -----------------------------------------
@@ -331,29 +315,20 @@ def write_csv(rows: list[dict], path: str) -> None:
 
 
 def write_json(cfg: ScenarioConfig, rows: list[dict], path: str) -> None:
-    def scrub(value):
-        if isinstance(value, float) and math.isinf(value):
-            return "inf"
-        if isinstance(value, float) and math.isnan(value):
-            return "nan"
-        return value
-
-    config_doc = {f.name: scrub(getattr(cfg, f.name)) for f in fields(cfg)}
-    doc = {
-        "config": config_doc,
-        "rows": [{k: scrub(v) for k, v in row.items()} for row in sort_rows(rows)],
-        "summary": _scrub_tree(summarize(rows)),
-    }
+    doc = {"config": asdict(cfg), "rows": sort_rows(rows), "summary": summarize(rows)}
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(_scrub(doc), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _scrub_tree(node):
+def _scrub(node):
+    """JSON-safe copy: a non-finite float becomes its repr ("inf", "-inf", "nan")."""
     if isinstance(node, dict):
-        return {k: _scrub_tree(v) for k, v in node.items()}
-    if isinstance(node, float) and (math.isnan(node) or math.isinf(node)):
-        return repr(node).replace("float('", "").replace("')", "")
+        return {k: _scrub(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_scrub(v) for v in node]
+    if isinstance(node, float) and not math.isfinite(node):
+        return repr(node)
     return node
 
 
@@ -465,17 +440,18 @@ def oracle_check(instances: int, seed: int, dump_path: str | None = None):
 # ---- command line ----------------------------------------------------
 
 
+# override flag (argparse dest) -> the ScenarioConfig field it sets
+_RUN_FLAGS = {"clients": "n_clients", "videos": "n_videos",
+              "backhaul_mbps": "backhaul_mbps", "gamma": "gamma", "mu_c": "mu_c",
+              "reps": "reps", "seed": "base_seed"}
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="scenario config file (key = value lines)")
     parser.add_argument("--scheme", action="append", choices=SCHEMES,
                         help="restrict to a scheme; repeatable")
-    parser.add_argument("--clients", type=int)
-    parser.add_argument("--videos", type=int)
-    parser.add_argument("--backhaul-mbps", type=float)
-    parser.add_argument("--gamma", type=int)
-    parser.add_argument("--mu-c", type=float)
-    parser.add_argument("--reps", type=int)
-    parser.add_argument("--seed", type=int)
+    for dest, name in _RUN_FLAGS.items():
+        parser.add_argument("--" + dest.replace("_", "-"), type=_FIELD_TYPES[name])
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out-csv")
     parser.add_argument("--out-json")
@@ -483,23 +459,10 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args) -> ScenarioConfig:
     cfg = load_config(args.config) if args.config else ScenarioConfig()
-    overrides = {}
+    overrides = {name: getattr(args, dest) for dest, name in _RUN_FLAGS.items()
+                 if getattr(args, dest) is not None}
     if args.scheme:
         overrides["schemes"] = tuple(dict.fromkeys(args.scheme))
-    if args.clients is not None:
-        overrides["n_clients"] = args.clients
-    if args.videos is not None:
-        overrides["n_videos"] = args.videos
-    if args.backhaul_mbps is not None:
-        overrides["backhaul_mbps"] = args.backhaul_mbps
-    if args.gamma is not None:
-        overrides["gamma"] = args.gamma
-    if args.mu_c is not None:
-        overrides["mu_c"] = args.mu_c
-    if args.reps is not None:
-        overrides["reps"] = args.reps
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
     cfg = replace(cfg, **overrides)
     cfg.validate()
     return cfg
@@ -509,11 +472,7 @@ def _parse_sweep_values(param: str, raw: str) -> list:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise ConfigError("--values must list at least one value")
-    caster = int if param in _INT_FIELDS else float
-    try:
-        return [caster(p) for p in parts]
-    except ValueError:
-        raise ConfigError(f"bad sweep value in {raw!r}") from None
+    return [_parse_value(param, p) for p in parts]
 
 
 def _finish(cfg, rows, violations, args) -> int:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from .catalog import QualityLadder
 
 _EPS = 1e-9
+MAX_IN_FLIGHT = 3  # outstanding requests allowed once playout has started
+RATE_WINDOW = 5    # per-chunk rate samples in the harmonic mean
 
 
 @dataclass(frozen=True)
@@ -54,8 +56,6 @@ class DashClient:
         ladder: QualityLadder,
         b_max_s: float,
         start_threshold_s: float | None = None,
-        max_in_flight: int = 3,
-        rate_window: int = 5,
         start_time_s: float = 0.0,
     ):
         if start_time_s < 0:
@@ -65,8 +65,7 @@ class DashClient:
         self.ladder = ladder
         self.b_max_s = b_max_s
         self.start_threshold_s = b_max_s if start_threshold_s is None else start_threshold_s
-        self.max_in_flight = max_in_flight
-        self.rates = deque(maxlen=rate_window)
+        self.rates = deque(maxlen=RATE_WINDOW)
         self.total_media_s = ladder.chunk_count * ladder.chunk_duration_s
         self.start_time_s = start_time_s
 
@@ -125,7 +124,7 @@ class DashClient:
         while self.next_chunk < self.ladder.chunk_count and not self.finished:
             n_out = len(self.in_flight)
             if self.playout_started:
-                if n_out >= self.max_in_flight:
+                if n_out >= MAX_IN_FLIGHT:
                     break
                 if self.buffer_s + tau * (n_out + 1) > self.b_max_s + _EPS:
                     break

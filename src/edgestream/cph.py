@@ -262,6 +262,11 @@ def brute_force_assign(
 #   request <client> <video> <chunk> <m> <tau> <buffer> <C> <share> \
 #           <dlq_bits> <dlq_media> <backlog_bits> <bh_rate> <rate0,rate1,...>
 _RECORD_FIELDS = {"params": 5, "backhaul": 2, "cached": 5, "request": 14}
+# a request's <tau> .. <bh_rate> fields; all must be >= 0, these three > 0
+_REQUEST_FLOATS = ("chunk_duration_s", "buffer_s", "link_capacity_bps", "equal_share",
+                   "dl_queue_bits", "dl_queue_media_s", "fifo_backlog_bits",
+                   "backhaul_rate_bps")
+_POSITIVE_REQUEST_FLOATS = ("chunk_duration_s", "link_capacity_bps", "equal_share")
 
 
 def dump_instance(
@@ -330,14 +335,16 @@ def load_instance(
                     m = int(parts[4])
                     if not 0 <= m < len(rates):
                         raise ValueError(f"requested quality {m} outside ladder of {len(rates)}")
+                    values = dict(zip(_REQUEST_FLOATS, map(float, parts[5:13])))
+                    for name, value in values.items():
+                        if name in _POSITIVE_REQUEST_FLOATS and not value > 0:
+                            raise ValueError(f"request {name} must be > 0, got {value!r}")
+                        if not value >= 0:
+                            raise ValueError(f"request {name} must be >= 0, got {value!r}")
                     requests.append(QualityRequest(
                         client_id=int(parts[1]), video_id=int(parts[2]),
                         chunk_index=int(parts[3]), requested_quality=m,
-                        chunk_duration_s=float(parts[5]), buffer_s=float(parts[6]),
-                        link_capacity_bps=float(parts[7]), equal_share=float(parts[8]),
-                        dl_queue_bits=float(parts[9]), dl_queue_media_s=float(parts[10]),
-                        fifo_backlog_bits=float(parts[11]), backhaul_rate_bps=float(parts[12]),
-                        bitrates_bps=rates,
+                        bitrates_bps=rates, **values,
                     ))
                 else:
                     raise ValueError(f"unknown record {parts[0]!r}")

@@ -264,13 +264,17 @@ def test_csv_output_is_byte_identical_across_processes(tmp_path):
     cfg.write_text(
         "schemes = CPH, CLIENT\nn_clients = 3\nn_videos = 3\n"
         "chunk_count = 30\nreps = 2\nbase_seed = 5\n")
+    # the child imports this checkout's package whether or not it is installed
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     outputs = []
     for name in ("first.csv", "second.csv"):
         out = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "edgestream",
              "run", "--config", str(cfg), "--out-csv", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert "RuntimeWarning" not in proc.stderr
         outputs.append(out.read_bytes())

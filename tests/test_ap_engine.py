@@ -18,11 +18,10 @@ def _tiny_engine(scheme, *, cache=None, n_clients=3, backhaul_bps=8e6,
     catalog = make_synthetic_catalog(
         video_count=2, levels=3, min_bps=2e5, max_bps=2e6,
         chunk_duration_s=2.0, chunk_count=chunk_count)
-    clients = [DashClient(i, catalog.ladder(i % 2), b_max_s=15.0)
+    clients = [DashClient(i, catalog[i % 2], b_max_s=15.0)
                for i in range(n_clients)]
     return ApEngine(
         scheme=scheme,
-        catalog=catalog,
         clients=clients,
         link_capacities_bps={i: 2e7 for i in range(n_clients)},
         cache=cache if cache is not None else LruChunkCache(),
@@ -38,10 +37,9 @@ def _prewarmed_cache(catalog_levels=(0,), videos=(0, 1), chunks=12):
     catalog = make_synthetic_catalog(2, 3, 2e5, 2e6, 2.0, chunks)
     cache = LruChunkCache()
     for v in videos:
-        lad = catalog.ladder(v)
         for k in range(chunks):
             for m in catalog_levels:
-                cache.insert(v, k, m, lad.bitrates_bps[m] * lad.chunk_duration_s)
+                cache.insert(v, k, m, catalog[v].nominal_size_bits(m))
     return cache
 
 
@@ -136,7 +134,7 @@ def test_constructor_validation():
         _tiny_engine("NOT-A-SCHEME")
     catalog = make_synthetic_catalog(1, 2, 2e5, 2e6, 2.0, 4)
     with pytest.raises(ValueError):
-        ApEngine("CPH", catalog, [DashClient(0, catalog.ladder(0), 15.0)],
+        ApEngine("CPH", [DashClient(0, catalog[0], 15.0)],
                  {0: 1e7}, LruChunkCache(), 1e7, 0.0, SolverParams())
 
 
@@ -170,9 +168,9 @@ def test_late_requester_rides_the_queued_backhaul_job():
     # queues at t=0 is still waiting when client 1 asks for the same chunk at
     # t=0.5; both burst the whole 8 s video to fill their 8 s buffers
     catalog = make_synthetic_catalog(1, 2, 2e5, 2e6, 2.0, 4)
-    clients = [DashClient(0, catalog.ladder(0), 8.0),
-               DashClient(1, catalog.ladder(0), 8.0, start_time_s=0.5)]
-    engine = ApEngine("CLIENT", catalog, clients, {0: 2e7, 1: 2e7}, LruChunkCache(),
+    clients = [DashClient(0, catalog[0], 8.0),
+               DashClient(1, catalog[0], 8.0, start_time_s=0.5)]
+    engine = ApEngine("CLIENT", clients, {0: 2e7, 1: 2e7}, LruChunkCache(),
                       1e5, 0.5, SolverParams(), record_events=True)
     engine.step_rai()
     engine.step_rai()
@@ -182,7 +180,7 @@ def test_late_requester_rides_the_queued_backhaul_job():
     res = engine.run()
     assert res.violations == []
     assert res.all_finished
-    chunk_bits = 4 * catalog.chunk_size_bits(0, 0, 0)
+    chunk_bits = 4 * catalog[0].nominal_size_bits(0)
     assert res.pipe_bits == pytest.approx(chunk_bits)
     assert res.backhaul_attributed_bits == pytest.approx(2 * chunk_bits)
     assert not engine.fifo and engine.fifo_by_key == {}

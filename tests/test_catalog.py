@@ -1,24 +1,16 @@
-"""Catalog construction, popularity sampling, and trace round-trips."""
+"""Catalog construction and Zipf popularity."""
 from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
-from edgestream import (
-    CatalogError,
-    PopularityModel,
-    dump_trace_catalog,
-    load_trace_catalog,
-    make_synthetic_catalog,
-    zipf_pmf,
-)
+from edgestream import CatalogError, make_synthetic_catalog, zipf_pmf
 
 
 def test_geometric_ladder_endpoints_and_ratio():
     cat = make_synthetic_catalog(3, 19, 100e3, 15e6, 2.0, 300)
-    lad = cat.ladder(0)
+    lad = cat[0]
     assert len(lad.bitrates_bps) == 19
     assert lad.bitrates_bps[0] == 100e3
     assert lad.bitrates_bps[-1] == 15e6
@@ -29,22 +21,16 @@ def test_geometric_ladder_endpoints_and_ratio():
 
 def test_every_video_shares_the_ladder():
     cat = make_synthetic_catalog(5, 4, 1e5, 1e6, 2.0, 10)
-    assert cat.video_count == 5
-    first = cat.ladder(0).bitrates_bps
-    assert all(cat.ladder(v).bitrates_bps == first for v in range(5))
-
-
-def test_linear_spacing():
-    cat = make_synthetic_catalog(1, 5, 1e6, 5e6, 2.0, 10)
-    lin = make_synthetic_catalog(1, 5, 1e6, 5e6, 2.0, 10, spacing="linear")
-    assert lin.ladder(0).bitrates_bps == (1e6, 2e6, 3e6, 4e6, 5e6)
-    assert cat.ladder(0).bitrates_bps != lin.ladder(0).bitrates_bps
+    assert len(cat) == 5
+    assert [lad.video_id for lad in cat] == list(range(5))
+    first = cat[0].bitrates_bps
+    assert all(lad.bitrates_bps == first for lad in cat)
 
 
 def test_nominal_chunk_size_is_rate_times_duration():
-    cat = make_synthetic_catalog(1, 3, 1e6, 4e6, 2.0, 10)
-    assert cat.chunk_size_bits(0, 0, 0) == 2e6
-    assert cat.chunk_size_bits(0, 9, 2) == 8e6
+    lad = make_synthetic_catalog(1, 3, 1e6, 4e6, 2.0, 10)[0]
+    assert lad.nominal_size_bits(0) == 2e6
+    assert lad.nominal_size_bits(2) == 8e6
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -56,11 +42,6 @@ def test_nominal_chunk_size_is_rate_times_duration():
 def test_invalid_catalog_parameters(kwargs):
     with pytest.raises(CatalogError):
         make_synthetic_catalog(chunk_duration_s=2.0, chunk_count=10, **kwargs)
-
-
-def test_unknown_spacing_rejected():
-    with pytest.raises(CatalogError):
-        make_synthetic_catalog(1, 3, 1e5, 1e6, 2.0, 10, spacing="sqrt")
 
 
 def test_zipf_pmf_normalized_and_decreasing():
@@ -77,35 +58,3 @@ def test_zipf_pmf_matches_direct_formula():
     total = sum(weights)
     for got, want in zip(pmf, weights):
         assert math.isclose(got, want / total, rel_tol=1e-12)
-
-
-def test_popularity_sampling_deterministic_and_skewed():
-    model = PopularityModel(1.2, 10)
-    draws_a = [model.sample_video(np.random.default_rng(7)) for _ in range(5)]
-    draws_b = [model.sample_video(np.random.default_rng(7)) for _ in range(5)]
-    assert draws_a == draws_b
-    rng = np.random.default_rng(1)
-    counts = np.bincount([model.sample_video(rng) for _ in range(4000)], minlength=10)
-    assert counts[0] > counts[5] > 0 or counts[5] == 0
-    assert counts[0] == counts.max()
-
-
-def test_trace_round_trip(tmp_path):
-    cat = make_synthetic_catalog(2, 3, 1e5, 1e6, 2.0, 4)
-    path = tmp_path / "catalog.trace"
-    dump_trace_catalog(cat, str(path))
-    back = load_trace_catalog(str(path))
-    assert back.video_count == cat.video_count
-    for v in range(2):
-        assert back.ladder(v).bitrates_bps == cat.ladder(v).bitrates_bps
-        assert back.ladder(v).chunk_count == cat.ladder(v).chunk_count
-        for k in range(4):
-            for m in range(3):
-                assert back.chunk_size_bits(v, k, m) == cat.chunk_size_bits(v, k, m)
-
-
-def test_malformed_trace_rejected(tmp_path):
-    path = tmp_path / "bad.trace"
-    path.write_text("video 0 2.0 nonsense\n")
-    with pytest.raises(CatalogError):
-        load_trace_catalog(str(path))

@@ -46,6 +46,8 @@ class TestScenarioConfig:
         dict(start_offset_max_s=-1.0),
         dict(reps=0),
         dict(chunk_duration_s=0.0),
+        dict(mu_c=0.5),
+        dict(b_min_s=6.0, b_max_s=6.0),
     ])
     def test_invalid_configs_rejected(self, kw):
         with pytest.raises(ConfigError):
@@ -70,6 +72,26 @@ class TestLoadConfig:
         assert cfg.max_time_s == 500.0
         assert cfg.mu_c == 1.5
         assert cfg.n_videos == 10  # untouched default
+
+    def test_every_field_round_trips(self, tmp_path):
+        cfg = ScenarioConfig()
+        lines = []
+        for f in dataclasses.fields(cfg):
+            value = getattr(cfg, f.name)
+            if value is None:
+                text = "none"
+            elif isinstance(value, tuple):
+                text = ", ".join(value)
+            else:
+                text = repr(value)
+            lines.append(f"{f.name} = {text}\n")
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(lines))
+        loaded = load_config(str(path))
+        assert loaded == cfg
+        # 19.0 == 19, so equality alone would not catch a float parsed for an int
+        for f in dataclasses.fields(cfg):
+            assert type(getattr(loaded, f.name)) is type(getattr(cfg, f.name)), f.name
 
     @pytest.mark.parametrize("line", [
         "wat = 3",
@@ -197,8 +219,10 @@ def test_oracle_check_small_batch():
 
 class TestMainExitCodes:
     def test_config_error_is_exit_2(self, capsys):
-        assert main(["run", "--gamma", "-1"]) == 2
-        assert "config error" in capsys.readouterr().err
+        # mu_c = 0.5 is > 0 but below SolverParams' bound of 1
+        for argv in (["run", "--gamma", "-1"], ["run", "--mu-c", "0.5"]):
+            assert main(argv) == 2
+            assert "config error" in capsys.readouterr().err
 
     def test_run_success_is_exit_0(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"

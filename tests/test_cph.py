@@ -320,17 +320,32 @@ class TestInstanceFiles:
         with pytest.raises(ValueError, match=r"old\.txt:1: params record needs 5 fields, got 7"):
             load_instance(str(path))
 
-    @pytest.mark.parametrize("m, rates, message", [
-        (5, "1e6,2e6", "requested quality 5 outside ladder of 2"),
-        (0, "2e6,1e6", "ladder must be positive and strictly ascending"),
-        (0, "1e6,1e6", "ladder must be positive and strictly ascending"),
-        (0, "0.0,1e6", "ladder must be positive and strictly ascending"),
-    ], ids=["quality-outside-ladder", "descending", "repeated-level", "zero-rate"])
-    def test_load_rejects_bad_request_records(self, tmp_path, m, rates, message):
+    # <m> <tau> <buffer> <C> <share> <dlq_bits> <dlq_media> <backlog> <bh_rate> <ladder>
+    GOOD_REQUEST = ("0", "2.0", "8.0", "2e7", "0.5", "0.0", "0.0", "0.0", "2e7", "1e6,2e6")
+
+    @pytest.mark.parametrize("at, value, message", [
+        (0, "5", "requested quality 5 outside ladder of 2"),
+        (9, "2e6,1e6", "ladder must be positive and strictly ascending"),
+        (9, "1e6,1e6", "ladder must be positive and strictly ascending"),
+        (9, "0.0,1e6", "ladder must be positive and strictly ascending"),
+        (1, "-2.0", "chunk_duration_s must be > 0"),
+        (2, "-1.0", "buffer_s must be >= 0"),
+        (3, "0.0", "link_capacity_bps must be > 0"),
+        (4, "0.0", "equal_share must be > 0"),
+        (5, "-5.0", "dl_queue_bits must be >= 0"),
+        (6, "-2.0", "dl_queue_media_s must be >= 0"),
+        (7, "-1.0", "fifo_backlog_bits must be >= 0"),
+        (8, "nan", "backhaul_rate_bps must be >= 0"),
+    ], ids=["quality-outside-ladder", "descending", "repeated-level", "zero-rate",
+            "negative-duration", "negative-buffer", "zero-capacity", "zero-share",
+            "negative-queue-bits", "negative-queue-media", "negative-backlog",
+            "nan-backhaul-rate"])
+    def test_load_rejects_bad_request_records(self, tmp_path, at, value, message):
+        fields = list(self.GOOD_REQUEST)
+        fields[at] = value
         path = tmp_path / "req.txt"
         path.write_text(
-            "params 2 1.3 4.0 15.0\nbackhaul 2e7\n"
-            f"request 0 0 0 {m} 2.0 8.0 2e7 0.5 0.0 0.0 0.0 2e7 {rates}\n")
+            "params 2 1.3 4.0 15.0\nbackhaul 2e7\nrequest 0 0 0 " + " ".join(fields) + "\n")
         with pytest.raises(ValueError, match=rf"req\.txt:3: .*{message}"):
             load_instance(str(path))
 
