@@ -12,9 +12,10 @@ sub-interval times.
 
 Which clients each phase visits: advance and request issue visit every
 client once; candidate building and the solver see only the interval's new
-requests; airtime allocation sees only the clients whose downlink queue
-holds data; and the drain visits only the clients granted a share, once per
-backhaul sub-segment. Rider lookup in the backhaul FIFO is one dict probe.
+requests, and a passthrough scheme runs neither; airtime allocation sees only
+the clients whose downlink queue holds data; and the drain visits only the
+clients granted a share, once per backhaul sub-segment. Rider lookup in the
+backhaul FIFO is one dict probe.
 
 The engine is deterministic by construction: no randomness, no iteration
 over unordered containers where order can leak into results.
@@ -31,7 +32,7 @@ from .buff import buff_assign  # noqa: F401  (called by name through POLICIES)
 from .buffer_airtime import ClientLoad, allocate_airtime, equal_airtime
 from .cache import LruChunkCache
 from .client import ChunkRequest, DashClient
-from .cph import Assignment, AssignmentResult, assign_qualities, cph_assign  # noqa: F401
+from .cph import Assignment, AssignmentResult, cph_assign  # noqa: F401
 
 
 class Policy(NamedTuple):
@@ -54,7 +55,7 @@ SCHEMES = tuple(POLICIES)
 _EPS = 1e-9
 
 
-@dataclass
+@dataclass(slots=True)
 class DlItem:
     video_id: int
     chunk_index: int
@@ -69,7 +70,7 @@ class DlItem:
     backhaul_delay_s: float
 
 
-@dataclass
+@dataclass(slots=True)
 class BackhaulJob:
     video_id: int
     chunk_index: int
@@ -239,13 +240,16 @@ class ApEngine:
             return max(0.0, self.backhaul_bps - head.size_bits / head.media_s)
         return self.backhaul_bps
 
-    def _assign(self, requests: list[QualityRequest]) -> AssignmentResult:
+    def _assign(self, n1: list[ChunkRequest]) -> AssignmentResult:
         if self.policy.solver is None:
+            # passthrough: the requested qualities, with no scoring state built
             cache = self.cache if self.policy.reads_cache else None
-            kept = [r.requested_quality for r in requests]
-            return AssignmentResult(assign_qualities(requests, kept, cache), False, None, None)
+            return AssignmentResult(tuple(
+                Assignment(cid, v, k, m, cache is not None and cache.contains(v, k, m), m)
+                for (cid, v, k, m, _) in n1), False, None, None)
         solve = globals()[self.policy.solver]
-        return solve(requests, self.cache, self._available_backhaul_bps(), self.params)
+        return solve(self._build_requests(n1), self.cache, self._available_backhaul_bps(),
+                     self.params)
 
     def _check_assignment(self, a: Assignment) -> None:
         tolerance = self.params.gamma if self.policy.solver is not None else 0
@@ -389,8 +393,7 @@ class ApEngine:
         n1 = sorted(self.intake, key=lambda r: (r.issue_time_s, r.client_id, r.chunk_index))
         self.intake = []
         if n1:
-            requests = self._build_requests(n1)
-            result = self._assign(requests)
+            result = self._assign(n1)
             if self.policy.solver is not None:
                 self.solver_calls += 1
                 if result.no_valid_config:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .buffer_airtime import estimate_buffer
 from .cache import LruChunkCache
@@ -31,8 +32,7 @@ class SolverParams:
             raise ValueError("need 0 < b_min_s < b_max_s")
 
 
-@dataclass(frozen=True)
-class QualityRequest:
+class QualityRequest(NamedTuple):
     """One pending chunk request plus the state needed to score candidates.
 
     Snapshot semantics: buffer, queue and backlog fields describe the state
@@ -53,8 +53,7 @@ class QualityRequest:
     backhaul_rate_bps: float
 
 
-@dataclass(frozen=True)
-class CandidateQuality:
+class CandidateQuality(NamedTuple):
     """One scored tolerated level of a request; the request says whose."""
     quality_index: int
     bitrate_bps: float
@@ -112,35 +111,31 @@ def build_candidates(
     Transfer-time terms use nominal chunk sizes (bitrate * duration); actual
     per-chunk sizes matter only during delivery, not selection.
     """
+    (_, video, chunk, requested, bitrates, tau, buffer_s, capacity, share,
+     queue_bits, queue_media_s, backlog_bits, backhaul_rate) = request
+    gamma, mu_c, b_min_s, b_max_s = params.gamma, params.mu_c, params.b_min_s, params.b_max_s
+    effective_rate = capacity * share
     out: list[CandidateQuality] = []
-    effective_rate = request.link_capacity_bps * request.equal_share
-    for m in tolerated_set(request.requested_quality, params.gamma, len(request.bitrates_bps)):
-        rate = request.bitrates_bps[m]
-        cached = cache.contains(request.video_id, request.chunk_index, m)
-        chunk_bits = rate * request.chunk_duration_s
+    for m in tolerated_set(requested, gamma, len(bitrates)):
+        rate = bitrates[m]
+        cached = cache.contains(video, chunk, m)
+        chunk_bits = rate * tau
         dl_transmit_s = chunk_bits / effective_rate if effective_rate > 0 else math.inf
         if cached:
             backhaul_delay_s = 0.0
-        elif request.backhaul_rate_bps > 0:
-            backhaul_delay_s = (request.fifo_backlog_bits + chunk_bits) / request.backhaul_rate_bps
+        elif backhaul_rate > 0:
+            backhaul_delay_s = (backlog_bits + chunk_bits) / backhaul_rate
         else:
             backhaul_delay_s = math.inf
         b_hat = estimate_buffer(
-            current_buffer_s=request.buffer_s,
+            current_buffer_s=buffer_s,
             backhaul_delay_s=backhaul_delay_s,
             dl_transmit_s=dl_transmit_s,
-            dl_queue_bits=request.dl_queue_bits,
-            dl_queue_media_s=request.dl_queue_media_s,
+            dl_queue_bits=queue_bits,
+            dl_queue_media_s=queue_media_s,
             effective_rate_bps=effective_rate,
             from_cache=cached,
         )
-        out.append(CandidateQuality(
-            quality_index=m,
-            bitrate_bps=rate,
-            cached=cached,
-            cost_bps=delivery_cost(rate, cached),
-            estimated_buffer_s=b_hat,
-            utility=utility(rate, cached, params.mu_c, b_hat,
-                            params.b_min_s, params.b_max_s),
-        ))
+        out.append(CandidateQuality(m, rate, cached, delivery_cost(rate, cached), b_hat,
+                                    utility(rate, cached, mu_c, b_hat, b_min_s, b_max_s)))
     return out

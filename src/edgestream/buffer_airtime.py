@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def estimate_buffer(
@@ -42,8 +43,7 @@ def estimate_buffer(
     return b - max(drain_s, backhaul_delay_s) - dl_transmit_s + dl_queue_media_s
 
 
-@dataclass(frozen=True)
-class ClientLoad:
+class ClientLoad(NamedTuple):
     client_id: int
     dl_queue_bits: float
     buffer_s: float

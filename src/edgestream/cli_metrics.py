@@ -133,12 +133,15 @@ def load_config(path: str) -> ScenarioConfig:
                 text = line.split("#", 1)[0].strip()
                 if not text:
                     continue
-                if "=" not in text:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, raw = (part.strip() for part in text.split("=", 1))
-                if key not in _FIELD_TYPES:
-                    raise ConfigError(f"{path}:{lineno}: unknown config key: {key}")
-                overrides[key] = _parse_value(key, raw)
+                try:
+                    if "=" not in text:
+                        raise ConfigError("expected key = value")
+                    key, raw = (part.strip() for part in text.split("=", 1))
+                    if key not in _FIELD_TYPES:
+                        raise ConfigError(f"unknown config key: {key}")
+                    overrides[key] = _parse_value(key, raw)
+                except ConfigError as exc:
+                    raise ConfigError(f"{path}:{lineno}: {exc}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     cfg = replace(ScenarioConfig(), **overrides)

@@ -12,7 +12,7 @@ startup latency and session time are measured from that start.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import QualityLadder
 
@@ -21,8 +21,7 @@ MAX_IN_FLIGHT = 3  # outstanding requests allowed once playout has started
 RATE_WINDOW = 5    # per-chunk rate samples in the harmonic mean
 
 
-@dataclass(frozen=True)
-class ChunkRequest:
+class ChunkRequest(NamedTuple):
     client_id: int
     video_id: int
     chunk_index: int

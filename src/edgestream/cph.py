@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 from .assign_core import (
     CandidateQuality,
@@ -41,14 +41,12 @@ from .cache import LruChunkCache
 BRUTE_FORCE_LIMIT = 10**6  # most combinations brute_force_assign enumerates
 
 
-@dataclass(frozen=True)
-class SolveGroup:
+class SolveGroup(NamedTuple):
     cluster_key: Hashable  # (video, chunk): an equal quality is one download
     items: tuple[CandidateQuality, ...]
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     client_id: int
     video_id: int
     chunk_index: int
@@ -68,19 +66,13 @@ class AssignmentResult:
 def assign_qualities(
     requests: Sequence[QualityRequest],
     qualities: Sequence[int],
-    cache: LruChunkCache | None,
+    cache: LruChunkCache,
 ) -> tuple[Assignment, ...]:
     """Each request at its quality, served from `cache` when it holds that
-    exact chunk; None means the cache is never read."""
+    exact chunk."""
     return tuple(
-        Assignment(
-            client_id=r.client_id,
-            video_id=r.video_id,
-            chunk_index=r.chunk_index,
-            quality_index=m,
-            from_cache=cache is not None and cache.contains(r.video_id, r.chunk_index, m),
-            requested_quality=r.requested_quality,
-        )
+        Assignment(r.client_id, r.video_id, r.chunk_index, m,
+                   cache.contains(r.video_id, r.chunk_index, m), r.requested_quality)
         for r, m in zip(requests, qualities)
     )
 
@@ -136,15 +128,12 @@ def solve_groups(
                 merged.append((u + item.utility, cost, picks + (item.quality_index,), paid2))
         if not merged:
             return None
-        frontier = _prune_within_paid_sets(merged)
+        # at a cluster end every paid set is 0, so one pareto_min is the same prune
+        frontier = pareto_min(merged) if cluster_ends else _prune_within_paid_sets(merged)
 
-    best = max(frontier, key=lambda p: (p[0], -p[1], _neg_lex(p[2])))
-    return best[0], best[1], best[2]
-
-
-def _neg_lex(picks: tuple[int, ...]) -> tuple[int, ...]:
-    # max() helper: prefer lexicographically smaller picks on full ties
-    return tuple(-q for q in picks)
+    # highest utility, then lowest cost, then lexicographically smallest picks
+    u, neg_c = max((p[0], -p[1]) for p in frontier)
+    return u, -neg_c, min(p[2] for p in frontier if p[0] == u and p[1] == -neg_c)
 
 
 def _prune_within_paid_sets(configs):
@@ -249,7 +238,8 @@ def brute_force_assign(
         if not feasible:
             continue
         picks = tuple(item.quality_index for item in combo)
-        if best is None or (u, -c, _neg_lex(picks)) > (best[0], -best[1], _neg_lex(best[2])):
+        if (best is None or (u, -c) > (best[0], -best[1])
+                or (u, c) == best[:2] and picks < best[2]):
             best = (u, c, picks)
     return _result(requests, cache, order, best)
 

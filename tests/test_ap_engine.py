@@ -94,6 +94,18 @@ def test_client_schemes_never_rewrite_quality():
         assert all(e.delivered_quality == e.requested_quality for e in res.events)
 
 
+@pytest.mark.parametrize("scheme", ["CLIENT", "CLIENT-CACHE"])
+def test_passthrough_schemes_build_no_solver_requests(scheme, monkeypatch):
+    def refuse(self, n1):
+        raise AssertionError("passthrough scheme built solver requests")
+
+    monkeypatch.setattr(ApEngine, "_build_requests", refuse)
+    res = _tiny_engine(scheme, cache=_prewarmed_cache()).run()
+    assert res.violations == []
+    assert res.all_finished
+    assert res.delivered_chunks == 3 * 12
+
+
 @pytest.mark.parametrize("scheme", ["CPH", "CPH-EQ", "BUFF"])
 def test_rewrites_stay_within_tolerance(scheme):
     res = _tiny_engine(scheme, cache=_prewarmed_cache(catalog_levels=(2,)),

@@ -106,6 +106,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    def test_bad_value_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("mu_c = abc\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert str(info.value).startswith(f"{path}:1: ")
+        assert "bad value for mu_c: 'abc'" in str(info.value)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "nope.cfg"))

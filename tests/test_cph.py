@@ -187,6 +187,20 @@ class TestSolveGroups:
         groups = [_group("a", [(1, 0), (9, 500)])]
         assert solve_groups(groups, 0.0) == (1.0, 0.0, (0,))
 
+    def test_full_ties_return_the_smallest_picks(self):
+        def tied(cluster, *points):
+            # (quality, utility, cost), listed largest quality first
+            return SolveGroup(cluster, tuple(
+                CandidateQuality(quality_index=m, bitrate_bps=1.0, cached=False,
+                                 cost_bps=float(c), estimated_buffer_s=0.0, utility=float(u))
+                for m, u, c in points))
+        # singleton clusters: levels 2 and 0 of each group tie on (utility, cost)
+        singles = [tied("a", (2, 3, 100), (0, 3, 100)), tied("b", (2, 2, 50), (0, 2, 50))]
+        assert solve_groups(singles, 1000.0) == (5.0, 150.0, (0, 0))
+        # one shared cluster: (1, 1) and (0, 0) both pay one 100-bps download
+        shared = [tied("v0", (1, 2, 100), (0, 1, 100)), tied("v0", (1, 1, 100), (0, 2, 100))]
+        assert solve_groups(shared, 100.0) == (3.0, 100.0, (0, 0))
+
 
 def _mk_request(cid, video, chunk, m, rates, share=0.5) -> QualityRequest:
     return QualityRequest(
@@ -271,12 +285,15 @@ class TestCphAssign:
         rng = np.random.default_rng(5)
         for _ in range(120):
             requests, cache, backhaul, params = gen_random_instance(rng)
-            fast = cph_assign(requests, cache, backhaul, params)
-            slow = brute_force_assign(requests, cache, backhaul, params)
-            assert fast.assignments == slow.assignments
-            assert fast.no_valid_config == slow.no_valid_config
-            assert fast.total_utility == slow.total_utility
-            assert fast.total_cost_bps == slow.total_cost_bps
+            optimum = brute_force_assign(requests, cache, backhaul, params).total_cost_bps
+            # 0 and the optimum's own cost put the capacity exactly on a sum of costs
+            for capacity in (backhaul, 0.0, optimum or 0.0):
+                fast = cph_assign(requests, cache, capacity, params)
+                slow = brute_force_assign(requests, cache, capacity, params)
+                assert fast.assignments == slow.assignments
+                assert fast.no_valid_config == slow.no_valid_config
+                assert fast.total_utility == slow.total_utility
+                assert fast.total_cost_bps == slow.total_cost_bps
 
     def test_brute_force_refuses_instances_past_its_limit(self):
         rates = (1e6, 2e6, 4e6, 8e6, 1.6e7)
