@@ -33,7 +33,6 @@ from .cli_metrics import (
     write_json,
 )
 from .cph import (
-    Assignment,
     AssignmentResult,
     SolveGroup,
     brute_force_assign,
@@ -59,7 +58,7 @@ __all__ = [
     "ScenarioConfig", "load_config", "mean_ci", "oracle_check",
     "run_replication", "run_scenario", "run_sweep", "summarize",
     "write_csv", "write_json",
-    "Assignment", "AssignmentResult", "SolveGroup",
+    "AssignmentResult", "SolveGroup",
     "brute_force_assign", "canonical_order", "cph_assign",
     "dump_instance", "load_instance", "pareto_min", "solve_groups",
     "link_capacity_bps", "path_loss_db", "place_clients",

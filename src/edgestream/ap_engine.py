@@ -1,14 +1,19 @@
 """Access-point control loop on a fixed allocation interval.
 
-Each interval: collect freshly issued requests, pick delivery qualities for
-them under the scheme in force, route cache hits straight to per-client
-downlink queues and misses into the single shared backhaul FIFO (one entry
-per distinct chunk, extra requesters ride along), allocate downlink airtime,
-then advance the continuous dynamics inside the window: the backhaul pipe
-drains in FIFO order, finished downloads enter the cache and fan out to
-waiting clients, and each client's downlink queue drains at its airtime
-share of link capacity. Chunk completions are delivered to clients at exact
-sub-interval times.
+Each interval: collect freshly issued requests, pick one delivery quality
+per request under the scheme in force, route cache hits straight to
+per-client downlink queues and misses into the single shared backhaul FIFO
+(one entry per distinct chunk, extra requesters ride along), allocate
+downlink airtime, then advance the continuous dynamics inside the window:
+the backhaul pipe drains in FIFO order, finished downloads enter the cache
+and fan out to waiting clients, and each client's downlink queue drains at
+its airtime share of link capacity. Chunk completions are delivered to
+clients at exact sub-interval times.
+
+The solvers only pick qualities; whether a delivery is a cache hit is
+decided here, once, when the request is routed. The client's own
+ChunkRequest travels with it from issue to delivery: a downlink item holds
+it, and a backhaul job holds one per request it serves.
 
 Which clients each phase visits: advance and request issue visit every
 client once; candidate building and the solver see only the interval's new
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .assign_core import QualityRequest, SolverParams
@@ -32,7 +37,7 @@ from .buff import buff_assign  # noqa: F401  (called by name through POLICIES)
 from .buffer_airtime import ClientLoad, allocate_airtime, equal_airtime
 from .cache import LruChunkCache
 from .client import ChunkRequest, DashClient
-from .cph import Assignment, AssignmentResult, cph_assign  # noqa: F401
+from .cph import cph_assign  # noqa: F401  (called by name through POLICIES)
 
 
 class Policy(NamedTuple):
@@ -57,30 +62,24 @@ _EPS = 1e-9
 
 @dataclass(slots=True)
 class DlItem:
-    video_id: int
-    chunk_index: int
+    req: ChunkRequest  # the client's own request, as issued
     quality_index: int
-    requested_quality: int
     size_bits: float
     remaining_bits: float
     media_s: float
     from_cache: bool
-    issue_time_s: float
     enqueue_time_s: float
     backhaul_delay_s: float
 
 
 @dataclass(slots=True)
 class BackhaulJob:
-    video_id: int
-    chunk_index: int
-    quality_index: int
+    key: tuple[int, int, int]  # (video, chunk, quality)
     size_bits: float
     remaining_bits: float
     media_s: float
     enqueue_time_s: float
-    # (client_id, issue_time_s, requested_quality) per rider
-    waiters: list[tuple[int, float, int]] = field(default_factory=list)
+    waiters: list[ChunkRequest]  # every request the download serves
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,6 @@ class ApEngine:
         backhaul_bps: float,
         t_ap_s: float,
         params: SolverParams,
-        sufficient_chunks: float = 2.0,
         record_events: bool = False,
         max_time_s: float | None = None,
     ):
@@ -159,7 +157,6 @@ class ApEngine:
         self.backhaul_bps = backhaul_bps
         self.t_ap_s = t_ap_s
         self.params = params
-        self.sufficient_chunks = sufficient_chunks
         self.record_events = record_events
         total_media = max((c.total_media_s for c in self.clients), default=0.0)
         self.max_time_s = max_time_s if max_time_s is not None else total_media * 50 + 60
@@ -240,66 +237,54 @@ class ApEngine:
             return max(0.0, self.backhaul_bps - head.size_bits / head.media_s)
         return self.backhaul_bps
 
-    def _assign(self, n1: list[ChunkRequest]) -> AssignmentResult:
+    def _assign(self, n1: list[ChunkRequest]) -> tuple[int, ...]:
+        """One delivery quality per request of `n1`, in its order."""
         if self.policy.solver is None:
-            # passthrough: the requested qualities, with no scoring state built
-            cache = self.cache if self.policy.reads_cache else None
-            return AssignmentResult(tuple(
-                Assignment(cid, v, k, m, cache is not None and cache.contains(v, k, m), m)
-                for (cid, v, k, m, _) in n1), False, None, None)
+            return tuple(r.quality_index for r in n1)  # passthrough, no scoring
         solve = globals()[self.policy.solver]
-        return solve(self._build_requests(n1), self.cache, self._available_backhaul_bps(),
-                     self.params)
-
-    def _check_assignment(self, a: Assignment) -> None:
-        tolerance = self.params.gamma if self.policy.solver is not None else 0
-        if abs(a.quality_index - a.requested_quality) > tolerance:
-            self.violations.append(
-                f"t={self.now}: quality shift beyond tolerance for client {a.client_id} "
-                f"({a.requested_quality} -> {a.quality_index})")
-        if self.policy.reads_cache:
-            cached = self.cache.contains(a.video_id, a.chunk_index, a.quality_index)
-            if a.from_cache != cached:
-                self.violations.append(
-                    f"t={self.now}: cache flag mismatch for client {a.client_id} "
-                    f"chunk ({a.video_id},{a.chunk_index},{a.quality_index})")
+        result = solve(self._build_requests(n1), self.cache, self._available_backhaul_bps(),
+                       self.params)
+        self.solver_calls += 1
+        if result.no_valid_config:
+            self.solver_fallbacks += 1
+        return result.qualities
 
     # ---- per-interval step -------------------------------------------
 
-    def _enqueue_assignments(self, n1: list[ChunkRequest], result: AssignmentResult) -> None:
+    def _enqueue(self, n1: list[ChunkRequest], qualities: tuple[int, ...]) -> None:
+        """Route each request at its quality: a cache hit to the client's
+        downlink queue, a miss onto the backhaul job for its chunk."""
+        tolerance = self.params.gamma if self.policy.solver is not None else 0
         enqueued_this_rai: set[tuple[int, int, int]] = set()
-        for req, a in zip(n1, result.assignments):
-            self._check_assignment(a)
-            ladder = self._by_id[a.client_id].ladder
-            size = ladder.nominal_size_bits(a.quality_index)
+        for req, m in zip(n1, qualities):
+            if abs(m - req.quality_index) > tolerance:
+                self.violations.append(
+                    f"t={self.now}: quality shift beyond tolerance for client {req.client_id} "
+                    f"({req.quality_index} -> {m})")
+            ladder = self._by_id[req.client_id].ladder
+            size = ladder.nominal_size_bits(m)
             media = ladder.chunk_duration_s
-            key = (a.video_id, a.chunk_index, a.quality_index)
-            if a.from_cache:
+            key = (req.video_id, req.chunk_index, m)
+            if self.policy.reads_cache and self.cache.contains(*key):
                 self.cache.touch(*key)
-                self.dl_queues[a.client_id].append(DlItem(
-                    video_id=a.video_id, chunk_index=a.chunk_index,
-                    quality_index=a.quality_index, requested_quality=a.requested_quality,
-                    size_bits=size, remaining_bits=size, media_s=media,
-                    from_cache=True, issue_time_s=req.issue_time_s,
-                    enqueue_time_s=self.now, backhaul_delay_s=0.0,
+                self.dl_queues[req.client_id].append(DlItem(
+                    req=req, quality_index=m, size_bits=size, remaining_bits=size,
+                    media_s=media, from_cache=True, enqueue_time_s=self.now,
+                    backhaul_delay_s=0.0,
                 ))
                 continue
             existing = self.fifo_by_key.get(key)
             if existing is not None:
-                existing.waiters.append((a.client_id, req.issue_time_s, a.requested_quality))
-            else:
-                if key in enqueued_this_rai:
-                    self.violations.append(
-                        f"t={self.now}: chunk {key} charged to backhaul twice in one interval")
-                job = BackhaulJob(
-                    video_id=a.video_id, chunk_index=a.chunk_index,
-                    quality_index=a.quality_index, size_bits=size,
-                    remaining_bits=size, media_s=media, enqueue_time_s=self.now,
-                    waiters=[(a.client_id, req.issue_time_s, a.requested_quality)],
-                )
-                self.fifo.append(job)
-                self.fifo_by_key[key] = job
-                enqueued_this_rai.add(key)
+                existing.waiters.append(req)
+                continue
+            if key in enqueued_this_rai:
+                self.violations.append(
+                    f"t={self.now}: chunk {key} charged to backhaul twice in one interval")
+            job = BackhaulJob(key=key, size_bits=size, remaining_bits=size, media_s=media,
+                              enqueue_time_s=self.now, waiters=[req])
+            self.fifo.append(job)
+            self.fifo_by_key[key] = job
+            enqueued_this_rai.add(key)
 
     def _allocate(self) -> list[tuple[int, float, deque[DlItem]]]:
         """(client id, drain rate, queue) of every client granted airtime for
@@ -321,8 +306,7 @@ class ApEngine:
                 playing=c.playout_started,
             ))
         if self.policy.stall_aware:
-            alloc = allocate_airtime(loads, self.params.b_min_s, self.t_ap_s,
-                                     self.sufficient_chunks)
+            alloc = allocate_airtime(loads, self.params.b_min_s, self.t_ap_s)
         else:
             alloc = equal_airtime(loads, self.t_ap_s)
         total = alloc.total()
@@ -334,8 +318,9 @@ class ApEngine:
 
     def _deliver(self, t: float, client_id: int, item: DlItem) -> None:
         client = self._by_id[client_id]
-        client.on_chunk_delivered(t, item.chunk_index, item.quality_index,
-                                  item.size_bits, item.issue_time_s)
+        req = item.req
+        client.on_chunk_delivered(t, req.chunk_index, item.quality_index,
+                                  item.size_bits, req.issue_time_s)
         self.delivered_chunks += 1
         self.delivered_bits += item.size_bits
         if item.from_cache:
@@ -345,8 +330,8 @@ class ApEngine:
         self.bitrate_sum_bps += client.ladder.bitrates_bps[item.quality_index]
         if self.record_events:
             self.events.append(DeliveryEvent(
-                time_s=t, client_id=client_id, video_id=item.video_id,
-                chunk_index=item.chunk_index, requested_quality=item.requested_quality,
+                time_s=t, client_id=client_id, video_id=req.video_id,
+                chunk_index=req.chunk_index, requested_quality=req.quality_index,
                 delivered_quality=item.quality_index, from_cache=item.from_cache,
                 backhaul_delay_s=item.backhaul_delay_s,
                 dl_delay_s=t - item.enqueue_time_s,
@@ -376,13 +361,11 @@ class ApEngine:
             self._deliver(t, cid, item)
 
     def _complete_backhaul_job(self, t: float, job: BackhaulJob) -> None:
-        self.cache.insert(job.video_id, job.chunk_index, job.quality_index, job.size_bits)
-        for (cid, issue_time, requested_m) in job.waiters:
-            self.dl_queues[cid].append(DlItem(
-                video_id=job.video_id, chunk_index=job.chunk_index,
-                quality_index=job.quality_index, requested_quality=requested_m,
-                size_bits=job.size_bits, remaining_bits=job.size_bits,
-                media_s=job.media_s, from_cache=False, issue_time_s=issue_time,
+        self.cache.insert(*job.key, job.size_bits)
+        for req in job.waiters:
+            self.dl_queues[req.client_id].append(DlItem(
+                req=req, quality_index=job.key[2], size_bits=job.size_bits,
+                remaining_bits=job.size_bits, media_s=job.media_s, from_cache=False,
                 enqueue_time_s=t, backhaul_delay_s=t - job.enqueue_time_s,
             ))
 
@@ -393,12 +376,7 @@ class ApEngine:
         n1 = sorted(self.intake, key=lambda r: (r.issue_time_s, r.client_id, r.chunk_index))
         self.intake = []
         if n1:
-            result = self._assign(n1)
-            if self.policy.solver is not None:
-                self.solver_calls += 1
-                if result.no_valid_config:
-                    self.solver_fallbacks += 1
-            self._enqueue_assignments(n1, result)
+            self._enqueue(n1, self._assign(n1))
         served = self._allocate()
 
         end = t + self.t_ap_s
@@ -418,7 +396,7 @@ class ApEngine:
                 drained += head.remaining_bits
                 head.remaining_bits = 0.0
                 self.fifo.popleft()
-                del self.fifo_by_key[head.video_id, head.chunk_index, head.quality_index]
+                del self.fifo_by_key[head.key]
                 self._complete_backhaul_job(seg_end, head)
                 cursor = seg_end
                 if cursor >= end - _EPS:

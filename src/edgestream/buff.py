@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .assign_core import BITRATE_UNIT_BPS, QualityRequest, SolverParams, build_candidates
 from .cache import LruChunkCache
-from .cph import AssignmentResult, assign_qualities, canonical_order
+from .cph import AssignmentResult, canonical_order
 
 
 def _weighted_log_bitrate(bitrate_bps: float, cached: bool, params: SolverParams) -> float:
@@ -72,5 +72,4 @@ def buff_assign(
     for ri, m in chosen.items():
         qualities[ri] = m
     fell_back = len(chosen) < len(requests)
-    return AssignmentResult(assign_qualities(requests, qualities, cache),
-                            fell_back, total_utility, total_cost)
+    return AssignmentResult(tuple(qualities), fell_back, total_utility, total_cost)

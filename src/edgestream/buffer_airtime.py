@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+SUFFICIENT_CHUNKS = 2.0  # buffered chunks at which a playing client steps aside
+
 
 def estimate_buffer(
     *,
@@ -66,12 +68,11 @@ def allocate_airtime(
     clients: list[ClientLoad],
     b_min_s: float,
     t_ap_s: float,
-    sufficient_chunks: float = 2.0,
 ) -> AirtimeAllocation:
     """Stall-aware shares: risky clients get what they need, scaled down
     proportionally if the needs exceed the interval; the leftover is split
     equally among the remaining clients with queued data, where playing
-    clients already holding `sufficient_chunks` of media step aside until
+    clients already holding SUFFICIENT_CHUNKS of media step aside until
     everyone hungrier has all the airtime they can use.
     """
     if t_ap_s <= 0:
@@ -96,7 +97,7 @@ def allocate_airtime(
     # so parking it at the sufficiency cutoff would freeze the session
     excluded = frozenset(
         c.client_id for c in clients
-        if c.playing and c.buffered_chunks >= sufficient_chunks
+        if c.playing and c.buffered_chunks >= SUFFICIENT_CHUNKS
     )
     for cid in sorted(excluded):
         shares[cid] = 0.0

@@ -71,7 +71,6 @@ class ScenarioConfig:
     radius_m: float = 70.0
     start_offset_max_s: float = 35.0
     cache_capacity_bits: float = math.inf
-    sufficient_chunks: float = 2.0
     reps: int = 20
     base_seed: int = 1
     max_time_s: float | None = None
@@ -96,8 +95,12 @@ class ScenarioConfig:
             raise ConfigError("levels must be >= 2")
         if self.max_bitrate_bps <= self.min_bitrate_bps:
             raise ConfigError("max_bitrate_bps must exceed min_bitrate_bps")
-        if self.cache_capacity_bits <= 0:
-            raise ConfigError("cache_capacity_bits must be > 0 (inf for unbounded)")
+        largest_chunk_bits = self.max_bitrate_bps * self.chunk_duration_s
+        if self.cache_capacity_bits < largest_chunk_bits:
+            raise ConfigError(
+                f"cache_capacity_bits {self.cache_capacity_bits!r} is smaller than the largest "
+                f"chunk, max_bitrate_bps * chunk_duration_s = {largest_chunk_bits!r} "
+                "(inf for unbounded)")
         try:
             self.solver_params()
         except ValueError as exc:
@@ -180,7 +183,6 @@ def run_replication(cfg: ScenarioConfig, scheme: str, rep: int,
         cache=LruChunkCache(cfg.cache_capacity_bits),
         backhaul_bps=cfg.backhaul_mbps * 1e6,
         t_ap_s=cfg.t_ap_s, params=cfg.solver_params(),
-        sufficient_chunks=cfg.sufficient_chunks,
         record_events=record_events, max_time_s=cfg.max_time_s,
     )
     return engine.run()
@@ -426,7 +428,7 @@ def oracle_check(instances: int, seed: int, dump_path: str | None = None):
         requests, cache, backhaul, params = gen_random_instance(rng)
         fast = cph_assign(requests, cache, backhaul, params)
         slow = brute_force_assign(requests, cache, backhaul, params)
-        same = (fast.assignments == slow.assignments
+        same = (fast.qualities == slow.qualities
                 and fast.no_valid_config == slow.no_valid_config
                 and fast.total_utility == slow.total_utility
                 and fast.total_cost_bps == slow.total_cost_bps)

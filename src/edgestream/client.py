@@ -4,9 +4,9 @@ The client estimates throughput as the harmonic mean of its last five
 per-chunk download rates and requests the highest bitrate strictly below the
 estimate (lowest level on a cold start). Before playout it bursts requests
 back to back, uncapped, until the buffer plus in-flight media reaches
-capacity; playout begins once the buffer first fills, after which at most
-three requests may be outstanding and only while the buffer has room for
-another whole chunk. A client is silent before its session start time;
+capacity; playout begins once the buffer first fills (or holds the whole of
+a video shorter than the buffer), after which at most three requests may be
+outstanding and only while the buffer has room for another whole chunk. A client is silent before its session start time;
 startup latency and session time are measured from that start.
 """
 from __future__ import annotations
@@ -63,9 +63,11 @@ class DashClient:
         self.video_id = ladder.video_id
         self.ladder = ladder
         self.b_max_s = b_max_s
-        self.start_threshold_s = b_max_s if start_threshold_s is None else start_threshold_s
-        self.rates = deque(maxlen=RATE_WINDOW)
         self.total_media_s = ladder.chunk_count * ladder.chunk_duration_s
+        # a video shorter than the buffer starts once all of it is buffered
+        self.start_threshold_s = (min(b_max_s, self.total_media_s)
+                                  if start_threshold_s is None else start_threshold_s)
+        self.rates = deque(maxlen=RATE_WINDOW)
         self.start_time_s = start_time_s
 
         self.buffer_s = 0.0

@@ -46,35 +46,12 @@ class SolveGroup(NamedTuple):
     items: tuple[CandidateQuality, ...]
 
 
-class Assignment(NamedTuple):
-    client_id: int
-    video_id: int
-    chunk_index: int
-    quality_index: int
-    from_cache: bool
-    requested_quality: int
-
-
 @dataclass(frozen=True)
 class AssignmentResult:
-    assignments: tuple[Assignment, ...]  # aligned with the input request order
+    qualities: tuple[int, ...]  # one delivery quality per request, in input order
     no_valid_config: bool
     total_utility: float | None
     total_cost_bps: float | None
-
-
-def assign_qualities(
-    requests: Sequence[QualityRequest],
-    qualities: Sequence[int],
-    cache: LruChunkCache,
-) -> tuple[Assignment, ...]:
-    """Each request at its quality, served from `cache` when it holds that
-    exact chunk."""
-    return tuple(
-        Assignment(r.client_id, r.video_id, r.chunk_index, m,
-                   cache.contains(r.video_id, r.chunk_index, m), r.requested_quality)
-        for r, m in zip(requests, qualities)
-    )
 
 
 def pareto_min(points: Sequence[tuple]) -> list[tuple]:
@@ -175,18 +152,17 @@ def _request_groups(
 
 def _result(
     requests: Sequence[QualityRequest],
-    cache: LruChunkCache,
     order: list[int],
     best: tuple[float, float, tuple[int, ...]] | None,
 ) -> AssignmentResult:
     # picks follow the canonical order; None keeps the requests, flagged
     qualities = [r.requested_quality for r in requests]
     if best is None:
-        return AssignmentResult(assign_qualities(requests, qualities, cache), True, None, None)
+        return AssignmentResult(tuple(qualities), True, None, None)
     utility, cost, picks = best
     for ri, m in zip(order, picks):
         qualities[ri] = m
-    return AssignmentResult(assign_qualities(requests, qualities, cache), False, utility, cost)
+    return AssignmentResult(tuple(qualities), False, utility, cost)
 
 
 def cph_assign(
@@ -200,7 +176,7 @@ def cph_assign(
     if not requests:
         return AssignmentResult((), False, 0.0, 0.0)
     order, groups = _request_groups(requests, cache, params)
-    return _result(requests, cache, order, solve_groups(groups, backhaul_bps))
+    return _result(requests, order, solve_groups(groups, backhaul_bps))
 
 
 def brute_force_assign(
@@ -241,7 +217,7 @@ def brute_force_assign(
         if (best is None or (u, -c) > (best[0], -best[1])
                 or (u, c) == best[:2] and picks < best[2]):
             best = (u, c, picks)
-    return _result(requests, cache, order, best)
+    return _result(requests, order, best)
 
 
 # Instance files for the oracle differential harness. UTF-8 text, one record

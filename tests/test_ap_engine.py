@@ -186,8 +186,8 @@ def test_late_requester_rides_the_queued_backhaul_job():
                       1e5, 0.5, SolverParams(), record_events=True)
     engine.step_rai()
     engine.step_rai()
-    assert [(j.chunk_index, [w[0] for w in j.waiters]) for j in engine.fifo] == \
-        [(k, [0, 1]) for k in range(4)]
+    assert [(j.key, [w.client_id for w in j.waiters]) for j in engine.fifo] == \
+        [((0, k, 0), [0, 1]) for k in range(4)]
     assert engine.fifo_by_key == {(0, k, 0): j for k, j in enumerate(engine.fifo)}
     res = engine.run()
     assert res.violations == []

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 
 from edgestream.assign_core import QualityRequest, SolverParams
 from edgestream.buff import buff_assign
@@ -23,14 +24,13 @@ def _req(cid=0, video=0, chunk=0, m=1, rates=(1e6, 2e6, 4e6), buffer_s=8.0,
 
 def test_empty_request_list():
     res = buff_assign([], LruChunkCache(), 2e7, SolverParams())
-    assert res.assignments == ()
+    assert res.qualities == ()
     assert res.total_utility == 0.0 and res.total_cost_bps == 0.0
 
 
 def test_picks_highest_weighted_level_within_budget():
     res = buff_assign([_req()], LruChunkCache(), 2e7, SolverParams(gamma=1))
-    a = res.assignments[0]
-    assert a.quality_index == 2  # highest tolerated level, buffer is deep
+    assert res.qualities == (2,)  # highest tolerated level, buffer is deep
     assert not res.no_valid_config
     assert res.total_cost_bps == 4e6
 
@@ -38,7 +38,7 @@ def test_picks_highest_weighted_level_within_budget():
 def test_budget_constrains_the_pick():
     # only the lowest tolerated level fits the remaining backhaul
     res = buff_assign([_req()], LruChunkCache(), 1e6, SolverParams(gamma=1))
-    assert res.assignments[0].quality_index == 0
+    assert res.qualities == (0,)
     assert res.total_cost_bps == 1e6
 
 
@@ -46,9 +46,8 @@ def test_cache_weight_tilts_the_greedy_order():
     cache = LruChunkCache()
     cache.insert(0, 0, 1, 4e6)  # mid level cached
     res = buff_assign([_req()], cache, 2e7, SolverParams(gamma=1, mu_c=1.3))
-    a = res.assignments[0]
     # 1.3*ln(2000) = 9.88 beats ln(4000) = 8.29
-    assert a.quality_index == 1 and a.from_cache
+    assert res.qualities == (1,)
     assert res.total_cost_bps == 0.0
 
 
@@ -56,7 +55,7 @@ def test_unsafe_levels_filtered_except_the_floor():
     # thin buffer: every level projects negative, only the window floor stays
     res = buff_assign([_req(buffer_s=0.05, backhaul=1e6)], LruChunkCache(),
                       2e7, SolverParams(gamma=1))
-    assert res.assignments[0].quality_index == 0
+    assert res.qualities == (0,)
     assert not res.no_valid_config
 
 
@@ -64,7 +63,7 @@ def test_shared_chunk_rides_along_free():
     reqs = [_req(cid=0), _req(cid=1)]
     res = buff_assign(reqs, LruChunkCache(), 4e6, SolverParams(gamma=1))
     # first pick pays 4e6 for the top level; the twin then costs nothing
-    assert [a.quality_index for a in res.assignments] == [2, 2]
+    assert res.qualities == (2, 2)
     assert res.total_cost_bps == 4e6
 
 
@@ -73,9 +72,8 @@ def test_exhaustion_keeps_requested_quality_and_flags():
     res = buff_assign(reqs, LruChunkCache(), 1e6, SolverParams(gamma=0))
     # budget fits neither 2e6 download once the first greedy pick ran
     assert res.no_valid_config
-    unassigned = [a for a in res.assignments if a.quality_index == a.requested_quality]
-    assert len(unassigned) == 2  # nothing was affordable at all here
-    assert all(a.quality_index == 1 for a in res.assignments)
+    # nothing was affordable at all here, so both keep their requested level
+    assert res.qualities == tuple(r.requested_quality for r in reqs) == (1, 1)
 
 
 def test_partial_exhaustion_assigns_what_fits():
@@ -83,8 +81,7 @@ def test_partial_exhaustion_assigns_what_fits():
     res = buff_assign(reqs, LruChunkCache(), 2e6, SolverParams(gamma=0))
     assert res.no_valid_config  # one request fell back
     assert res.total_cost_bps == 2e6
-    qualities = sorted(a.quality_index for a in res.assignments)
-    assert qualities == [1, 1]  # fallback keeps the requested level too
+    assert res.qualities == (1, 1)  # fallback keeps the requested level too
 
 
 def test_zero_tolerance_never_moves_the_level():
@@ -94,8 +91,7 @@ def test_zero_tolerance_never_moves_the_level():
         params = SolverParams(gamma=0, mu_c=params.mu_c,
                               b_min_s=params.b_min_s, b_max_s=params.b_max_s)
         res = buff_assign(requests, cache, backhaul, params)
-        for req, a in zip(requests, res.assignments):
-            assert a.quality_index == req.requested_quality
+        assert res.qualities == tuple(r.requested_quality for r in requests)
 
 
 def test_tolerance_and_cache_flags_respected():
@@ -103,11 +99,15 @@ def test_tolerance_and_cache_flags_respected():
     for _ in range(40):
         requests, cache, backhaul, params = gen_random_instance(rng)
         res = buff_assign(requests, cache, backhaul, params)
-        assert len(res.assignments) == len(requests)
-        for req, a in zip(requests, res.assignments):
-            assert abs(a.quality_index - req.requested_quality) <= params.gamma
-            assert a.from_cache == cache.contains(
-                req.video_id, req.chunk_index, a.quality_index)
+        assert len(res.qualities) == len(requests)
+        for req, m in zip(requests, res.qualities):
+            assert abs(m - req.requested_quality) <= params.gamma
+        if not res.no_valid_config:
+            # each distinct chunk the cache lacks is paid once, a cached one never
+            fetched = {(r.video_id, r.chunk_index, m): r.bitrates_bps[m]
+                       for r, m in zip(requests, res.qualities)
+                       if not cache.contains(r.video_id, r.chunk_index, m)}
+            assert res.total_cost_bps == pytest.approx(sum(fetched.values()))
 
 
 def test_total_cost_never_exceeds_budget():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgestream.buffer_airtime import (
+    SUFFICIENT_CHUNKS,
     AirtimeAllocation,
     ClientLoad,
     allocate_airtime,
@@ -128,13 +129,20 @@ class TestAllocateAirtime:
         assert alloc.total() <= 1.0 + 1e-9
 
     def test_well_buffered_player_steps_aside(self):
-        clients = [
-            _load(0, 1e7, 10.0, 2e6, 20e6, chunks=3.0, playing=True),
-            _load(1, 1e7, 5.0, 2e6, 20e6, chunks=1.0, playing=True),
-        ]
-        alloc = allocate_airtime(clients, b_min_s=4.0, t_ap_s=0.5)
-        assert alloc.shares[0] == 0.0
-        assert alloc.shares[1] == pytest.approx(1.0)  # cap 1e7/1e7
+        # SUFFICIENT_CHUNKS itself parks a player; a hair below it does not
+        for chunks, parked in ((3.0, True), (SUFFICIENT_CHUNKS, True),
+                               (math.nextafter(SUFFICIENT_CHUNKS, 0.0), False)):
+            clients = [
+                _load(0, 1e7, 10.0, 2e6, 20e6, chunks=chunks, playing=True),
+                _load(1, 1e7, 5.0, 2e6, 20e6, chunks=1.0, playing=True),
+            ]
+            alloc = allocate_airtime(clients, b_min_s=4.0, t_ap_s=0.5)
+            if parked:
+                assert alloc.shares[0] == 0.0, chunks
+                assert alloc.shares[1] == pytest.approx(1.0)  # cap 1e7/1e7
+            else:
+                assert alloc.shares[0] == pytest.approx(0.5), chunks
+                assert alloc.shares[1] == pytest.approx(0.5)
 
     def test_prebuffering_client_is_not_parked(self):
         # same holdings, but playout has not started: both split the interval
@@ -184,14 +192,6 @@ class TestAllocateAirtime:
             allocate_airtime([_load(0, 1e6, 0.0, 1e6, 20e6)], 4.0, 0.0)
         with pytest.raises(ValueError):
             allocate_airtime([_load(0, 1e6, 0.0, 1e6, 0.0)], 4.0, 0.5)
-
-    def test_threshold_is_configurable(self):
-        clients = [
-            _load(0, 1e7, 10.0, 2e6, 20e6, chunks=3.0, playing=True),
-            _load(1, 1e7, 5.0, 2e6, 20e6, chunks=1.0, playing=True),
-        ]
-        alloc = allocate_airtime(clients, 4.0, 0.5, sufficient_chunks=5.0)
-        assert alloc.shares[0] == pytest.approx(0.5)  # no longer parked
 
 
 _client_strategy = st.tuples(

@@ -48,6 +48,7 @@ class TestScenarioConfig:
         dict(chunk_duration_s=0.0),
         dict(mu_c=0.5),
         dict(b_min_s=6.0, b_max_s=6.0),
+        dict(cache_capacity_bits=1e5),  # smaller than one 15 Mbps, 2 s chunk
     ])
     def test_invalid_configs_rejected(self, kw):
         with pytest.raises(ConfigError):

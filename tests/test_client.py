@@ -83,6 +83,17 @@ class TestRequestGating:
         assert c.playout_started
         assert c.startup_latency_s == 1.5
 
+    def test_video_shorter_than_buffer_starts_once_fully_buffered(self):
+        short = QualityLadder(0, (1e6,), 2.0, 7)  # 14 s of media, b_max 15 s
+        c = DashClient(0, short, b_max_s=15.0)
+        assert len(c.maybe_issue_requests(0.0)) == 7
+        for k in range(7):
+            c.on_chunk_delivered(1.0 + k, k, 0, 2e6, 0.0)
+        assert c.playout_started
+        assert c.startup_latency_s == 7.0
+        c.advance_to(30.0)
+        assert c.finished
+
     def test_post_playout_in_flight_cap(self):
         c = _client(start_threshold_s=2.0)
         c.maybe_issue_requests(0.0)

@@ -15,7 +15,6 @@ from edgestream.assign_core import CandidateQuality, QualityRequest, SolverParam
 from edgestream.cache import LruChunkCache
 from edgestream.cli_metrics import ScenarioConfig, gen_random_instance, run_replication
 from edgestream.cph import (
-    Assignment,
     SolveGroup,
     brute_force_assign,
     canonical_order,
@@ -214,7 +213,7 @@ def _mk_request(cid, video, chunk, m, rates, share=0.5) -> QualityRequest:
 class TestCphAssign:
     def test_empty_request_list(self):
         res = cph_assign([], LruChunkCache(), 2e7, SolverParams())
-        assert res.assignments == ()
+        assert res.qualities == ()
         assert not res.no_valid_config
         assert res.total_utility == 0.0 and res.total_cost_bps == 0.0
 
@@ -223,8 +222,7 @@ class TestCphAssign:
         res = cph_assign([req], LruChunkCache(), 0.0, SolverParams(gamma=0))
         assert res.no_valid_config
         assert res.total_utility is None and res.total_cost_bps is None
-        a = res.assignments[0]
-        assert a.quality_index == 1 and not a.from_cache
+        assert res.qualities == (1,)
 
     def test_shared_download_paid_once(self):
         rates = (1e6, 2e6)
@@ -233,7 +231,7 @@ class TestCphAssign:
         res = cph_assign(reqs, LruChunkCache(), 2e6, SolverParams(gamma=1))
         assert not res.no_valid_config
         assert res.total_cost_bps == 2e6
-        assert [a.quality_index for a in res.assignments] == [1, 1]
+        assert res.qualities == (1, 1)
 
     def test_cached_level_attracts_and_flags(self):
         rates = (1e6, 2e6, 4e6)
@@ -241,22 +239,24 @@ class TestCphAssign:
         cache.insert(0, 0, 2, 8e6)
         res = cph_assign([_mk_request(0, 0, 0, 1, rates)], cache, 2e7,
                          SolverParams(gamma=1, mu_c=1.3))
-        a = res.assignments[0]
-        assert a.quality_index == 2 and a.from_cache
+        assert res.qualities == (2,) and cache.contains(0, 0, 2)
         assert res.total_cost_bps == 0.0
 
     def test_assignments_align_with_input_order(self):
-        rates = (1e6, 2e6)
+        rates = (1e6, 2e6, 4e6)
+        cache = LruChunkCache()
+        cache.insert(1, 5, 0, 2e6)
         reqs = [
             _mk_request(2, 1, 5, 0, rates),
-            _mk_request(0, 0, 3, 1, rates),
+            _mk_request(0, 0, 3, 2, rates, share=0.05),
             _mk_request(1, 1, 5, 1, rates),
         ]
-        res = cph_assign(reqs, LruChunkCache(), 2e8, SolverParams())
-        for req, a in zip(reqs, res.assignments):
-            assert (a.client_id, a.video_id, a.chunk_index) == \
-                (req.client_id, req.video_id, req.chunk_index)
-            assert a.requested_quality == req.requested_quality
+        params = SolverParams(gamma=1)
+        base = cph_assign(reqs, cache, 2e8, params).qualities
+        assert len(set(base)) > 1  # distinct picks, so a misalignment would show
+        for perm in itertools.permutations(range(len(reqs))):
+            res = cph_assign([reqs[i] for i in perm], cache, 2e8, params)
+            assert res.qualities == tuple(base[i] for i in perm), perm
 
     def test_canonical_order_groups_shareable_requests(self):
         rates = (1e6, 2e6)
@@ -276,10 +276,9 @@ class TestCphAssign:
             res = cph_assign(requests, cache, backhaul, params)
             if res.no_valid_config:
                 continue
-            for req, a in zip(requests, res.assignments):
-                assert abs(a.quality_index - req.requested_quality) <= params.gamma
-                assert a.from_cache == cache.contains(
-                    req.video_id, req.chunk_index, a.quality_index)
+            assert len(res.qualities) == len(requests)
+            for req, m in zip(requests, res.qualities):
+                assert abs(m - req.requested_quality) <= params.gamma
 
     def test_matches_exhaustive_search_bitwise(self):
         rng = np.random.default_rng(5)
@@ -290,7 +289,7 @@ class TestCphAssign:
             for capacity in (backhaul, 0.0, optimum or 0.0):
                 fast = cph_assign(requests, cache, capacity, params)
                 slow = brute_force_assign(requests, cache, capacity, params)
-                assert fast.assignments == slow.assignments
+                assert fast.qualities == slow.qualities
                 assert fast.no_valid_config == slow.no_valid_config
                 assert fast.total_utility == slow.total_utility
                 assert fast.total_cost_bps == slow.total_cost_bps

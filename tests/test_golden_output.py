@@ -1,9 +1,14 @@
-"""Golden output: the simulated statistics of a fixed config matrix, hashed.
+"""Golden output: the simulated statistics and delivery events of a fixed
+config matrix, hashed.
 
 ROADMAP's "CSV byte-identical" contract in test form. Any change to the
 engine, the client, the solvers or the cache that moves a single output bit
-on this matrix changes the hash. A change that is meant to move outputs must
-say so and re-record EXPECTED_SHA256 from the new code.
+on this matrix changes a hash: EXPECTED_SHA256 covers the statistics,
+EVENTS_SHA256 every delivery's requested and delivered quality, cache flag,
+times and delays, riders included. The matrix runs once, with events
+recorded, so the statistics hash also checks that recording events changes
+no statistic. A change that is meant to move outputs must say so and
+re-record both hashes from the new code.
 """
 from __future__ import annotations
 
@@ -32,12 +37,14 @@ POINTS = tuple(
                          cache_capacity_bits=64e6, backhaul_mbps=8.0),)
 
 EXPECTED_SHA256 = "487c4f571c6ddcd676de43ce5cef853593efbdbf6053d15534a03895ab232473"
+# sha256 over repr(event) of every DeliveryEvent, in point x SCHEMES order
+EVENTS_SHA256 = "c401c2cbe915cedd17f5dc6f60773244ff9eb47e4cd23b2c2e4ce05b80275937"
 
 
 def _records():
     for cfg in POINTS:
         for scheme in SCHEMES:
-            result = run_replication(cfg, scheme, rep=0)
+            result = run_replication(cfg, scheme, rep=0, record_events=True)
             head = (scheme, cfg.n_clients, cfg.n_videos, cfg.cache_capacity_bits,
                     cfg.backhaul_mbps)
             yield result, repr(head + tuple(getattr(result, f) for f in DIGEST_FIELDS))
@@ -54,6 +61,7 @@ def test_outputs_match_the_recorded_hash(monkeypatch):
 
     monkeypatch.setattr(LruChunkCache, "insert", counting_insert)
     h = hashlib.sha256()
+    events = hashlib.sha256()
     rode = False
     for result, record in _records():
         assert result.violations == [], record
@@ -62,6 +70,9 @@ def test_outputs_match_the_recorded_hash(monkeypatch):
         rode |= result.pipe_bits < result.backhaul_attributed_bits
         h.update(record.encode())
         h.update(b"\n")
+        for event in result.events:
+            events.update(repr(event).encode())
     assert evictions, "no point of the matrix evicted from the cache"
     assert rode, "no request rode a queued backhaul job"
     assert h.hexdigest() == EXPECTED_SHA256
+    assert events.hexdigest() == EVENTS_SHA256
