@@ -40,7 +40,6 @@ from .cph import (
     cph_assign,
     dump_instance,
     load_instance,
-    pareto_min,
     solve_groups,
 )
 from .radio import link_capacity_bps, path_loss_db, place_clients
@@ -60,6 +59,6 @@ __all__ = [
     "write_csv", "write_json",
     "AssignmentResult", "SolveGroup",
     "brute_force_assign", "canonical_order", "cph_assign",
-    "dump_instance", "load_instance", "pareto_min", "solve_groups",
+    "dump_instance", "load_instance", "solve_groups",
     "link_capacity_bps", "path_loss_db", "place_clients",
 ]

@@ -255,7 +255,6 @@ class ApEngine:
         """Route each request at its quality: a cache hit to the client's
         downlink queue, a miss onto the backhaul job for its chunk."""
         tolerance = self.params.gamma if self.policy.solver is not None else 0
-        enqueued_this_rai: set[tuple[int, int, int]] = set()
         for req, m in zip(n1, qualities):
             if abs(m - req.quality_index) > tolerance:
                 self.violations.append(
@@ -277,14 +276,10 @@ class ApEngine:
             if existing is not None:
                 existing.waiters.append(req)
                 continue
-            if key in enqueued_this_rai:
-                self.violations.append(
-                    f"t={self.now}: chunk {key} charged to backhaul twice in one interval")
             job = BackhaulJob(key=key, size_bits=size, remaining_bits=size, media_s=media,
                               enqueue_time_s=self.now, waiters=[req])
             self.fifo.append(job)
             self.fifo_by_key[key] = job
-            enqueued_this_rai.add(key)
 
     def _allocate(self) -> list[tuple[int, float, deque[DlItem]]]:
         """(client id, drain rate, queue) of every client granted airtime for

@@ -6,12 +6,18 @@ for one client is free for every other client picking the identical
 content), and after every merge keeps the Pareto-optimal (utility, cost)
 points among configurations that have paid for the same content. A
 cluster is a run of groups for one video and chunk, so within it an equal
-quality is the same chunk and shares one download. Configurations with the
-same paid levels face identical costs for the rest of the cluster, while a
-pick dominated by one with other paid levels can still win once enough
-clients share its cost. A cluster boundary resets the paid set, so there the
-same rule prunes the whole frontier: across clusters costs are strictly
-additive.
+quality is the same chunk and shares one download.
+
+One rule bounds the frontier: a configuration remembers only the paid
+levels a later group of its cluster can still pick. Configurations that
+remember the same set face identical costs for the rest of the solve, while
+a pick dominated by one with other paid levels can still win once enough
+clients share its cost. At a cluster's end nothing is live, so there the
+whole frontier is compared. `canonical_order` sorts a cluster by requested
+quality, so the tolerance windows slide and a live set holds at most
+2*gamma + 1 levels: at most 2**(2*gamma + 1) paid sets, 32 at gamma = 2.
+A configuration is (paid, cost, -utility, picks), so one keyless sort per
+merge orders it by paid set, cost and utility, and picks are unique.
 
 Exact up to float rounding: costs are summed in group order, so one paid
 set's configurations can differ in the last ulp, and a point dropped as
@@ -25,7 +31,6 @@ identical left fold over that order, so optimal utilities compare bitwise.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Hashable, NamedTuple, Sequence
 
@@ -54,23 +59,6 @@ class AssignmentResult:
     total_cost_bps: float | None
 
 
-def pareto_min(points: Sequence[tuple]) -> list[tuple]:
-    """Keep the non-dominated (utility, cost, ...) points.
-
-    A dominates B when utility_A >= utility_B and cost_A <= cost_B with at
-    least one strict. Full (utility, cost) ties keep one representative,
-    the one with the smallest trailing payload.
-    """
-    ordered = sorted(points, key=lambda p: (p[1], -p[0], p[2:]))
-    kept: list[tuple] = []
-    best_u = -math.inf
-    for p in ordered:
-        if p[0] > best_u:
-            kept.append(p)
-            best_u = p[0]
-    return kept
-
-
 def solve_groups(
     groups: Sequence[SolveGroup], capacity_bps: float
 ) -> tuple[float, float, tuple[int, ...]] | None:
@@ -78,60 +66,70 @@ def solve_groups(
     up to float rounding (see the module docstring).
 
     Groups sharing a cluster_key must be contiguous in `groups`; within a
-    cluster an equal quality_index shares one download. After each merge
-    only configurations with the same paid set are compared; a cluster
-    boundary resets the paid set first. Returns None when no configuration
-    fits the capacity.
+    cluster an equal quality_index shares one download. A configuration
+    keeps only the paid levels a later group of its cluster can pick, and
+    each merge compares configurations with the same paid set only; in
+    canonical order that is at most 2**(2*gamma + 1) sets. Returns None
+    when no configuration fits the capacity.
     """
-    # configuration = (utility, cost, picks, paid) where paid is a bitmask of
-    # the quality levels already charged within the current cluster
-    frontier: list[tuple[float, float, tuple[int, ...], int]] = [(0.0, 0.0, (), 0)]
+    # live[gi]: levels the groups after gi in its cluster can pick (by index:
+    # only the merge below iterates a group's items)
+    live = [0] * len(groups)
+    for gi in range(len(groups) - 2, -1, -1):
+        nxt = groups[gi + 1]
+        if nxt.cluster_key == groups[gi].cluster_key:
+            items = nxt.items
+            levels = live[gi + 1]
+            for k in range(len(items)):
+                levels |= 1 << items[k].quality_index
+            live[gi] = levels
+    # configuration = (paid, cost, -utility, picks): paid is a bitmask of the
+    # live levels already charged in the current cluster, and the layout
+    # sorts by paid set, then cost, then utility with no key
+    frontier: list[tuple[int, float, float, tuple[int, ...]]] = [(0, 0.0, -0.0, ())]
     for gi, group in enumerate(groups):
-        cluster_ends = gi + 1 == len(groups) or groups[gi + 1].cluster_key != group.cluster_key
-        merged: list[tuple[float, float, tuple[int, ...], int]] = []
-        for (u, c, picks, paid) in frontier:
+        keep = live[gi]
+        merged = []
+        for (paid, c, nu, picks) in frontier:
             for item in group.items:
                 level = 1 << item.quality_index
-                shared = paid & level
-                cost = c if shared else c + item.cost_bps
+                if paid & level:
+                    cost, paid2 = c, paid
+                else:
+                    cost = c + item.cost_bps
+                    paid2 = paid if item.cost_bps <= 0 else paid | level
                 if cost > capacity_bps:
                     continue
-                if cluster_ends:
-                    paid2 = 0  # later clusters share no content with this one
-                elif shared or item.cost_bps <= 0:
-                    paid2 = paid
-                else:
-                    paid2 = paid | level
-                merged.append((u + item.utility, cost, picks + (item.quality_index,), paid2))
+                merged.append((paid2 & keep, cost, nu - item.utility,
+                               picks + (item.quality_index,)))
         if not merged:
             return None
-        # at a cluster end every paid set is 0, so one pareto_min is the same prune
-        frontier = pareto_min(merged) if cluster_ends else _prune_within_paid_sets(merged)
+        # equal paid sets mean equal costs for every completion, so dominance
+        # among them is final; picks are unique, so the sort stops at them
+        merged.sort()
+        frontier = []
+        last_paid = -1
+        for config in merged:
+            if config[0] != last_paid or config[2] < best_nu:
+                last_paid, best_nu = config[0], config[2]
+                frontier.append(config)
 
-    # highest utility, then lowest cost, then lexicographically smallest picks
-    u, neg_c = max((p[0], -p[1]) for p in frontier)
-    return u, -neg_c, min(p[2] for p in frontier if p[0] == u and p[1] == -neg_c)
-
-
-def _prune_within_paid_sets(configs):
-    # equal paid sets mean equal costs for every completion of the cluster,
-    # so dominance among them is final and Cartesian growth stays bounded;
-    # picks are unique, so pareto_min never compares the paid sets
-    by_paid: dict[int, list[tuple]] = {}
-    for config in configs:
-        by_paid.setdefault(config[3], []).append(config)
-    return [config for same_paid in by_paid.values() for config in pareto_min(same_paid)]
+    # the last live set is empty, so the frontier is one paid set kept in
+    # rising cost and utility: its last entry has the highest utility, then
+    # the lowest cost, then the lexicographically smallest picks
+    _, cost, nu, picks = frontier[-1]
+    return -nu, cost, picks
 
 
 def canonical_order(requests: Sequence[QualityRequest]) -> list[int]:
-    """Indices of `requests` sorted so shareable groups are contiguous."""
+    """Indices of `requests` by chunk (clusters contiguous), requested quality, client."""
     return sorted(
         range(len(requests)),
         key=lambda i: (
             requests[i].video_id,
             requests[i].chunk_index,
-            requests[i].client_id,
             requests[i].requested_quality,
+            requests[i].client_id,
         ),
     )
 

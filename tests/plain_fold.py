@@ -6,7 +6,25 @@ clients can share its cost, so it can miss the optimum of a shared cluster.
 """
 from __future__ import annotations
 
-from edgestream.cph import pareto_min
+import math
+from typing import Sequence
+
+
+def pareto_min(points: Sequence[tuple]) -> list[tuple]:
+    """Keep the non-dominated (utility, cost, ...) points.
+
+    A dominates B when utility_A >= utility_B and cost_A <= cost_B with at
+    least one strict. Full (utility, cost) ties keep one representative,
+    the one with the smallest trailing payload.
+    """
+    ordered = sorted(points, key=lambda p: (p[1], -p[0], p[2:]))
+    kept: list[tuple] = []
+    best_u = -math.inf
+    for p in ordered:
+        if p[0] > best_u:
+            kept.append(p)
+            best_u = p[0]
+    return kept
 
 
 def plain_fold(groups, capacity_bps):

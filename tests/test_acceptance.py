@@ -29,8 +29,8 @@ from edgestream.cli_metrics import (
     run_scenario,
     run_sweep,
 )
-from edgestream.cph import SolveGroup, pareto_min, solve_groups
-from plain_fold import plain_fold
+from edgestream.cph import SolveGroup, solve_groups
+from plain_fold import pareto_min, plain_fold
 from reference_lru import ReferenceLru
 from replay_oracle import replay_buffer_projection
 

@@ -196,3 +196,20 @@ def test_late_requester_rides_the_queued_backhaul_job():
     assert res.pipe_bits == pytest.approx(chunk_bits)
     assert res.backhaul_attributed_bits == pytest.approx(2 * chunk_bits)
     assert not engine.fifo and engine.fifo_by_key == {}
+
+
+def test_same_interval_requesters_share_one_backhaul_job():
+    # both clients ask for every chunk in the first interval, so the second
+    # request for a chunk finds the job the first one queued moments before
+    catalog = make_synthetic_catalog(1, 2, 2e5, 2e6, 2.0, 4)
+    clients = [DashClient(0, catalog[0], 8.0), DashClient(1, catalog[0], 8.0)]
+    engine = ApEngine("CLIENT", clients, {0: 2e7, 1: 2e7}, LruChunkCache(),
+                      1e5, 0.5, SolverParams())
+    engine.step_rai()
+    assert engine.fifo
+    assert all([w.client_id for w in j.waiters] == [0, 1] for j in engine.fifo)
+    res = engine.run()
+    assert res.violations == []
+    chunk_bits = 4 * catalog[0].nominal_size_bits(0)
+    assert res.pipe_bits == pytest.approx(chunk_bits)
+    assert res.backhaul_attributed_bits == pytest.approx(2 * chunk_bits)

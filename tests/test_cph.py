@@ -21,10 +21,9 @@ from edgestream.cph import (
     cph_assign,
     dump_instance,
     load_instance,
-    pareto_min,
     solve_groups,
 )
-from plain_fold import plain_fold
+from plain_fold import pareto_min, plain_fold
 
 
 class Metered(tuple):
@@ -93,6 +92,27 @@ def _group(cluster, pairs):
     return SolveGroup(cluster, items)
 
 
+def _exhaustive_fold(groups, capacity):
+    """Best (utility, cost, picks) of an unpruned enumeration with
+    solve_groups' fold, cost rule and tie-breaking; None when nothing fits."""
+    best = None
+    for combo in itertools.product(*(g.items for g in groups)):
+        u = c = 0.0
+        paid = set()
+        for g, item in zip(groups, combo):
+            u += item.utility
+            chunk = (g.cluster_key, item.quality_index)
+            if chunk not in paid:
+                c += item.cost_bps
+                if item.cost_bps > 0:
+                    paid.add(chunk)
+        picks = tuple(item.quality_index for item in combo)
+        if c <= capacity and (best is None or (u, -c, [-q for q in picks])
+                              > (best[0], -best[1], [-q for q in best[2]])):
+            best = (u, c, picks)
+    return best
+
+
 class TestSolveGroups:
     def test_additive_clusters_reach_known_optimum(self):
         groups = [
@@ -145,22 +165,28 @@ class TestSolveGroups:
                 for g in range(7)
             ]
             capacity = float(rng.integers(300, 2000))
-            best = None
-            for combo in itertools.product(*(g.items for g in groups)):
-                u = c = 0.0
-                paid = set()
-                for g, item in zip(groups, combo):
-                    u += item.utility
-                    chunk = (g.cluster_key, item.quality_index)
-                    if chunk not in paid:
-                        c += item.cost_bps
-                        if item.cost_bps > 0:
-                            paid.add(chunk)
-                picks = tuple(item.quality_index for item in combo)
-                if c <= capacity and (best is None or (u, -c, [-q for q in picks])
-                                      > (best[0], -best[1], [-q for q in best[2]])):
-                    best = (u, c, picks)
-            assert solve_groups(groups, capacity) == best
+            assert solve_groups(groups, capacity) == _exhaustive_fold(groups, capacity)
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_live_paid_levels_match_exhaustive_fold(self, data):
+        # overlapping windows of 1-3 levels in up to 3 clusters, one cost per
+        # level and cluster, and small integer utilities that force full ties
+        n = data.draw(st.integers(1, 7))
+        clusters = sorted(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        costs = {k: data.draw(st.lists(st.sampled_from([0, 100, 200, 300]),
+                                       min_size=6, max_size=6)) for k in set(clusters)}
+        groups = []
+        for k in clusters:
+            low = data.draw(st.integers(0, 3))
+            levels = range(low, low + data.draw(st.integers(1, 3)))
+            groups.append(SolveGroup(k, tuple(
+                CandidateQuality(quality_index=m, bitrate_bps=1.0, cached=False,
+                                 cost_bps=float(costs[k][m]), estimated_buffer_s=0.0,
+                                 utility=float(data.draw(st.integers(0, 4))))
+                for m in levels)))
+        capacity = float(data.draw(st.integers(0, 800)))
+        assert solve_groups(groups, capacity) == _exhaustive_fold(groups, capacity)
 
     def test_large_shared_cluster_stays_tractable(self):
         # 3^14 unpruned configurations. Configurations with the same paid set
@@ -170,6 +196,24 @@ class TestSolveGroups:
         groups = [_group("v0", [(1, 100), (2, 300), (3, 900)]) for _ in range(14)]
         groups = [SolveGroup(g.cluster_key, Metered(g.items, lambda: 5)) for g in groups]
         assert solve_groups(groups, 1000.0) == (42.0, 900.0, (2,) * 14)
+
+    def test_spread_cluster_stays_tractable(self, monkeypatch):
+        # 24 warm requests for one chunk spread over a 19-level ladder, with
+        # client ids shuffled: sorted by requested quality the windows slide,
+        # so at most 2**5 paid sets are live and every scan count stays small
+        rates = tuple(1e5 * 1.25 ** m for m in range(19))
+        ids = np.random.default_rng(3).permutation(24)
+        reqs = [_mk_request(int(cid), 0, 0, i % 19, rates) for i, cid in enumerate(ids)]
+        solve = cph.solve_groups
+
+        def metered_solve(groups, capacity_bps):
+            return solve([SolveGroup(g.cluster_key, Metered(g.items, lambda: 1000))
+                          for g in groups], capacity_bps)
+
+        monkeypatch.setattr(cph, "solve_groups", metered_solve)
+        res = cph_assign(reqs, LruChunkCache(), math.inf, SolverParams(gamma=2))
+        assert not res.no_valid_config
+        assert all(abs(m - r.requested_quality) <= 2 for r, m in zip(reqs, res.qualities))
 
     def test_infeasible_returns_none(self):
         groups = [_group("a", [(1, 100), (2, 200)])]
