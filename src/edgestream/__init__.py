@@ -38,8 +38,6 @@ from .cph import (
     brute_force_assign,
     canonical_order,
     cph_assign,
-    dump_instance,
-    load_instance,
     solve_groups,
 )
 from .radio import link_capacity_bps, path_loss_db, place_clients
@@ -58,7 +56,6 @@ __all__ = [
     "run_replication", "run_scenario", "run_sweep", "summarize",
     "write_csv", "write_json",
     "AssignmentResult", "SolveGroup",
-    "brute_force_assign", "canonical_order", "cph_assign",
-    "dump_instance", "load_instance", "solve_groups",
+    "brute_force_assign", "canonical_order", "cph_assign", "solve_groups",
     "link_capacity_bps", "path_loss_db", "place_clients",
 ]

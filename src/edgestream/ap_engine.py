@@ -27,7 +27,6 @@ over unordered containers where order can leak into results.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -377,34 +376,25 @@ class ApEngine:
         end = t + self.t_ap_s
         cursor = t
         drained = 0.0
-        while True:
-            if self.fifo and self.backhaul_bps > 0:
-                head = self.fifo[0]
-                t_done = cursor + head.remaining_bits / self.backhaul_bps
-            else:
-                t_done = math.inf
-            if t_done <= end + _EPS:
-                # job finishes inside the window: pop it outright so float
-                # roundoff can never strand a sliver of it in the queue
-                seg_end = min(t_done, end)
-                self._serve_segment(cursor, seg_end, served)
-                drained += head.remaining_bits
-                head.remaining_bits = 0.0
-                self.fifo.popleft()
-                del self.fifo_by_key[head.key]
-                self._complete_backhaul_job(seg_end, head)
-                cursor = seg_end
-                if cursor >= end - _EPS:
-                    break
-                continue
-            self._serve_segment(cursor, end, served)
-            if self.fifo and self.backhaul_bps > 0:
+        while self.fifo and self.backhaul_bps > 0 and cursor < end - _EPS:
+            head = self.fifo[0]
+            t_done = cursor + head.remaining_bits / self.backhaul_bps
+            if t_done > end + _EPS:  # partial send: the head job outlasts the window
                 sent = (end - cursor) * self.backhaul_bps
-                head = self.fifo[0]
                 head.remaining_bits -= sent
                 drained += sent
-            cursor = end
-            break
+                break
+            # job finishes inside the window: pop it outright so float
+            # roundoff can never strand a sliver of it in the queue
+            seg_end = min(t_done, end)
+            self._serve_segment(cursor, seg_end, served)
+            drained += head.remaining_bits
+            head.remaining_bits = 0.0
+            self.fifo.popleft()
+            del self.fifo_by_key[head.key]
+            self._complete_backhaul_job(seg_end, head)
+            cursor = seg_end
+        self._serve_segment(cursor, end, served)
         if drained > self.backhaul_bps * self.t_ap_s * (1 + 1e-9):
             self.violations.append(f"t={t}: backhaul drained {drained} bits in one interval")
         self.pipe_bits += drained

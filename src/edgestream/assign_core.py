@@ -24,9 +24,9 @@ class SolverParams:
     b_max_s: float = 15.0
 
     def __post_init__(self):
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError("gamma must be >= 0")
-        if self.mu_c < 1.0:
+        if not self.mu_c >= 1.0:
             raise ValueError("mu_c must be >= 1")
         if not (0 < self.b_min_s < self.b_max_s):
             raise ValueError("need 0 < b_min_s < b_max_s")

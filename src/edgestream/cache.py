@@ -32,9 +32,6 @@ class LruChunkCache:
     def contains(self, video_id: int, chunk_index: int, quality_index: int) -> bool:
         return (video_id, chunk_index, quality_index) in self._entries
 
-    def size_of(self, video_id: int, chunk_index: int, quality_index: int) -> float | None:
-        return self._entries.get((video_id, chunk_index, quality_index))
-
     def insert(self, video_id: int, chunk_index: int, quality_index: int,
                size_bits: float) -> list[ChunkKey]:
         """Admit the chunk, evicting LRU entries as needed.

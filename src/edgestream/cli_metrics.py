@@ -27,7 +27,7 @@ from .assign_core import QualityRequest, SolverParams, tolerated_set
 from .cache import LruChunkCache
 from .catalog import make_synthetic_catalog, zipf_pmf
 from .client import DashClient
-from .cph import brute_force_assign, cph_assign, dump_instance
+from .cph import brute_force_assign, cph_assign
 from .radio import link_capacity_bps, place_clients
 
 METRIC_NAMES = (
@@ -84,19 +84,21 @@ class ScenarioConfig:
         positive = ("n_clients", "n_videos", "levels", "chunk_duration_s",
                     "chunk_count", "zipf_exponent", "t_ap_s", "radius_m", "reps",
                     "min_bitrate_bps", "max_bitrate_bps")
+        # every check is written `not x > bound` so that NaN fails it
         for name in positive:
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0")
-        if self.backhaul_mbps < 0:
-            raise ConfigError("backhaul_mbps must be >= 0")
-        if self.start_offset_max_s < 0:
-            raise ConfigError("start_offset_max_s must be >= 0")
-        if self.levels < 2:
+        for name in ("backhaul_mbps", "start_offset_max_s", "base_seed"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0")
+        if self.max_time_s is not None and not self.max_time_s > 0:
+            raise ConfigError("max_time_s must be > 0")
+        if not self.levels >= 2:
             raise ConfigError("levels must be >= 2")
-        if self.max_bitrate_bps <= self.min_bitrate_bps:
+        if not self.max_bitrate_bps > self.min_bitrate_bps:
             raise ConfigError("max_bitrate_bps must exceed min_bitrate_bps")
         largest_chunk_bits = self.max_bitrate_bps * self.chunk_duration_s
-        if self.cache_capacity_bits < largest_chunk_bits:
+        if not self.cache_capacity_bits >= largest_chunk_bits:
             raise ConfigError(
                 f"cache_capacity_bits {self.cache_capacity_bits!r} is smaller than the largest "
                 f"chunk, max_bitrate_bps * chunk_duration_s = {largest_chunk_bits!r} "
@@ -419,27 +421,21 @@ def gen_random_instance(rng: np.random.Generator):
     return requests, cache, backhaul, params
 
 
-def oracle_check(instances: int, seed: int, dump_path: str | None = None):
-    """Compare the compositional solver against exhaustive search."""
-    rng = np.random.default_rng(seed)
-    mismatches = 0
-    first_failure = None
+def oracle_check(instances: int, seed: int) -> tuple[int, list[int]]:
+    """Compare the compositional solver against exhaustive search.
+
+    Instance i is drawn from its own generator, default_rng([seed, i]), so
+    any instance can be rebuilt from (seed, i) alone. Returns the number of
+    instances checked and the indices of those where the results differ.
+    """
+    if instances < 0 or seed < 0:
+        raise ConfigError(f"instances and seed must be >= 0, got {instances} and {seed}")
+    failures = []
     for i in range(instances):
-        requests, cache, backhaul, params = gen_random_instance(rng)
-        fast = cph_assign(requests, cache, backhaul, params)
-        slow = brute_force_assign(requests, cache, backhaul, params)
-        same = (fast.qualities == slow.qualities
-                and fast.no_valid_config == slow.no_valid_config
-                and fast.total_utility == slow.total_utility
-                and fast.total_cost_bps == slow.total_cost_bps)
-        if not same:
-            mismatches += 1
-            if first_failure is None:
-                first_failure = (requests, cache, backhaul, params)
-    if first_failure is not None and dump_path is not None:
-        requests, cache, backhaul, params = first_failure
-        dump_instance(dump_path, requests, cache, backhaul, params)
-    return instances, mismatches
+        instance = gen_random_instance(np.random.default_rng([seed, i]))
+        if cph_assign(*instance) != brute_force_assign(*instance):
+            failures.append(i)
+    return instances, failures
 
 
 # ---- command line ----------------------------------------------------
@@ -511,9 +507,8 @@ def main(argv=None) -> int:
 
     p_oracle = sub.add_parser("oracle-check",
                               help="cross-check the solver against exhaustive search")
-    p_oracle.add_argument("--instances", type=int, default=200)
-    p_oracle.add_argument("--seed", type=int, default=1)
-    p_oracle.add_argument("--dump", help="write the first failing instance here")
+    p_oracle.add_argument("--instances", type=int, default=3000)
+    p_oracle.add_argument("--seed", type=int, default=7)
 
     args = parser.parse_args(argv)
     try:
@@ -527,9 +522,14 @@ def main(argv=None) -> int:
             rows, violations = run_sweep(cfg, args.param, values, jobs=args.jobs)
             return _finish(cfg, rows, violations, args)
         if args.command == "oracle-check":
-            checked, mismatches = oracle_check(args.instances, args.seed, args.dump)
-            print(f"checked {checked} instances, {mismatches} mismatches")
-            return 3 if mismatches else 0
+            checked, failures = oracle_check(args.instances, args.seed)
+            print(f"checked {checked} instances, {len(failures)} mismatches")
+            if failures:
+                k = failures[0]
+                print(f"first mismatch: instance {k}; replay with edgestream.cli_metrics."
+                      f"gen_random_instance(numpy.random.default_rng([{args.seed}, {k}]))")
+                return 3
+            return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

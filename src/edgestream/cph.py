@@ -216,104 +216,3 @@ def brute_force_assign(
                 or (u, c) == best[:2] and picks < best[2]):
             best = (u, c, picks)
     return _result(requests, order, best)
-
-
-# Instance files for the oracle differential harness. UTF-8 text, one record
-# per line:
-#   params <gamma> <mu_c> <b_min_s> <b_max_s>
-#   backhaul <bps>
-#   cached <video> <chunk> <quality> <size_bits>
-#   request <client> <video> <chunk> <m> <tau> <buffer> <C> <share> \
-#           <dlq_bits> <dlq_media> <backlog_bits> <bh_rate> <rate0,rate1,...>
-_RECORD_FIELDS = {"params": 5, "backhaul": 2, "cached": 5, "request": 14}
-# a request's <tau> .. <bh_rate> fields; all must be >= 0, these three > 0
-_REQUEST_FLOATS = ("chunk_duration_s", "buffer_s", "link_capacity_bps", "equal_share",
-                   "dl_queue_bits", "dl_queue_media_s", "fifo_backlog_bits",
-                   "backhaul_rate_bps")
-_POSITIVE_REQUEST_FLOATS = ("chunk_duration_s", "link_capacity_bps", "equal_share")
-
-
-def dump_instance(
-    path: str,
-    requests: Sequence[QualityRequest],
-    cache: LruChunkCache,
-    backhaul_bps: float,
-    params: SolverParams,
-) -> None:
-    keys = set()
-    for r in requests:
-        for m in range(len(r.bitrates_bps)):
-            if cache.contains(r.video_id, r.chunk_index, m):
-                keys.add((r.video_id, r.chunk_index, m))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("# solver instance\n")
-        f.write(
-            f"params {params.gamma} {params.mu_c!r} {params.b_min_s!r} "
-            f"{params.b_max_s!r}\n"
-        )
-        f.write(f"backhaul {backhaul_bps!r}\n")
-        for (v, k, m) in sorted(keys):
-            size = cache.size_of(v, k, m)
-            f.write(f"cached {v} {k} {m} {size!r}\n")
-        for r in requests:
-            rates = ",".join(repr(b) for b in r.bitrates_bps)
-            f.write(
-                f"request {r.client_id} {r.video_id} {r.chunk_index} "
-                f"{r.requested_quality} {r.chunk_duration_s!r} {r.buffer_s!r} "
-                f"{r.link_capacity_bps!r} {r.equal_share!r} {r.dl_queue_bits!r} "
-                f"{r.dl_queue_media_s!r} {r.fifo_backlog_bits!r} "
-                f"{r.backhaul_rate_bps!r} {rates}\n"
-            )
-
-
-def load_instance(
-    path: str,
-) -> tuple[list[QualityRequest], LruChunkCache, float, SolverParams]:
-    requests: list[QualityRequest] = []
-    cache = LruChunkCache()
-    backhaul = None
-    params = None
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                want = _RECORD_FIELDS.get(parts[0])
-                if want is not None and len(parts) != want:
-                    raise ValueError(f"{parts[0]} record needs {want} fields, got {len(parts)}")
-                if parts[0] == "params":
-                    params = SolverParams(
-                        gamma=int(parts[1]), mu_c=float(parts[2]),
-                        b_min_s=float(parts[3]), b_max_s=float(parts[4]),
-                    )
-                elif parts[0] == "backhaul":
-                    backhaul = float(parts[1])
-                elif parts[0] == "cached":
-                    cache.insert(int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4]))
-                elif parts[0] == "request":
-                    rates = tuple(float(x) for x in parts[13].split(","))
-                    if not (rates[0] > 0 and all(b > a for a, b in zip(rates, rates[1:]))):
-                        raise ValueError("request ladder must be positive and strictly ascending")
-                    m = int(parts[4])
-                    if not 0 <= m < len(rates):
-                        raise ValueError(f"requested quality {m} outside ladder of {len(rates)}")
-                    values = dict(zip(_REQUEST_FLOATS, map(float, parts[5:13])))
-                    for name, value in values.items():
-                        if name in _POSITIVE_REQUEST_FLOATS and not value > 0:
-                            raise ValueError(f"request {name} must be > 0, got {value!r}")
-                        if not value >= 0:
-                            raise ValueError(f"request {name} must be >= 0, got {value!r}")
-                    requests.append(QualityRequest(
-                        client_id=int(parts[1]), video_id=int(parts[2]),
-                        chunk_index=int(parts[3]), requested_quality=m,
-                        bitrates_bps=rates, **values,
-                    ))
-                else:
-                    raise ValueError(f"unknown record {parts[0]!r}")
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-    if backhaul is None or params is None:
-        raise ValueError(f"{path}: missing params or backhaul record")
-    return requests, cache, backhaul, params

@@ -14,7 +14,6 @@ def test_insert_and_contains():
     assert not c.contains(0, 0, 0)
     assert c.insert(0, 0, 0, 40) == []
     assert c.contains(0, 0, 0)
-    assert c.size_of(0, 0, 0) == 40
     assert c.used_bits == 40
     assert len(c) == 1
 
@@ -55,7 +54,6 @@ def test_reinsert_refreshes_and_keeps_old_size():
     c.insert(0, 0, 0, 40)
     c.insert(1, 0, 0, 40)
     assert c.insert(0, 0, 0, 60) == []  # present: recency refresh only
-    assert c.size_of(0, 0, 0) == 40
     assert c.used_bits == 80
     evicted = c.insert(2, 0, 0, 40)
     assert evicted == [(1, 0, 0)]

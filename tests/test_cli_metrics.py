@@ -4,10 +4,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
 
+import numpy as np
 import pytest
 from scipy import stats
 
+import edgestream
 import edgestream.cli_metrics as cm
 from edgestream.cli_metrics import (
     CSV_COLUMNS,
@@ -27,6 +30,9 @@ from edgestream.cli_metrics import (
 TINY = dataclasses.replace(
     ScenarioConfig(), schemes=("CPH", "CLIENT"), n_clients=2, n_videos=2,
     chunk_count=10, reps=2)
+
+FLOAT_FIELDS = [name for name, kind in typing.get_type_hints(ScenarioConfig).items()
+                if float in (kind, *typing.get_args(kind))]
 
 
 class TestScenarioConfig:
@@ -223,13 +229,55 @@ class TestOutput:
 def test_oracle_check_small_batch():
     checked, mismatches = oracle_check(25, seed=7)
     assert checked == 25
-    assert mismatches == 0
+    assert mismatches == []
+
+
+class TestOracleReplay:
+    def test_failing_instance_is_named_and_rebuilt_from_seed_and_index(
+            self, monkeypatch, capsys):
+        seed, k, n = 3, 4, 6
+        checked = []  # (requests, cached keys, backhaul, params) per cph_assign call
+        solve = cm.cph_assign
+
+        def wrong_at_k(requests, cache, backhaul, params):
+            checked.append((requests, cache.keys_by_recency(), backhaul, params))
+            result = solve(requests, cache, backhaul, params)
+            if len(checked) == k + 1:
+                return dataclasses.replace(result, no_valid_config=not result.no_valid_config)
+            return result
+
+        monkeypatch.setattr(cm, "cph_assign", wrong_at_k)
+        assert oracle_check(n, seed) == (n, [k])
+        batch = checked[k]
+
+        checked.clear()
+        assert main(["oracle-check", "--instances", str(n), "--seed", str(seed)]) == 3
+        out = capsys.readouterr().out
+        assert f"checked {n} instances, 1 mismatches" in out
+        assert f"first mismatch: instance {k}; replay with " in out
+
+        # the printed expression alone rebuilds the instance the batch checked
+        replay = out.split("replay with ", 1)[1].strip()
+        assert replay == ("edgestream.cli_metrics.gen_random_instance("
+                          f"numpy.random.default_rng([{seed}, {k}]))")
+        requests, cache, backhaul, params = eval(replay, {"edgestream": edgestream, "numpy": np})
+        assert (requests, cache.keys_by_recency(), backhaul, params) == batch
+
+    def test_defaults_are_the_check_of_record(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cm, "oracle_check",
+                            lambda instances, seed: calls.append((instances, seed)) or (instances, []))
+        assert main(["oracle-check"]) == 0
+        assert calls == [(3000, 7)]
+        assert "checked 3000 instances, 0 mismatches" in capsys.readouterr().out
 
 
 class TestMainExitCodes:
     def test_config_error_is_exit_2(self, capsys):
         # mu_c = 0.5 is > 0 but below SolverParams' bound of 1
-        for argv in (["run", "--gamma", "-1"], ["run", "--mu-c", "0.5"]):
+        for argv in (["run", "--gamma", "-1"], ["run", "--mu-c", "0.5"],
+                     ["oracle-check", "--instances", "1", "--seed", "-1"],
+                     ["oracle-check", "--instances", "-1"]):
             assert main(argv) == 2
             assert "config error" in capsys.readouterr().err
 
@@ -266,6 +314,18 @@ class TestMainExitCodes:
     def test_oracle_check_clean_is_exit_0(self, capsys):
         assert main(["oracle-check", "--instances", "5", "--seed", "3"]) == 0
         assert "5 instances, 0 mismatches" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line, flags", [
+        *((f"{name} = nan\n", []) for name in FLOAT_FIELDS),
+        ("", ["--seed", "-1"]),
+    ], ids=[*FLOAT_FIELDS, "negative-seed"])
+    def test_nan_or_negative_seed_is_exit_2(self, tmp_path, capsys, line, flags):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(
+            "schemes = CLIENT\nn_clients = 2\nn_videos = 2\n"
+            "chunk_count = 8\nreps = 1\n" + line)
+        assert main(["run", "--config", str(cfg), *flags]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_sweep_cli_end_to_end(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"
