@@ -28,7 +28,7 @@ over unordered containers where order can leak into results.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .assign_core import QualityRequest, SolverParams
@@ -96,21 +96,23 @@ class DeliveryEvent:
 
 @dataclass
 class SimulationResult:
+    """The engine's ledger: the engine accumulates into it as the run goes."""
     scheme: str
-    t_end_s: float
-    delivered_chunks: int
-    delivered_bits: float
-    cache_bits: float
-    backhaul_attributed_bits: float
-    pipe_bits: float
-    bitrate_sum_bps: float
-    solver_calls: int
-    solver_fallbacks: int
-    startup_latencies_s: list[float]
-    stall_ratios: list[float]
-    all_finished: bool
-    violations: list[str]
-    events: list[DeliveryEvent]
+    backhaul_bps: float
+    t_end_s: float = 0.0
+    delivered_chunks: int = 0
+    delivered_bits: float = 0.0
+    cache_bits: float = 0.0
+    backhaul_attributed_bits: float = 0.0
+    pipe_bits: float = 0.0
+    bitrate_sum_bps: float = 0.0
+    solver_calls: int = 0
+    solver_fallbacks: int = 0
+    startup_latencies_s: list[float] = field(default_factory=list)
+    stall_ratios: list[float] = field(default_factory=list)
+    all_finished: bool = False
+    violations: list[str] = field(default_factory=list)
+    events: list[DeliveryEvent] = field(default_factory=list)
 
     @property
     def mean_bitrate_kbps(self) -> float:
@@ -123,6 +125,24 @@ class SimulationResult:
         if self.delivered_bits == 0:
             return 0.0
         return self.cache_bits / self.delivered_bits
+
+    @property
+    def stall_ratio(self) -> float:
+        if not self.stall_ratios:
+            return 0.0
+        return sum(self.stall_ratios) / len(self.stall_ratios)
+
+    @property
+    def initial_latency_s(self) -> float:
+        if not self.startup_latencies_s:
+            return float("nan")
+        return sum(self.startup_latencies_s) / len(self.startup_latencies_s)
+
+    @property
+    def backhaul_utilization(self) -> float:
+        if not (self.backhaul_bps > 0 and self.t_end_s > 0):
+            return 0.0
+        return self.pipe_bits / (self.backhaul_bps * self.t_end_s)
 
     @property
     def no_valid_config_fraction(self) -> float:
@@ -148,7 +168,6 @@ class ApEngine:
             raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
         if t_ap_s <= 0:
             raise ValueError("t_ap_s must be > 0")
-        self.scheme = scheme
         self.policy = POLICIES[scheme]
         self.clients = sorted(clients, key=lambda c: c.client_id)
         self.capacity = dict(link_capacities_bps)
@@ -166,17 +185,7 @@ class ApEngine:
         # the FIFO's jobs by (video, chunk, quality); at most one per key
         self.fifo_by_key: dict[tuple[int, int, int], BackhaulJob] = {}
         self.intake: list[ChunkRequest] = []
-        self.violations: list[str] = []
-        self.events: list[DeliveryEvent] = []
-
-        self.delivered_chunks = 0
-        self.delivered_bits = 0.0
-        self.cache_bits = 0.0
-        self.backhaul_attributed_bits = 0.0
-        self.pipe_bits = 0.0
-        self.bitrate_sum_bps = 0.0
-        self.solver_calls = 0
-        self.solver_fallbacks = 0
+        self.result = SimulationResult(scheme, backhaul_bps)
         self.now = 0.0
 
     # ---- solver-facing snapshots -------------------------------------
@@ -215,8 +224,7 @@ class ApEngine:
                 bitrates_bps=client.ladder.bitrates_bps,
                 chunk_duration_s=client.ladder.chunk_duration_s,
                 buffer_s=client.buffer_s,
-                link_capacity_bps=self.capacity[r.client_id],
-                equal_share=share,
+                effective_rate_bps=self.capacity[r.client_id] * share,
                 dl_queue_bits=bits,
                 dl_queue_media_s=media,
                 fifo_backlog_bits=backlog,
@@ -243,9 +251,9 @@ class ApEngine:
         solve = globals()[self.policy.solver]
         result = solve(self._build_requests(n1), self.cache, self._available_backhaul_bps(),
                        self.params)
-        self.solver_calls += 1
+        self.result.solver_calls += 1
         if result.no_valid_config:
-            self.solver_fallbacks += 1
+            self.result.solver_fallbacks += 1
         return result.qualities
 
     # ---- per-interval step -------------------------------------------
@@ -256,7 +264,7 @@ class ApEngine:
         tolerance = self.params.gamma if self.policy.solver is not None else 0
         for req, m in zip(n1, qualities):
             if abs(m - req.quality_index) > tolerance:
-                self.violations.append(
+                self.result.violations.append(
                     f"t={self.now}: quality shift beyond tolerance for client {req.client_id} "
                     f"({req.quality_index} -> {m})")
             ladder = self._by_id[req.client_id].ladder
@@ -305,7 +313,7 @@ class ApEngine:
             alloc = equal_airtime(loads, self.t_ap_s)
         total = alloc.total()
         if total > 1.0 + 1e-9:
-            self.violations.append(f"t={self.now}: airtime shares sum to {total}")
+            self.result.violations.append(f"t={self.now}: airtime shares sum to {total}")
         return [(load.client_id, load.link_capacity_bps * alloc.shares[load.client_id],
                  self.dl_queues[load.client_id])
                 for load in loads if alloc.shares[load.client_id] > 0]
@@ -313,17 +321,17 @@ class ApEngine:
     def _deliver(self, t: float, client_id: int, item: DlItem) -> None:
         client = self._by_id[client_id]
         req = item.req
-        client.on_chunk_delivered(t, req.chunk_index, item.quality_index,
-                                  item.size_bits, req.issue_time_s)
-        self.delivered_chunks += 1
-        self.delivered_bits += item.size_bits
+        res = self.result
+        client.on_chunk_delivered(t, req.chunk_index, item.size_bits)
+        res.delivered_chunks += 1
+        res.delivered_bits += item.size_bits
         if item.from_cache:
-            self.cache_bits += item.size_bits
+            res.cache_bits += item.size_bits
         else:
-            self.backhaul_attributed_bits += item.size_bits
-        self.bitrate_sum_bps += client.ladder.bitrates_bps[item.quality_index]
+            res.backhaul_attributed_bits += item.size_bits
+        res.bitrate_sum_bps += client.ladder.bitrates_bps[item.quality_index]
         if self.record_events:
-            self.events.append(DeliveryEvent(
+            res.events.append(DeliveryEvent(
                 time_s=t, client_id=client_id, video_id=req.video_id,
                 chunk_index=req.chunk_index, requested_quality=req.quality_index,
                 delivered_quality=item.quality_index, from_cache=item.from_cache,
@@ -396,8 +404,9 @@ class ApEngine:
             cursor = seg_end
         self._serve_segment(cursor, end, served)
         if drained > self.backhaul_bps * self.t_ap_s * (1 + 1e-9):
-            self.violations.append(f"t={t}: backhaul drained {drained} bits in one interval")
-        self.pipe_bits += drained
+            self.result.violations.append(
+                f"t={t}: backhaul drained {drained} bits in one interval")
+        self.result.pipe_bits += drained
         self.now = end
 
     def run(self) -> SimulationResult:
@@ -405,29 +414,17 @@ class ApEngine:
             if all(c.finished for c in self.clients):
                 break
             self.step_rai()
-        t_end = self.now
+        res = self.result
+        res.t_end_s = self.now
         for c in self.clients:
-            c.advance_to(t_end)
-        expected = self.cache_bits + self.backhaul_attributed_bits
-        if abs(expected - self.delivered_bits) > 1e-6 * max(self.delivered_bits, 1.0):
-            self.violations.append(
-                f"delivered bits {self.delivered_bits} != cache {self.cache_bits} "
-                f"+ backhaul {self.backhaul_attributed_bits}")
-        return SimulationResult(
-            scheme=self.scheme,
-            t_end_s=t_end,
-            delivered_chunks=self.delivered_chunks,
-            delivered_bits=self.delivered_bits,
-            cache_bits=self.cache_bits,
-            backhaul_attributed_bits=self.backhaul_attributed_bits,
-            pipe_bits=self.pipe_bits,
-            bitrate_sum_bps=self.bitrate_sum_bps,
-            solver_calls=self.solver_calls,
-            solver_fallbacks=self.solver_fallbacks,
-            startup_latencies_s=[c.startup_latency_s for c in self.clients
-                                 if c.startup_latency_s is not None],
-            stall_ratios=[c.stall_ratio(t_end) for c in self.clients],
-            all_finished=all(c.finished for c in self.clients),
-            violations=self.violations,
-            events=self.events,
-        )
+            c.advance_to(res.t_end_s)
+        expected = res.cache_bits + res.backhaul_attributed_bits
+        if abs(expected - res.delivered_bits) > 1e-6 * max(res.delivered_bits, 1.0):
+            res.violations.append(
+                f"delivered bits {res.delivered_bits} != cache {res.cache_bits} "
+                f"+ backhaul {res.backhaul_attributed_bits}")
+        res.startup_latencies_s = [c.startup_latency_s for c in self.clients
+                                   if c.startup_latency_s is not None]
+        res.stall_ratios = [c.stall_ratio(res.t_end_s) for c in self.clients]
+        res.all_finished = all(c.finished for c in self.clients)
+        return res

@@ -18,10 +18,10 @@ BITRATE_UNIT_BPS = 1e3  # log() argument unit for utility values
 
 @dataclass(frozen=True)
 class SolverParams:
-    gamma: int = 2
-    mu_c: float = 1.3
-    b_min_s: float = 4.0
-    b_max_s: float = 15.0
+    gamma: int
+    mu_c: float
+    b_min_s: float
+    b_max_s: float
 
     def __post_init__(self):
         if not self.gamma >= 0:
@@ -45,8 +45,7 @@ class QualityRequest(NamedTuple):
     bitrates_bps: tuple[float, ...]
     chunk_duration_s: float
     buffer_s: float
-    link_capacity_bps: float
-    equal_share: float            # airtime fraction assumed while selecting
+    effective_rate_bps: float     # link capacity times the airtime share assumed
     dl_queue_bits: float          # bits already queued for this client
     dl_queue_media_s: float       # playable seconds of whole queued chunks
     fifo_backlog_bits: float      # bits ahead in the shared download FIFO
@@ -111,10 +110,9 @@ def build_candidates(
     Transfer-time terms use nominal chunk sizes (bitrate * duration); actual
     per-chunk sizes matter only during delivery, not selection.
     """
-    (_, video, chunk, requested, bitrates, tau, buffer_s, capacity, share,
+    (_, video, chunk, requested, bitrates, tau, buffer_s, effective_rate,
      queue_bits, queue_media_s, backlog_bits, backhaul_rate) = request
     gamma, mu_c, b_min_s, b_max_s = params.gamma, params.mu_c, params.b_min_s, params.b_max_s
-    effective_rate = capacity * share
     out: list[CandidateQuality] = []
     for m in tolerated_set(requested, gamma, len(bitrates)):
         rate = bitrates[m]
@@ -134,7 +132,6 @@ def build_candidates(
             dl_queue_bits=queue_bits,
             dl_queue_media_s=queue_media_s,
             effective_rate_bps=effective_rate,
-            from_cache=cached,
         )
         out.append(CandidateQuality(m, rate, cached, delivery_cost(rate, cached), b_hat,
                                     utility(rate, cached, mu_c, b_hat, b_min_s, b_max_s)))

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .assign_core import BITRATE_UNIT_BPS, QualityRequest, SolverParams, build_candidates
 from .cache import LruChunkCache
-from .cph import AssignmentResult, canonical_order
+from .cph import AssignmentResult
 
 
 def _weighted_log_bitrate(bitrate_bps: float, cached: bool, params: SolverParams) -> float:
@@ -34,8 +34,7 @@ def buff_assign(
         return AssignmentResult((), False, 0.0, 0.0)
     # pool entry = (rank, request index, chunk key, candidate, weighted utility)
     pool = []
-    for ri in canonical_order(requests):
-        req = requests[ri]
+    for ri, req in enumerate(requests):
         cands = build_candidates(req, cache, params)
         min_level = min(c.quality_index for c in cands)
         for c in cands:

@@ -26,22 +26,17 @@ def estimate_buffer(
     dl_queue_bits: float,
     dl_queue_media_s: float,    # playable seconds of whole untransmitted chunks
     effective_rate_bps: float,  # C * theta assumed during selection
-    from_cache: bool,
 ) -> float:
     """Projected buffer seconds at candidate arrival; may be negative."""
     if dl_queue_bits < 0 or dl_queue_media_s < 0:
         raise ValueError("queue fields must be non-negative")
     b = current_buffer_s
     if dl_queue_bits == 0:
-        if from_cache:
-            return b - dl_transmit_s
         return b - (backhaul_delay_s + dl_transmit_s)
     if effective_rate_bps > 0:
         drain_s = dl_queue_bits / effective_rate_bps
     else:
         drain_s = math.inf
-    if from_cache:
-        return b - drain_s - dl_transmit_s + dl_queue_media_s
     return b - max(drain_s, backhaul_delay_s) - dl_transmit_s + dl_queue_media_s
 
 

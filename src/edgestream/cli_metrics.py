@@ -39,10 +39,12 @@ METRIC_NAMES = (
     "no_valid_config_fraction",
 )
 
+# the ScenarioConfig fields every CSV row repeats
+CONFIG_COLUMNS = ("n_clients", "n_videos", "backhaul_mbps", "gamma", "mu_c")
+
 CSV_COLUMNS = (
     "scheme", "replication", "seed", "param", "param_value",
-    "n_clients", "n_videos", "backhaul_mbps", "gamma", "mu_c",
-) + METRIC_NAMES
+) + CONFIG_COLUMNS + METRIC_NAMES
 
 SWEEP_PARAMS = ("n_clients", "backhaul_mbps", "mu_c", "gamma", "n_videos")
 
@@ -190,37 +192,22 @@ def run_replication(cfg: ScenarioConfig, scheme: str, rep: int,
     return engine.run()
 
 
-def _result_row(cfg: ScenarioConfig, scheme: str, rep: int, result,
-                param: str, param_value: str) -> dict:
-    latencies = result.startup_latencies_s
+def _result_row(cfg: ScenarioConfig, rep: int, result, param: str, param_value: str) -> dict:
     return {
-        "scheme": scheme,
+        "scheme": result.scheme,
         "replication": rep,
         "seed": cfg.base_seed + rep,
         "param": param,
         "param_value": param_value,
-        "n_clients": cfg.n_clients,
-        "n_videos": cfg.n_videos,
-        "backhaul_mbps": cfg.backhaul_mbps,
-        "gamma": cfg.gamma,
-        "mu_c": cfg.mu_c,
-        "mean_bitrate_kbps": result.mean_bitrate_kbps,
-        "cache_bit_hit_ratio": result.cache_bit_hit_ratio,
-        "stall_ratio": (sum(result.stall_ratios) / len(result.stall_ratios)
-                        if result.stall_ratios else 0.0),
-        "initial_latency_s": (sum(latencies) / len(latencies)
-                              if latencies else float("nan")),
-        "backhaul_utilization": (
-            result.pipe_bits / (cfg.backhaul_mbps * 1e6 * result.t_end_s)
-            if cfg.backhaul_mbps > 0 and result.t_end_s > 0 else 0.0),
-        "no_valid_config_fraction": result.no_valid_config_fraction,
+        **{name: getattr(cfg, name) for name in CONFIG_COLUMNS},
+        **{name: getattr(result, name) for name in METRIC_NAMES},
     }
 
 
 def _run_task(task):
     cfg, scheme, rep, param, param_value = task
     result = run_replication(cfg, scheme, rep)
-    row = _result_row(cfg, scheme, rep, result, param, param_value)
+    row = _result_row(cfg, rep, result, param, param_value)
     violations = list(result.violations)
     if not result.all_finished:  # the metrics describe a run cut short
         where = f" at {param}={param_value}" if param else ""
@@ -235,7 +222,7 @@ def _execute(tasks: list, jobs: int):
     if jobs <= 1 or len(tasks) <= 1:
         outputs = [_run_task(t) for t in tasks]
     else:
-        with Pool(processes=jobs) as pool:
+        with Pool(processes=min(jobs, len(tasks))) as pool:
             outputs = pool.map(_run_task, tasks)
     rows = [row for row, _ in outputs]
     violations = [v for _, vs in outputs for v in vs]
@@ -306,19 +293,13 @@ def sort_rows(rows: list[dict]) -> list[dict]:
                                        r["scheme"], r["replication"]))
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(rows: list[dict], path: str) -> None:
     ordered = sort_rows(rows)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in ordered:
-            writer.writerow([_format_cell(row[c]) for c in CSV_COLUMNS])
+            writer.writerow([row[c] for c in CSV_COLUMNS])
 
 
 def write_json(cfg: ScenarioConfig, rows: list[dict], path: str) -> None:
@@ -396,8 +377,7 @@ def gen_random_instance(rng: np.random.Generator):
                 bitrates_bps=rates,
                 chunk_duration_s=tau,
                 buffer_s=float(rng.uniform(0.0, 15.0)),
-                link_capacity_bps=float(rng.uniform(1e6, 3e7)),
-                equal_share=1.0 / n_clients,
+                effective_rate_bps=float(rng.uniform(1e6, 3e7)) * (1.0 / n_clients),
                 dl_queue_bits=dlq_bits,
                 dl_queue_media_s=dlq_media,
                 fifo_backlog_bits=float(rng.choice([0.0, rng.uniform(0.0, 2e7)])),

@@ -54,7 +54,6 @@ class DashClient:
         client_id: int,
         ladder: QualityLadder,
         b_max_s: float,
-        start_threshold_s: float | None = None,
         start_time_s: float = 0.0,
     ):
         if start_time_s < 0:
@@ -64,9 +63,6 @@ class DashClient:
         self.ladder = ladder
         self.b_max_s = b_max_s
         self.total_media_s = ladder.chunk_count * ladder.chunk_duration_s
-        # a video shorter than the buffer starts once all of it is buffered
-        self.start_threshold_s = (min(b_max_s, self.total_media_s)
-                                  if start_threshold_s is None else start_threshold_s)
         self.rates = deque(maxlen=RATE_WINDOW)
         self.start_time_s = start_time_s
 
@@ -80,7 +76,6 @@ class DashClient:
         self.finished = False
         self.finish_time_s: float | None = None
         self.last_time_s = 0.0
-        self.delivered_chunks = 0
 
     def advance_to(self, t: float) -> None:
         """Consume buffer up to time t; idle time with an empty buffer
@@ -100,18 +95,17 @@ class DashClient:
             return
         self.stall_time_s += dt - playable
 
-    def on_chunk_delivered(
-        self, t: float, chunk_index: int, quality_index: int,
-        size_bits: float, issue_time_s: float,
-    ) -> None:
+    def on_chunk_delivered(self, t: float, chunk_index: int, size_bits: float) -> None:
+        """Buffer the in-flight chunk and sample its download rate; a chunk
+        that is not in flight raises KeyError."""
         self.advance_to(t)
-        self.in_flight.pop(chunk_index, None)
+        duration = t - self.in_flight.pop(chunk_index).issue_time_s
         self.buffer_s += self.ladder.chunk_duration_s
-        self.delivered_chunks += 1
-        duration = t - issue_time_s
         if duration > 0:
             self.rates.append(size_bits / duration)
-        if not self.playout_started and self.buffer_s >= self.start_threshold_s - _EPS:
+        # a video shorter than the buffer starts once all of it is buffered
+        if (not self.playout_started
+                and self.buffer_s >= min(self.b_max_s, self.total_media_s) - _EPS):
             self.playout_started = True
             self.startup_latency_s = t - self.start_time_s
 

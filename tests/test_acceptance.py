@@ -222,14 +222,14 @@ def test_buffer_projection_hand_cases_exact():
     def run(**kw):
         base = dict(current_buffer_s=8.0, backhaul_delay_s=0.0,
                     dl_transmit_s=1.0, dl_queue_bits=0.0, dl_queue_media_s=0.0,
-                    effective_rate_bps=1e6, from_cache=False)
+                    effective_rate_bps=1e6)
         base.update(kw)
         return estimate_buffer(**base)
 
     assert run(backhaul_delay_s=3.0) == 4.0
     assert run(backhaul_delay_s=3.0, dl_queue_bits=4e6, dl_queue_media_s=6.0) == 9.0
-    assert run(from_cache=True) == 7.0
-    assert run(from_cache=True, dl_queue_bits=4e6, dl_queue_media_s=6.0) == 9.0
+    assert run(backhaul_delay_s=0.0) == 7.0
+    assert run(backhaul_delay_s=0.0, dl_queue_bits=4e6, dl_queue_media_s=6.0) == 9.0
 
 
 def test_buffer_projection_matches_replay_on_1000_states():
@@ -249,7 +249,6 @@ def test_buffer_projection_matches_replay_on_1000_states():
             dl_queue_bits=sum(s for s, _ in chunks),
             dl_queue_media_s=sum(m for _, m in chunks),
             effective_rate_bps=rate,
-            from_cache=from_cache,
         )
         want = replay_buffer_projection(b0, chunks, cand_bits, rate,
                                         from_cache, t_b)

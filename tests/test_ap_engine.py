@@ -6,7 +6,6 @@ import dataclasses
 import pytest
 
 from edgestream.ap_engine import SCHEMES, ApEngine
-from edgestream.assign_core import SolverParams
 from edgestream.cache import LruChunkCache
 from edgestream.catalog import make_synthetic_catalog
 from edgestream.client import DashClient
@@ -27,7 +26,7 @@ def _tiny_engine(scheme, *, cache=None, n_clients=3, backhaul_bps=8e6,
         cache=cache if cache is not None else LruChunkCache(),
         backhaul_bps=backhaul_bps,
         t_ap_s=0.5,
-        params=SolverParams(gamma=gamma),
+        params=ScenarioConfig(gamma=gamma).solver_params(),
         record_events=True,
         max_time_s=max_time_s,
     )
@@ -147,7 +146,7 @@ def test_constructor_validation():
     catalog = make_synthetic_catalog(1, 2, 2e5, 2e6, 2.0, 4)
     with pytest.raises(ValueError):
         ApEngine("CPH", [DashClient(0, catalog[0], 15.0)],
-                 {0: 1e7}, LruChunkCache(), 1e7, 0.0, SolverParams())
+                 {0: 1e7}, LruChunkCache(), 1e7, 0.0, ScenarioConfig().solver_params())
 
 
 def test_zero_backhaul_with_cold_cache_delivers_nothing():
@@ -183,7 +182,7 @@ def test_late_requester_rides_the_queued_backhaul_job():
     clients = [DashClient(0, catalog[0], 8.0),
                DashClient(1, catalog[0], 8.0, start_time_s=0.5)]
     engine = ApEngine("CLIENT", clients, {0: 2e7, 1: 2e7}, LruChunkCache(),
-                      1e5, 0.5, SolverParams(), record_events=True)
+                      1e5, 0.5, ScenarioConfig().solver_params(), record_events=True)
     engine.step_rai()
     engine.step_rai()
     assert [(j.key, [w.client_id for w in j.waiters]) for j in engine.fifo] == \
@@ -204,7 +203,7 @@ def test_same_interval_requesters_share_one_backhaul_job():
     catalog = make_synthetic_catalog(1, 2, 2e5, 2e6, 2.0, 4)
     clients = [DashClient(0, catalog[0], 8.0), DashClient(1, catalog[0], 8.0)]
     engine = ApEngine("CLIENT", clients, {0: 2e7, 1: 2e7}, LruChunkCache(),
-                      1e5, 0.5, SolverParams())
+                      1e5, 0.5, ScenarioConfig().solver_params())
     engine.step_rai()
     assert engine.fifo
     assert all([w.client_id for w in j.waiters] == [0, 1] for j in engine.fifo)

@@ -1,6 +1,7 @@
 """Shared assignment primitives: tolerance window, delivery cost, utility, candidate scoring."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -14,6 +15,7 @@ from edgestream.assign_core import (
     utility,
 )
 from edgestream.cache import LruChunkCache
+from edgestream.cli_metrics import ScenarioConfig
 
 
 class TestToleratedSet:
@@ -80,8 +82,11 @@ class TestUtility:
 
 class TestSolverParams:
     def test_defaults_valid(self):
-        p = SolverParams()
-        assert p.gamma == 2 and p.mu_c == 1.3
+        # the defaults are ScenarioConfig's; SolverParams states none of its own
+        p = ScenarioConfig().solver_params()
+        assert p == SolverParams(gamma=2, mu_c=1.3, b_min_s=4.0, b_max_s=15.0)
+        with pytest.raises(TypeError):
+            SolverParams()
 
     @pytest.mark.parametrize("kw", [
         dict(gamma=-1),
@@ -91,7 +96,7 @@ class TestSolverParams:
     ])
     def test_invalid_params(self, kw):
         with pytest.raises(ValueError):
-            SolverParams(**kw)
+            dataclasses.replace(ScenarioConfig().solver_params(), **kw)
 
 
 def _request(**kw) -> QualityRequest:
@@ -103,8 +108,7 @@ def _request(**kw) -> QualityRequest:
         bitrates_bps=(1e6, 2e6, 4e6),
         chunk_duration_s=2.0,
         buffer_s=8.0,
-        link_capacity_bps=16e6,
-        equal_share=0.25,
+        effective_rate_bps=4e6,   # a quarter of a 16 Mbps link
         dl_queue_bits=0.0,
         dl_queue_media_s=0.0,
         fifo_backlog_bits=2e6,
@@ -152,7 +156,7 @@ class TestBuildCandidates:
         assert cands[0].cached and not cands[1].cached and not cands[2].cached
 
     def test_effective_rate_is_equal_share_of_link(self):
-        cands = build_candidates(_request(equal_share=0.5), LruChunkCache(),
+        cands = build_candidates(_request(effective_rate_bps=16e6 * 0.5), LruChunkCache(),
                                  self._params(gamma=0))
         assert cands[0].bitrate_bps == 2e6
         # transfer time halves when the assumed share doubles: 4e6 bits / 8e6 bps

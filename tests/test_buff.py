@@ -9,7 +9,7 @@ import pytest
 from edgestream.assign_core import QualityRequest, SolverParams
 from edgestream.buff import buff_assign
 from edgestream.cache import LruChunkCache
-from edgestream.cli_metrics import gen_random_instance
+from edgestream.cli_metrics import ScenarioConfig, gen_random_instance
 
 
 def _req(cid=0, video=0, chunk=0, m=1, rates=(1e6, 2e6, 4e6), buffer_s=8.0,
@@ -17,19 +17,19 @@ def _req(cid=0, video=0, chunk=0, m=1, rates=(1e6, 2e6, 4e6), buffer_s=8.0,
     return QualityRequest(
         client_id=cid, video_id=video, chunk_index=chunk, requested_quality=m,
         bitrates_bps=rates, chunk_duration_s=2.0, buffer_s=buffer_s,
-        link_capacity_bps=2e7, equal_share=0.5, dl_queue_bits=0.0,
+        effective_rate_bps=1e7, dl_queue_bits=0.0,
         dl_queue_media_s=0.0, fifo_backlog_bits=0.0, backhaul_rate_bps=backhaul,
     )
 
 
 def test_empty_request_list():
-    res = buff_assign([], LruChunkCache(), 2e7, SolverParams())
+    res = buff_assign([], LruChunkCache(), 2e7, ScenarioConfig().solver_params())
     assert res.qualities == ()
     assert res.total_utility == 0.0 and res.total_cost_bps == 0.0
 
 
 def test_picks_highest_weighted_level_within_budget():
-    res = buff_assign([_req()], LruChunkCache(), 2e7, SolverParams(gamma=1))
+    res = buff_assign([_req()], LruChunkCache(), 2e7, ScenarioConfig(gamma=1).solver_params())
     assert res.qualities == (2,)  # highest tolerated level, buffer is deep
     assert not res.no_valid_config
     assert res.total_cost_bps == 4e6
@@ -37,7 +37,7 @@ def test_picks_highest_weighted_level_within_budget():
 
 def test_budget_constrains_the_pick():
     # only the lowest tolerated level fits the remaining backhaul
-    res = buff_assign([_req()], LruChunkCache(), 1e6, SolverParams(gamma=1))
+    res = buff_assign([_req()], LruChunkCache(), 1e6, ScenarioConfig(gamma=1).solver_params())
     assert res.qualities == (0,)
     assert res.total_cost_bps == 1e6
 
@@ -45,7 +45,7 @@ def test_budget_constrains_the_pick():
 def test_cache_weight_tilts_the_greedy_order():
     cache = LruChunkCache()
     cache.insert(0, 0, 1, 4e6)  # mid level cached
-    res = buff_assign([_req()], cache, 2e7, SolverParams(gamma=1, mu_c=1.3))
+    res = buff_assign([_req()], cache, 2e7, ScenarioConfig(gamma=1, mu_c=1.3).solver_params())
     # 1.3*ln(2000) = 9.88 beats ln(4000) = 8.29
     assert res.qualities == (1,)
     assert res.total_cost_bps == 0.0
@@ -54,14 +54,14 @@ def test_cache_weight_tilts_the_greedy_order():
 def test_unsafe_levels_filtered_except_the_floor():
     # thin buffer: every level projects negative, only the window floor stays
     res = buff_assign([_req(buffer_s=0.05, backhaul=1e6)], LruChunkCache(),
-                      2e7, SolverParams(gamma=1))
+                      2e7, ScenarioConfig(gamma=1).solver_params())
     assert res.qualities == (0,)
     assert not res.no_valid_config
 
 
 def test_shared_chunk_rides_along_free():
     reqs = [_req(cid=0), _req(cid=1)]
-    res = buff_assign(reqs, LruChunkCache(), 4e6, SolverParams(gamma=1))
+    res = buff_assign(reqs, LruChunkCache(), 4e6, ScenarioConfig(gamma=1).solver_params())
     # first pick pays 4e6 for the top level; the twin then costs nothing
     assert res.qualities == (2, 2)
     assert res.total_cost_bps == 4e6
@@ -69,7 +69,7 @@ def test_shared_chunk_rides_along_free():
 
 def test_exhaustion_keeps_requested_quality_and_flags():
     reqs = [_req(cid=0), _req(cid=1, video=1)]  # distinct content, no sharing
-    res = buff_assign(reqs, LruChunkCache(), 1e6, SolverParams(gamma=0))
+    res = buff_assign(reqs, LruChunkCache(), 1e6, ScenarioConfig(gamma=0).solver_params())
     # budget fits neither 2e6 download once the first greedy pick ran
     assert res.no_valid_config
     # nothing was affordable at all here, so both keep their requested level
@@ -78,7 +78,7 @@ def test_exhaustion_keeps_requested_quality_and_flags():
 
 def test_partial_exhaustion_assigns_what_fits():
     reqs = [_req(cid=0), _req(cid=1, video=1)]
-    res = buff_assign(reqs, LruChunkCache(), 2e6, SolverParams(gamma=0))
+    res = buff_assign(reqs, LruChunkCache(), 2e6, ScenarioConfig(gamma=0).solver_params())
     assert res.no_valid_config  # one request fell back
     assert res.total_cost_bps == 2e6
     assert res.qualities == (1, 1)  # fallback keeps the requested level too

@@ -27,7 +27,6 @@ def _est(**kw) -> float:
         dl_queue_bits=0.0,
         dl_queue_media_s=0.0,
         effective_rate_bps=1e6,
-        from_cache=False,
     )
     base.update(kw)
     return estimate_buffer(**base)
@@ -45,16 +44,16 @@ class TestEstimateBuffer:
         assert got == 8.0 - max(4.0, 3.0) - 1.0 + 6.0 == 9.0
 
     def test_cache_empty_queue(self):
-        assert _est(from_cache=True) == 7.0
+        assert _est(backhaul_delay_s=0.0) == 7.0
 
     def test_cache_backlogged_queue(self):
         got = _est(
-            from_cache=True, dl_queue_bits=4e6, dl_queue_media_s=6.0)
+            backhaul_delay_s=0.0, dl_queue_bits=4e6, dl_queue_media_s=6.0)
         assert got == 8.0 - 4.0 - 1.0 + 6.0 == 9.0
 
     def test_identity_limit(self):
         # cache-served, nothing queued, instantaneous transfer: buffer unchanged
-        assert _est(from_cache=True, dl_transmit_s=0.0) == 8.0
+        assert _est(backhaul_delay_s=0.0, dl_transmit_s=0.0) == 8.0
 
     def test_negative_projection_preserved(self):
         got = _est(current_buffer_s=1.0, backhaul_delay_s=9.0)
@@ -89,7 +88,6 @@ class TestEstimateBuffer:
                 dl_queue_bits=sum(s for s, _ in chunks),
                 dl_queue_media_s=sum(m for _, m in chunks),
                 effective_rate_bps=rate,
-                from_cache=from_cache,
             )
             want = replay_buffer_projection(b0, chunks, cand_bits, rate,
                                             from_cache, t_b)

@@ -164,6 +164,27 @@ class TestRunScenario:
         key = lambda r: (r["scheme"], r["replication"])
         assert sorted(serial, key=key) == sorted(parallel, key=key)
 
+    def test_pool_never_outnumbers_the_tasks(self, monkeypatch):
+        sizes = []
+
+        class FakePool:  # records the worker count and runs the tasks in-process
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(cm, "Pool", FakePool)
+        rows, _ = run_scenario(TINY, jobs=64)  # 2 schemes x 2 reps = 4 tasks
+        assert sizes == [4]
+        assert len(rows) == 4
+
 
 class TestRunSweep:
     def test_unknown_param_rejected(self):

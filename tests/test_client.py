@@ -74,12 +74,12 @@ class TestRequestGating:
         assert c.maybe_issue_requests(0.5) == []
 
     def test_playout_starts_when_buffer_first_fills(self):
-        c = _client(start_threshold_s=4.0)
+        c = _client(b_max_s=4.0)
         reqs = c.maybe_issue_requests(0.0)
-        assert len(reqs) == 8
-        c.on_chunk_delivered(1.0, 0, 0, 2e6, 0.0)
+        assert len(reqs) == 2
+        c.on_chunk_delivered(1.0, 0, 2e6)
         assert not c.playout_started
-        c.on_chunk_delivered(1.5, 1, 0, 2e6, 0.0)
+        c.on_chunk_delivered(1.5, 1, 2e6)   # buffer 4 s = b_max_s
         assert c.playout_started
         assert c.startup_latency_s == 1.5
 
@@ -88,38 +88,51 @@ class TestRequestGating:
         c = DashClient(0, short, b_max_s=15.0)
         assert len(c.maybe_issue_requests(0.0)) == 7
         for k in range(7):
-            c.on_chunk_delivered(1.0 + k, k, 0, 2e6, 0.0)
+            c.on_chunk_delivered(1.0 + k, k, 2e6)
         assert c.playout_started
         assert c.startup_latency_s == 7.0
         c.advance_to(30.0)
         assert c.finished
 
+    def test_rate_sample_uses_the_in_flight_issue_time(self):
+        c = _client(start_time_s=1.0)
+        assert c.maybe_issue_requests(1.0)[0].issue_time_s == 1.0
+        c.on_chunk_delivered(1.5, 0, 2e6)
+        assert list(c.rates) == [2e6 / (1.5 - 1.0)]
+        with pytest.raises(KeyError):
+            c.on_chunk_delivered(2.0, 0, 2e6)   # already delivered
+        with pytest.raises(KeyError):
+            c.on_chunk_delivered(2.0, 9, 2e6)   # never issued
+
     def test_post_playout_in_flight_cap(self):
-        c = _client(start_threshold_s=2.0)
-        c.maybe_issue_requests(0.0)
-        c.on_chunk_delivered(0.5, 0, 0, 2e6, 0.0)  # playout starts, 7 in flight
+        c = _client(ladder=QualityLadder(0, LADDER.bitrates_bps, 2.0, 20))
+        assert len(c.maybe_issue_requests(0.0)) == 8
+        for k in range(8):
+            c.on_chunk_delivered(1.0, k, 2e6)   # 16 s buffered: playout starts
         assert c.playout_started
-        assert c.maybe_issue_requests(0.6) == []   # far above the cap of 3
+        c.advance_to(16.5)                       # buffer 0.5 s: room for 7 chunks
+        assert len(c.maybe_issue_requests(16.5)) == 3
+        assert c.maybe_issue_requests(16.6) == []   # capped at 3 in flight
 
     def test_post_playout_needs_room_for_a_whole_chunk(self):
-        c = _client(b_max_s=4.0, start_threshold_s=2.0)
+        c = _client(b_max_s=4.0)
         got = c.maybe_issue_requests(0.0)
         assert len(got) == 2
-        c.on_chunk_delivered(0.5, 0, 0, 2e6, 0.0)   # buffer 2.0 -> playing
-        c.on_chunk_delivered(0.6, 1, 0, 2e6, 0.0)   # buffer ~3.9 after drain
+        c.on_chunk_delivered(0.5, 0, 2e6)   # buffer 2.0, still filling
+        c.on_chunk_delivered(0.6, 1, 2e6)   # buffer 4.0 -> playing
         # 3.9 + 2 > 4: no room for another chunk yet
         assert c.maybe_issue_requests(0.7) == []
-        c.advance_to(2.8)                            # buffer drains to ~1.8
+        c.advance_to(2.8)                    # buffer drains to ~1.8
         reqs = c.maybe_issue_requests(2.8)
         assert len(reqs) == 1
         assert reqs[0].chunk_index == 2
 
     def test_rate_samples_drive_quality_up(self):
-        c = _client(b_max_s=4.0, start_threshold_s=2.0)
+        c = _client(b_max_s=4.0)
         c.maybe_issue_requests(0.0)
-        c.on_chunk_delivered(0.4, 0, 0, 2e6, 0.0)   # 5 Mbps sample, playing
-        c.on_chunk_delivered(0.5, 1, 0, 2e6, 0.0)   # 4 Mbps sample
-        c.advance_to(2.5)                            # drain room for one chunk
+        c.on_chunk_delivered(0.4, 0, 2e6)   # 5 Mbps sample
+        c.on_chunk_delivered(0.5, 1, 2e6)   # 4 Mbps sample, playing
+        c.advance_to(2.5)                    # drain room for one chunk
         reqs = c.maybe_issue_requests(2.5)
         # harmonic(5e6, 4e6) = 4.44 Mbps -> highest level strictly below
         assert [r.quality_index for r in reqs] == [2]
@@ -127,11 +140,11 @@ class TestRequestGating:
 
 class TestPlayout:
     def test_stall_accrues_only_after_playout_start(self):
-        c = _client(start_threshold_s=2.0)
+        c = _client(b_max_s=2.0)
         c.maybe_issue_requests(0.0)
         c.advance_to(3.0)
         assert c.stall_time_s == 0.0        # still pre-buffering
-        c.on_chunk_delivered(3.0, 0, 0, 2e6, 0.0)
+        c.on_chunk_delivered(3.0, 0, 2e6)
         c.advance_to(7.0)                   # 2 s of media, 4 s of wall clock
         assert c.buffer_s == 0.0
         assert c.stall_time_s == pytest.approx(2.0)
@@ -139,24 +152,24 @@ class TestPlayout:
 
     def test_finish_is_detected_and_timed(self):
         short = QualityLadder(0, (1e6,), 2.0, 2)  # 4 s of media
-        c = DashClient(0, short, b_max_s=15.0, start_threshold_s=2.0)
+        c = DashClient(0, short, b_max_s=15.0)
         c.maybe_issue_requests(0.0)
-        c.on_chunk_delivered(1.0, 0, 0, 2e6, 0.0)
-        c.on_chunk_delivered(1.5, 1, 0, 2e6, 0.0)
+        c.on_chunk_delivered(1.0, 0, 2e6)
+        c.on_chunk_delivered(1.5, 1, 2e6)   # all 4 s buffered: playout starts
         c.advance_to(10.0)
         assert c.finished
-        # 0.5 s played by the second delivery, 3.5 s of media left
-        assert c.finish_time_s == pytest.approx(5.0)
+        # 4 s of media played from 1.5 s on
+        assert c.finish_time_s == pytest.approx(5.5)
         # no stall is charged past the finish
         assert c.stall_time_s == 0.0
         assert c.stall_ratio(10.0) == 0.0
-        assert c.session_time_s(10.0) == pytest.approx(5.0)
+        assert c.session_time_s(10.0) == pytest.approx(5.5)
 
     def test_no_requests_after_finish(self):
         short = QualityLadder(0, (1e6,), 2.0, 1)
-        c = DashClient(0, short, b_max_s=15.0, start_threshold_s=2.0)
+        c = DashClient(0, short, b_max_s=15.0)
         c.maybe_issue_requests(0.0)
-        c.on_chunk_delivered(0.5, 0, 0, 2e6, 0.0)
+        c.on_chunk_delivered(0.5, 0, 2e6)
         c.advance_to(3.0)
         assert c.finished
         assert c.maybe_issue_requests(3.0) == []
@@ -166,12 +179,13 @@ class TestPlayout:
             _client(start_time_s=-1.0)
 
     def test_delivery_during_stall_resumes_playback(self):
-        c = _client(start_threshold_s=2.0)
+        c = _client(b_max_s=2.0)
         c.maybe_issue_requests(0.0)
-        c.on_chunk_delivered(1.0, 0, 0, 2e6, 0.0)
+        c.on_chunk_delivered(1.0, 0, 2e6)
         c.advance_to(4.0)  # drains 2 s of media, stalls 1 s
         assert c.stall_time_s == pytest.approx(1.0)
-        c.on_chunk_delivered(4.0, 1, 0, 2e6, 0.0)
+        assert [r.chunk_index for r in c.maybe_issue_requests(4.0)] == [1]
+        c.on_chunk_delivered(4.0, 1, 2e6)
         c.advance_to(5.0)
         assert c.stall_time_s == pytest.approx(1.0)  # no new stall while playing
         assert c.played_s == pytest.approx(3.0)

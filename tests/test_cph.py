@@ -209,7 +209,7 @@ class TestSolveGroups:
                           for g in groups], capacity_bps)
 
         monkeypatch.setattr(cph, "solve_groups", metered_solve)
-        res = cph_assign(reqs, LruChunkCache(), math.inf, SolverParams(gamma=2))
+        res = cph_assign(reqs, LruChunkCache(), math.inf, ScenarioConfig(gamma=2).solver_params())
         assert not res.no_valid_config
         assert all(abs(m - r.requested_quality) <= 2 for r, m in zip(reqs, res.qualities))
 
@@ -247,21 +247,21 @@ def _mk_request(cid, video, chunk, m, rates, share=0.5) -> QualityRequest:
     return QualityRequest(
         client_id=cid, video_id=video, chunk_index=chunk, requested_quality=m,
         bitrates_bps=rates, chunk_duration_s=2.0, buffer_s=8.0,
-        link_capacity_bps=2e7, equal_share=share, dl_queue_bits=0.0,
+        effective_rate_bps=2e7 * share, dl_queue_bits=0.0,
         dl_queue_media_s=0.0, fifo_backlog_bits=0.0, backhaul_rate_bps=2e7,
     )
 
 
 class TestCphAssign:
     def test_empty_request_list(self):
-        res = cph_assign([], LruChunkCache(), 2e7, SolverParams())
+        res = cph_assign([], LruChunkCache(), 2e7, ScenarioConfig().solver_params())
         assert res.qualities == ()
         assert not res.no_valid_config
         assert res.total_utility == 0.0 and res.total_cost_bps == 0.0
 
     def test_infeasible_falls_back_to_requested(self):
         req = _mk_request(0, 0, 0, 1, (1e6, 2e6))
-        res = cph_assign([req], LruChunkCache(), 0.0, SolverParams(gamma=0))
+        res = cph_assign([req], LruChunkCache(), 0.0, ScenarioConfig(gamma=0).solver_params())
         assert res.no_valid_config
         assert res.total_utility is None and res.total_cost_bps is None
         assert res.qualities == (1,)
@@ -270,7 +270,7 @@ class TestCphAssign:
         rates = (1e6, 2e6)
         reqs = [_mk_request(0, 0, 0, 1, rates), _mk_request(1, 0, 0, 1, rates)]
         # budget fits a single 2e6 download; sharing it is the only way up
-        res = cph_assign(reqs, LruChunkCache(), 2e6, SolverParams(gamma=1))
+        res = cph_assign(reqs, LruChunkCache(), 2e6, ScenarioConfig(gamma=1).solver_params())
         assert not res.no_valid_config
         assert res.total_cost_bps == 2e6
         assert res.qualities == (1, 1)
@@ -280,7 +280,7 @@ class TestCphAssign:
         cache = LruChunkCache()
         cache.insert(0, 0, 2, 8e6)
         res = cph_assign([_mk_request(0, 0, 0, 1, rates)], cache, 2e7,
-                         SolverParams(gamma=1, mu_c=1.3))
+                         ScenarioConfig(gamma=1, mu_c=1.3).solver_params())
         assert res.qualities == (2,) and cache.contains(0, 0, 2)
         assert res.total_cost_bps == 0.0
 
@@ -293,7 +293,7 @@ class TestCphAssign:
             _mk_request(0, 0, 3, 2, rates, share=0.05),
             _mk_request(1, 1, 5, 1, rates),
         ]
-        params = SolverParams(gamma=1)
+        params = ScenarioConfig(gamma=1).solver_params()
         base = cph_assign(reqs, cache, 2e8, params).qualities
         assert len(set(base)) > 1  # distinct picks, so a misalignment would show
         for perm in itertools.permutations(range(len(reqs))):
@@ -339,7 +339,7 @@ class TestCphAssign:
         # five tolerated levels each: 5**9 combinations > BRUTE_FORCE_LIMIT
         assert 5 ** 9 > cph.BRUTE_FORCE_LIMIT
         with pytest.raises(ValueError, match="instance too large"):
-            brute_force_assign(reqs, LruChunkCache(), 2e7, SolverParams(gamma=2))
+            brute_force_assign(reqs, LruChunkCache(), 2e7, ScenarioConfig(gamma=2).solver_params())
 
 
 @pytest.mark.parametrize("scheme", ["CPH", "CPH-EQ", "BUFF"])
