@@ -36,6 +36,7 @@ from .cph import (
     AssignmentResult,
     SolveGroup,
     brute_force_assign,
+    brute_force_groups,
     canonical_order,
     cph_assign,
     solve_groups,
@@ -55,7 +56,7 @@ __all__ = [
     "ScenarioConfig", "load_config", "mean_ci", "oracle_check",
     "run_replication", "run_scenario", "run_sweep", "summarize",
     "write_csv", "write_json",
-    "AssignmentResult", "SolveGroup",
-    "brute_force_assign", "canonical_order", "cph_assign", "solve_groups",
+    "AssignmentResult", "SolveGroup", "solve_groups",
+    "brute_force_assign", "brute_force_groups", "canonical_order", "cph_assign",
     "link_capacity_bps", "path_loss_db", "place_clients",
 ]

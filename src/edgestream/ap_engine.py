@@ -19,15 +19,15 @@ Which clients each phase visits: advance and request issue visit every
 client once; candidate building and the solver see only the interval's new
 requests, and a passthrough scheme runs neither; airtime allocation sees only
 the clients whose downlink queue holds data; and the drain visits only the
-clients granted a share, once per backhaul sub-segment. Rider lookup in the
-backhaul FIFO is one dict probe.
+clients granted a share, once per backhaul sub-segment. The backhaul FIFO is
+one ordered map keyed by chunk, so a rider finds its job with one probe.
 
 The engine is deterministic by construction: no randomness, no iteration
 over unordered containers where order can leak into results.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -65,7 +65,6 @@ class DlItem:
     quality_index: int
     size_bits: float
     remaining_bits: float
-    media_s: float
     from_cache: bool
     enqueue_time_s: float
     backhaul_delay_s: float
@@ -73,7 +72,6 @@ class DlItem:
 
 @dataclass(slots=True)
 class BackhaulJob:
-    key: tuple[int, int, int]  # (video, chunk, quality)
     size_bits: float
     remaining_bits: float
     media_s: float
@@ -181,29 +179,29 @@ class ApEngine:
 
         self._by_id = {c.client_id: c for c in self.clients}
         self.dl_queues: dict[int, deque[DlItem]] = {c.client_id: deque() for c in self.clients}
-        self.fifo: deque[BackhaulJob] = deque()
-        # the FIFO's jobs by (video, chunk, quality); at most one per key
-        self.fifo_by_key: dict[tuple[int, int, int], BackhaulJob] = {}
+        # backhaul jobs by (video, chunk, quality) in FIFO order; a plain dict's
+        # first entry grows slow to reach after many deletions from the front
+        self.fifo: OrderedDict[tuple[int, int, int], BackhaulJob] = OrderedDict()
         self.intake: list[ChunkRequest] = []
         self.result = SimulationResult(scheme, backhaul_bps)
         self.now = 0.0
 
     # ---- solver-facing snapshots -------------------------------------
 
-    def _queue_snapshot(self, client_id: int) -> tuple[float, float, float]:
+    def _queue_snapshot(self, client: DashClient) -> tuple[float, float, float]:
         """(remaining bits, whole-chunk media seconds, mean queued bitrate)."""
-        q = self.dl_queues[client_id]
+        q = self.dl_queues[client.client_id]
+        chunk_s = client.ladder.chunk_duration_s
         bits = 0.0
         media = 0.0
         for i, item in enumerate(q):
             bits += item.remaining_bits
             if i > 0 or item.remaining_bits == item.size_bits:
-                media += item.media_s
+                media += chunk_s
         if media > 0:
             avg_rate = bits / media
         elif q:
-            head = q[0]
-            avg_rate = head.size_bits / head.media_s
+            avg_rate = q[0].size_bits / chunk_s
         else:
             avg_rate = 0.0
         return bits, media, avg_rate
@@ -211,11 +209,11 @@ class ApEngine:
     def _build_requests(self, n1: list[ChunkRequest]) -> list[QualityRequest]:
         # selection assumes equal airtime; the realized allocation may differ
         share = 1.0 / len(self.clients)
-        backlog = sum(job.remaining_bits for job in self.fifo)
+        backlog = sum(job.remaining_bits for job in self.fifo.values())
         out = []
         for r in n1:
             client = self._by_id[r.client_id]
-            bits, media, _ = self._queue_snapshot(r.client_id)
+            bits, media, _ = self._queue_snapshot(client)
             out.append(QualityRequest(
                 client_id=r.client_id,
                 video_id=r.video_id,
@@ -240,7 +238,7 @@ class ApEngine:
         # their pressure already reaches the solver through the queue-drain
         # term of the buffer estimates
         if self.fifo:
-            head = self.fifo[0]
+            head = next(iter(self.fifo.values()))
             return max(0.0, self.backhaul_bps - head.size_bits / head.media_s)
         return self.backhaul_bps
 
@@ -269,24 +267,21 @@ class ApEngine:
                     f"({req.quality_index} -> {m})")
             ladder = self._by_id[req.client_id].ladder
             size = ladder.nominal_size_bits(m)
-            media = ladder.chunk_duration_s
             key = (req.video_id, req.chunk_index, m)
             if self.policy.reads_cache and self.cache.contains(*key):
                 self.cache.touch(*key)
                 self.dl_queues[req.client_id].append(DlItem(
                     req=req, quality_index=m, size_bits=size, remaining_bits=size,
-                    media_s=media, from_cache=True, enqueue_time_s=self.now,
-                    backhaul_delay_s=0.0,
+                    from_cache=True, enqueue_time_s=self.now, backhaul_delay_s=0.0,
                 ))
                 continue
-            existing = self.fifo_by_key.get(key)
+            existing = self.fifo.get(key)
             if existing is not None:
                 existing.waiters.append(req)
                 continue
-            job = BackhaulJob(key=key, size_bits=size, remaining_bits=size, media_s=media,
-                              enqueue_time_s=self.now, waiters=[req])
-            self.fifo.append(job)
-            self.fifo_by_key[key] = job
+            self.fifo[key] = BackhaulJob(size_bits=size, remaining_bits=size,
+                                         media_s=ladder.chunk_duration_s,
+                                         enqueue_time_s=self.now, waiters=[req])
 
     def _allocate(self) -> list[tuple[int, float, deque[DlItem]]]:
         """(client id, drain rate, queue) of every client granted airtime for
@@ -297,7 +292,7 @@ class ApEngine:
         for c in self.clients:
             if not self.dl_queues[c.client_id]:
                 continue
-            bits, media, avg_rate = self._queue_snapshot(c.client_id)
+            bits, media, avg_rate = self._queue_snapshot(c)
             loads.append(ClientLoad(
                 client_id=c.client_id,
                 dl_queue_bits=bits,
@@ -362,12 +357,12 @@ class ApEngine:
         for (t, cid, item) in completions:
             self._deliver(t, cid, item)
 
-    def _complete_backhaul_job(self, t: float, job: BackhaulJob) -> None:
-        self.cache.insert(*job.key, job.size_bits)
+    def _complete_backhaul_job(self, t: float, key: tuple, job: BackhaulJob) -> None:
+        self.cache.insert(*key, job.size_bits)
         for req in job.waiters:
             self.dl_queues[req.client_id].append(DlItem(
-                req=req, quality_index=job.key[2], size_bits=job.size_bits,
-                remaining_bits=job.size_bits, media_s=job.media_s, from_cache=False,
+                req=req, quality_index=key[2], size_bits=job.size_bits,
+                remaining_bits=job.size_bits, from_cache=False,
                 enqueue_time_s=t, backhaul_delay_s=t - job.enqueue_time_s,
             ))
 
@@ -385,7 +380,7 @@ class ApEngine:
         cursor = t
         drained = 0.0
         while self.fifo and self.backhaul_bps > 0 and cursor < end - _EPS:
-            head = self.fifo[0]
+            key, head = next(iter(self.fifo.items()))
             t_done = cursor + head.remaining_bits / self.backhaul_bps
             if t_done > end + _EPS:  # partial send: the head job outlasts the window
                 sent = (end - cursor) * self.backhaul_bps
@@ -398,9 +393,8 @@ class ApEngine:
             self._serve_segment(cursor, seg_end, served)
             drained += head.remaining_bits
             head.remaining_bits = 0.0
-            self.fifo.popleft()
-            del self.fifo_by_key[head.key]
-            self._complete_backhaul_job(seg_end, head)
+            self.fifo.popitem(last=False)
+            self._complete_backhaul_job(seg_end, key, head)
             cursor = seg_end
         self._serve_segment(cursor, end, served)
         if drained > self.backhaul_bps * self.t_ap_s * (1 + 1e-9):

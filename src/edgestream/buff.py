@@ -30,8 +30,6 @@ def buff_assign(
     backhaul_bps: float,
     params: SolverParams,
 ) -> AssignmentResult:
-    if not requests:
-        return AssignmentResult((), False, 0.0, 0.0)
     # pool entry = (rank, request index, chunk key, candidate, weighted utility)
     pool = []
     for ri, req in enumerate(requests):

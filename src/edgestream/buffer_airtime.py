@@ -72,9 +72,10 @@ def allocate_airtime(
     """
     if t_ap_s <= 0:
         raise ValueError("t_ap_s must be > 0")
+    ordered = sorted(clients, key=lambda c: c.client_id)
     shares: dict[int, float] = {}
     required: dict[int, float] = {}
-    for c in sorted(clients, key=lambda c: c.client_id):
+    for c in ordered:
         if c.link_capacity_bps <= 0:
             raise ValueError("link_capacity_bps must be > 0")
         need_bits = min(c.dl_queue_bits, (b_min_s - c.buffer_s) * c.avg_queued_bitrate_bps)
@@ -82,10 +83,11 @@ def allocate_airtime(
         required[c.client_id] = theta
         shares[c.client_id] = 0.0
 
+    # required holds the clients in id order, so each sum below runs in it
     risky = frozenset(cid for cid, th in required.items() if th > 0)
-    total_risky = sum(required[cid] for cid in sorted(risky))
+    total_risky = sum(th for th in required.values() if th > 0)
     scale = 1.0 / total_risky if total_risky > 1.0 else 1.0
-    for cid in sorted(risky):
+    for cid in risky:
         shares[cid] = required[cid] * scale
 
     # a player still filling toward its start threshold has no playout drain,
@@ -94,15 +96,14 @@ def allocate_airtime(
         c.client_id for c in clients
         if c.playing and c.buffered_chunks >= SUFFICIENT_CHUNKS
     )
-    for cid in sorted(excluded):
+    for cid in excluded:
         shares[cid] = 0.0
 
     residual = 1.0 - sum(shares.values())
     if residual > 0:
-        ordered = [c for c in sorted(clients, key=lambda c: c.client_id)
-                   if c.client_id not in risky and c.dl_queue_bits > 0]
-        hungry = [c for c in ordered if c.client_id not in excluded]
-        sated = [c for c in ordered if c.client_id in excluded]
+        waiting = [c for c in ordered if c.client_id not in risky and c.dl_queue_bits > 0]
+        hungry = [c for c in waiting if c.client_id not in excluded]
+        sated = [c for c in waiting if c.client_id in excluded]
         # airtime a client cannot fill within the interval is dead, so each
         # equal share is capped at what the queue can absorb and the surplus
         # falls through to the well-buffered clients instead of idling

@@ -109,6 +109,10 @@ class ScenarioConfig:
             self.solver_params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        # a client requests a chunk only once the buffer has room for all of it
+        if not self.chunk_duration_s <= self.b_max_s:
+            raise ConfigError(f"chunk_duration_s {self.chunk_duration_s!r} exceeds b_max_s "
+                              f"{self.b_max_s!r}: no second chunk would fit the buffer")
 
     def solver_params(self) -> SolverParams:
         return SolverParams(gamma=self.gamma, mu_c=self.mu_c,
@@ -239,10 +243,15 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list, jobs: int = 1):
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep param {param!r}; expected one of {SWEEP_PARAMS}")
     tasks = []
+    labels = set()
     for value in values:
+        label = repr(value)  # the rows' param_value, so it must be unique
+        if label in labels:
+            raise ConfigError(f"sweep value {label} of {param} is given twice")
+        labels.add(label)
         sub = replace(cfg, **{param: value})
         sub.validate()
-        tasks.extend((sub, scheme, rep, param, repr(value))
+        tasks.extend((sub, scheme, rep, param, label)
                      for scheme in sub.schemes for rep in range(sub.reps))
     return _execute(tasks, jobs)
 

@@ -46,6 +46,9 @@ from .cache import LruChunkCache
 BRUTE_FORCE_LIMIT = 10**6  # most combinations brute_force_assign enumerates
 
 
+Best = tuple[float, float, tuple[int, ...]]  # (utility, cost, picks) of an optimum
+
+
 class SolveGroup(NamedTuple):
     cluster_key: Hashable  # (video, chunk): an equal quality is one download
     items: tuple[CandidateQuality, ...]
@@ -59,9 +62,7 @@ class AssignmentResult:
     total_cost_bps: float | None
 
 
-def solve_groups(
-    groups: Sequence[SolveGroup], capacity_bps: float
-) -> tuple[float, float, tuple[int, ...]] | None:
+def solve_groups(groups: Sequence[SolveGroup], capacity_bps: float) -> Best | None:
     """Best (utility, cost, picks) over all feasible configurations, exact
     up to float rounding (see the module docstring).
 
@@ -151,7 +152,7 @@ def _request_groups(
 def _result(
     requests: Sequence[QualityRequest],
     order: list[int],
-    best: tuple[float, float, tuple[int, ...]] | None,
+    best: Best | None,
 ) -> AssignmentResult:
     # picks follow the canonical order; None keeps the requests, flagged
     qualities = [r.requested_quality for r in requests]
@@ -171,10 +172,38 @@ def cph_assign(
 ) -> AssignmentResult:
     """Assign a quality to every request, falling back to the requested
     qualities (flagged) when no configuration fits the backhaul budget."""
-    if not requests:
-        return AssignmentResult((), False, 0.0, 0.0)
     order, groups = _request_groups(requests, cache, params)
     return _result(requests, order, solve_groups(groups, backhaul_bps))
+
+
+def brute_force_groups(groups: Sequence[SolveGroup], capacity_bps: float) -> Best | None:
+    """solve_groups by unpruned enumeration, with the same fold, cost rule and
+    tie-breaking; raises ValueError past BRUTE_FORCE_LIMIT combinations."""
+    space = 1
+    for g in groups:
+        space *= len(g.items)
+        if space > BRUTE_FORCE_LIMIT:
+            raise ValueError(f"instance too large for exhaustive search (> {BRUTE_FORCE_LIMIT})")
+    best: Best | None = None
+    for combo in itertools.product(*(g.items for g in groups)):
+        u = 0.0
+        c = 0.0
+        seen: set = set()
+        for g, item in zip(groups, combo):
+            u += item.utility
+            chunk = (g.cluster_key, item.quality_index)
+            if chunk not in seen:
+                c += item.cost_bps
+                if item.cost_bps > 0:
+                    seen.add(chunk)
+            if c > capacity_bps:
+                break
+        else:
+            picks = tuple(item.quality_index for item in combo)
+            if (best is None or (u, -c) > (best[0], -best[1])
+                    or (u, c) == best[:2] and picks < best[2]):
+                best = (u, c, picks)
+    return best
 
 
 def brute_force_assign(
@@ -185,34 +214,5 @@ def brute_force_assign(
 ) -> AssignmentResult:
     """Exhaustive oracle over all tolerated combinations; same fold and
     tie-breaking as cph_assign so optima compare bitwise."""
-    if not requests:
-        return AssignmentResult((), False, 0.0, 0.0)
     order, groups = _request_groups(requests, cache, params)
-    space = 1
-    for g in groups:
-        space *= len(g.items)
-        if space > BRUTE_FORCE_LIMIT:
-            raise ValueError(f"instance too large for exhaustive search (> {BRUTE_FORCE_LIMIT})")
-    best: tuple[float, float, tuple[int, ...]] | None = None
-    for combo in itertools.product(*(g.items for g in groups)):
-        u = 0.0
-        c = 0.0
-        seen: set = set()
-        feasible = True
-        for g, item in zip(groups, combo):
-            u += item.utility
-            chunk = (g.cluster_key, item.quality_index)
-            if chunk not in seen:
-                c += item.cost_bps
-                if item.cost_bps > 0:
-                    seen.add(chunk)
-            if c > backhaul_bps:
-                feasible = False
-                break
-        if not feasible:
-            continue
-        picks = tuple(item.quality_index for item in combo)
-        if (best is None or (u, -c) > (best[0], -best[1])
-                or (u, c) == best[:2] and picks < best[2]):
-            best = (u, c, picks)
-    return _result(requests, order, best)
+    return _result(requests, order, brute_force_groups(groups, backhaul_bps))

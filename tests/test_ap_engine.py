@@ -185,16 +185,15 @@ def test_late_requester_rides_the_queued_backhaul_job():
                       1e5, 0.5, ScenarioConfig().solver_params(), record_events=True)
     engine.step_rai()
     engine.step_rai()
-    assert [(j.key, [w.client_id for w in j.waiters]) for j in engine.fifo] == \
+    assert [(key, [w.client_id for w in j.waiters]) for key, j in engine.fifo.items()] == \
         [((0, k, 0), [0, 1]) for k in range(4)]
-    assert engine.fifo_by_key == {(0, k, 0): j for k, j in enumerate(engine.fifo)}
     res = engine.run()
     assert res.violations == []
     assert res.all_finished
     chunk_bits = 4 * catalog[0].nominal_size_bits(0)
     assert res.pipe_bits == pytest.approx(chunk_bits)
     assert res.backhaul_attributed_bits == pytest.approx(2 * chunk_bits)
-    assert not engine.fifo and engine.fifo_by_key == {}
+    assert not engine.fifo
 
 
 def test_same_interval_requesters_share_one_backhaul_job():
@@ -206,9 +205,10 @@ def test_same_interval_requesters_share_one_backhaul_job():
                       1e5, 0.5, ScenarioConfig().solver_params())
     engine.step_rai()
     assert engine.fifo
-    assert all([w.client_id for w in j.waiters] == [0, 1] for j in engine.fifo)
+    assert all([w.client_id for w in j.waiters] == [0, 1] for j in engine.fifo.values())
     res = engine.run()
     assert res.violations == []
     chunk_bits = 4 * catalog[0].nominal_size_bits(0)
     assert res.pipe_bits == pytest.approx(chunk_bits)
     assert res.backhaul_attributed_bits == pytest.approx(2 * chunk_bits)
+    assert not engine.fifo

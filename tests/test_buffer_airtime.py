@@ -253,6 +253,17 @@ def test_empty_queues_leave_other_shares_bitwise_equal(raw, raw_idle):
         assert together.total() == alone.total()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_client_strategy, min_size=1, max_size=8), st.data())
+def test_load_order_does_not_move_any_share(raw, data):
+    # both allocators put the loads in client order themselves
+    clients = [ClientLoad(i, *row) for i, row in enumerate(raw)]
+    shuffled = data.draw(st.permutations(clients))
+    for alloc in (lambda cs: allocate_airtime(cs, b_min_s=4.0, t_ap_s=0.5),
+                  lambda cs: equal_airtime(cs, t_ap_s=0.5)):
+        assert alloc(shuffled) == alloc(clients)
+
+
 class TestEqualAirtime:
     # C*T = 20e6 * 0.5 = 1e7 bits per interval, so a 1e7-bit queue can use it all
     def test_equal_split_skips_empty_queues(self):

@@ -55,6 +55,7 @@ class TestScenarioConfig:
         dict(mu_c=0.5),
         dict(b_min_s=6.0, b_max_s=6.0),
         dict(cache_capacity_bits=1e5),  # smaller than one 15 Mbps, 2 s chunk
+        dict(chunk_duration_s=20.0),  # longer than b_max_s = 15: one chunk, then none fits
     ])
     def test_invalid_configs_rejected(self, kw):
         with pytest.raises(ConfigError):
@@ -206,6 +207,15 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(TINY, "n_clients", [0])
 
+    @pytest.mark.parametrize("param, values, label", [
+        ("n_clients", [2, 2], "2"),
+        ("backhaul_mbps", [10.0, 10.0], "10.0"),
+    ])
+    def test_duplicate_sweep_value_rejected(self, param, values, label):
+        # the value's repr labels its rows, so a repeat would count them twice
+        with pytest.raises(ConfigError, match=f"sweep value {label} of {param}"):
+            run_sweep(TINY, param, values)
+
 
 class TestOutput:
     def _rows(self):
@@ -298,7 +308,12 @@ class TestMainExitCodes:
         # mu_c = 0.5 is > 0 but below SolverParams' bound of 1
         for argv in (["run", "--gamma", "-1"], ["run", "--mu-c", "0.5"],
                      ["oracle-check", "--instances", "1", "--seed", "-1"],
-                     ["oracle-check", "--instances", "-1"]):
+                     ["oracle-check", "--instances", "-1"],
+                     # a repeated sweep value, which would write its rows twice
+                     ["sweep", "--param", "n_clients", "--values", "2,2", "--reps", "2",
+                      "--scheme", "CLIENT"],
+                     ["sweep", "--param", "backhaul_mbps", "--values", "10,10.0", "--reps", "1",
+                      "--clients", "2", "--scheme", "CLIENT"]):
             assert main(argv) == 2
             assert "config error" in capsys.readouterr().err
 

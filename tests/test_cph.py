@@ -17,6 +17,7 @@ from edgestream.cli_metrics import ScenarioConfig, gen_random_instance, run_repl
 from edgestream.cph import (
     SolveGroup,
     brute_force_assign,
+    brute_force_groups,
     canonical_order,
     cph_assign,
     solve_groups,
@@ -90,27 +91,6 @@ def _group(cluster, pairs):
     return SolveGroup(cluster, items)
 
 
-def _exhaustive_fold(groups, capacity):
-    """Best (utility, cost, picks) of an unpruned enumeration with
-    solve_groups' fold, cost rule and tie-breaking; None when nothing fits."""
-    best = None
-    for combo in itertools.product(*(g.items for g in groups)):
-        u = c = 0.0
-        paid = set()
-        for g, item in zip(groups, combo):
-            u += item.utility
-            chunk = (g.cluster_key, item.quality_index)
-            if chunk not in paid:
-                c += item.cost_bps
-                if item.cost_bps > 0:
-                    paid.add(chunk)
-        picks = tuple(item.quality_index for item in combo)
-        if c <= capacity and (best is None or (u, -c, [-q for q in picks])
-                              > (best[0], -best[1], [-q for q in best[2]])):
-            best = (u, c, picks)
-    return best
-
-
 class TestSolveGroups:
     def test_additive_clusters_reach_known_optimum(self):
         groups = [
@@ -163,7 +143,7 @@ class TestSolveGroups:
                 for g in range(7)
             ]
             capacity = float(rng.integers(300, 2000))
-            assert solve_groups(groups, capacity) == _exhaustive_fold(groups, capacity)
+            assert solve_groups(groups, capacity) == brute_force_groups(groups, capacity)
 
     @given(st.data())
     @settings(max_examples=400, deadline=None)
@@ -184,7 +164,7 @@ class TestSolveGroups:
                                  utility=float(data.draw(st.integers(0, 4))))
                 for m in levels)))
         capacity = float(data.draw(st.integers(0, 800)))
-        assert solve_groups(groups, capacity) == _exhaustive_fold(groups, capacity)
+        assert solve_groups(groups, capacity) == brute_force_groups(groups, capacity)
 
     def test_large_shared_cluster_stays_tractable(self):
         # 3^14 unpruned configurations. Configurations with the same paid set
@@ -254,10 +234,13 @@ def _mk_request(cid, video, chunk, m, rates, share=0.5) -> QualityRequest:
 
 class TestCphAssign:
     def test_empty_request_list(self):
-        res = cph_assign([], LruChunkCache(), 2e7, ScenarioConfig().solver_params())
-        assert res.qualities == ()
-        assert not res.no_valid_config
-        assert res.total_utility == 0.0 and res.total_cost_bps == 0.0
+        # no shortcut: the general paths fold zero groups into the empty pick
+        for solve in (cph_assign, brute_force_assign):
+            res = solve([], LruChunkCache(), 2e7, ScenarioConfig().solver_params())
+            assert res.qualities == ()
+            assert not res.no_valid_config
+            assert res.total_utility == 0.0 and res.total_cost_bps == 0.0
+        assert brute_force_groups([], 2e7) == solve_groups([], 2e7) == (0.0, 0.0, ())
 
     def test_infeasible_falls_back_to_requested(self):
         req = _mk_request(0, 0, 0, 1, (1e6, 2e6))
