@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .buffer_airtime import estimate_buffer
 from .cache import LruChunkCache
@@ -102,14 +102,20 @@ def utility(
     return b_hat_s
 
 
+def check_shared_ladders(requests: Sequence[QualityRequest]) -> None:
+    """Raise ValueError unless all requests for one video carry one ladder,
+    as charging equal picks of one chunk as one download assumes."""
+    ladders: dict[int, tuple[float, ...]] = {}
+    for r in requests:
+        if ladders.setdefault(r.video_id, r.bitrates_bps) != r.bitrates_bps:
+            raise ValueError(f"requests for video {r.video_id} carry different ladders")
+
+
 def build_candidates(
     request: QualityRequest, cache: LruChunkCache, params: SolverParams
 ) -> list[CandidateQuality]:
-    """Score every tolerated quality level for one request.
-
-    Transfer-time terms use nominal chunk sizes (bitrate * duration); actual
-    per-chunk sizes matter only during delivery, not selection.
-    """
+    """Score every tolerated quality level for one request, in ascending
+    level order; a chunk's size is its nominal bitrate * duration."""
     (_, video, chunk, requested, bitrates, tau, buffer_s, effective_rate,
      queue_bits, queue_media_s, backlog_bits, backhaul_rate) = request
     gamma, mu_c, b_min_s, b_max_s = params.gamma, params.mu_c, params.b_min_s, params.b_max_s

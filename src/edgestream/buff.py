@@ -2,26 +2,22 @@
 
 Candidates are the tolerated levels whose projected buffer stays
 non-negative under equal airtime, plus each request's minimum tolerated
-level which is always kept as the last resort. The assigner repeatedly takes
-the global best candidate by cache-weighted log-bitrate, makes the identical
-content free for everyone else, and charges the remaining backhaul budget
-until nothing assignable is left. Requests still unassigned at exhaustion
-keep their requested quality.
+level which is always kept as the last resort. One pass, best
+cache-weighted log-bitrate first, takes every candidate whose request is
+still open and whose cost fits the remaining backhaul budget; a pick makes
+the identical content free for everyone else. Every video has one ladder,
+so identical content has one cost, and the budget only falls: a candidate
+skipped once never fits later. Open requests keep their requested quality.
 """
 from __future__ import annotations
 
 import math
 from typing import Sequence
 
-from .assign_core import BITRATE_UNIT_BPS, QualityRequest, SolverParams, build_candidates
+from .assign_core import (BITRATE_UNIT_BPS, QualityRequest, SolverParams, build_candidates,
+                          check_shared_ladders)
 from .cache import LruChunkCache
 from .cph import AssignmentResult
-
-
-def _weighted_log_bitrate(bitrate_bps: float, cached: bool, params: SolverParams) -> float:
-    q = bitrate_bps / BITRATE_UNIT_BPS
-    w = params.mu_c if cached else 1.0
-    return w * math.log(q)
 
 
 def buff_assign(
@@ -30,34 +26,30 @@ def buff_assign(
     backhaul_bps: float,
     params: SolverParams,
 ) -> AssignmentResult:
+    check_shared_ladders(requests)
     # pool entry = (rank, request index, chunk key, candidate, weighted utility)
     pool = []
     for ri, req in enumerate(requests):
         cands = build_candidates(req, cache, params)
-        min_level = min(c.quality_index for c in cands)
         for c in cands:
-            safe = c.estimated_buffer_s >= 0
-            if not safe and c.quality_index != min_level:
+            # cands[0] is the window's floor, kept even when unsafe
+            if not c.estimated_buffer_s >= 0 and c is not cands[0]:
                 continue
-            u = _weighted_log_bitrate(c.bitrate_bps, c.cached, params)
+            u = (params.mu_c if c.cached else 1.0) * math.log(c.bitrate_bps / BITRATE_UNIT_BPS)
             rank = (-u, -c.quality_index, req.client_id, req.video_id, req.chunk_index)
             pool.append((rank, ri, (req.video_id, req.chunk_index, c.quality_index), c, u))
+    # stable: a client asking twice for one chunk ties on rank, lower index first
+    pool.sort(key=lambda e: e[0])
 
     remaining = backhaul_bps
     chosen: dict[int, int] = {}  # request index -> quality
     paid: set = set()  # chunks being fetched once; identical picks ride along free
     total_utility = 0.0
     total_cost = 0.0
-    while True:
-        best = None  # (entry, cost) of the lowest-ranked affordable candidate
-        for entry in pool:
-            rank, ri, key, c, _ = entry
-            cost = 0.0 if key in paid else c.cost_bps
-            if ri not in chosen and cost <= remaining and (best is None or rank < best[0][0]):
-                best = entry, cost
-        if best is None:
-            break
-        (_, ri, key, c, u), cost = best
+    for _, ri, key, c, u in pool:
+        cost = 0.0 if key in paid else c.cost_bps
+        if ri in chosen or cost > remaining:
+            continue
         chosen[ri] = c.quality_index
         total_utility += u
         total_cost += cost

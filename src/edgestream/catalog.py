@@ -1,8 +1,8 @@
-"""Video catalogs: quality ladders and Zipf popularity.
+"""Video catalogs: the quality ladder every video shares, and Zipf popularity.
 
-A catalog is a tuple of `QualityLadder`s indexed by video id; it is
-immutable and safe to share across replications. Every chunk of a video is
-its nominal size q*tau at the quality it is delivered in.
+One ladder makes a level the same bitrate for every requester, so equal
+picks of one chunk are one download. It is immutable and safe to share
+across replications. Every chunk is its nominal size q*tau at its quality.
 """
 from __future__ import annotations
 
@@ -17,49 +17,40 @@ class CatalogError(ValueError):
 
 @dataclass(frozen=True)
 class QualityLadder:
-    video_id: int
     bitrates_bps: tuple[float, ...]  # strictly ascending
     chunk_duration_s: float
     chunk_count: int
 
     def __post_init__(self):
         if len(self.bitrates_bps) < 1:
-            raise CatalogError(f"video {self.video_id}: empty ladder")
+            raise CatalogError("empty ladder")
         if any(b <= a for a, b in zip(self.bitrates_bps, self.bitrates_bps[1:])):
-            raise CatalogError(f"video {self.video_id}: bitrates not strictly ascending")
+            raise CatalogError("bitrates not strictly ascending")
         if self.chunk_duration_s <= 0:
-            raise CatalogError(f"video {self.video_id}: chunk_duration_s must be > 0")
+            raise CatalogError("chunk_duration_s must be > 0")
         if self.chunk_count < 1:
-            raise CatalogError(f"video {self.video_id}: chunk_count must be >= 1")
+            raise CatalogError("chunk_count must be >= 1")
 
     def nominal_size_bits(self, quality_index: int) -> float:
         return self.bitrates_bps[quality_index] * self.chunk_duration_s
 
 
 def make_synthetic_catalog(
-    video_count: int,
     levels: int,
     min_bps: float,
     max_bps: float,
     chunk_duration_s: float,
     chunk_count: int,
-) -> tuple[QualityLadder, ...]:
-    """Uniform catalog: every video gets the same geometric ladder with
-    forced endpoints."""
+) -> QualityLadder:
+    """The ladder every video shares: geometric, with forced endpoints."""
     if levels < 2:
         raise CatalogError("levels must be >= 2")
     if not (0 < min_bps < max_bps):
         raise CatalogError("need 0 < min_bps < max_bps")
-    if video_count < 1:
-        raise CatalogError("video_count must be >= 1")
     rates = np.geomspace(min_bps, max_bps, levels)
     # force exact endpoints despite float rounding
     rates[0], rates[-1] = min_bps, max_bps
-    bitrates = tuple(float(r) for r in rates)
-    return tuple(
-        QualityLadder(v, bitrates, chunk_duration_s, chunk_count)
-        for v in range(video_count)
-    )
+    return QualityLadder(tuple(float(r) for r in rates), chunk_duration_s, chunk_count)
 
 
 def zipf_pmf(exponent: float, video_count: int) -> np.ndarray:

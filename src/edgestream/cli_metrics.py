@@ -80,9 +80,15 @@ class ScenarioConfig:
     def validate(self) -> None:
         if not self.schemes:
             raise ConfigError("schemes must not be empty")
-        for s in self.schemes:
+        for i, s in enumerate(self.schemes):
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
+            if s in self.schemes[:i]:  # its rows would be written twice
+                raise ConfigError(f"scheme {s!r} is given twice")
+        # an infinite time, rate or distance never finishes or cannot be drawn
+        for name, value in vars(self).items():
+            if isinstance(value, float) and math.isinf(value) and name != "cache_capacity_bits":
+                raise ConfigError(f"{name} must be finite (only cache_capacity_bits may be inf)")
         positive = ("n_clients", "n_videos", "levels", "chunk_duration_s",
                     "chunk_count", "zipf_exponent", "t_ap_s", "radius_m", "reps",
                     "min_bitrate_bps", "max_bitrate_bps")
@@ -174,14 +180,12 @@ def run_replication(cfg: ScenarioConfig, scheme: str, rep: int,
     offsets = [float(rng.uniform(0.0, cfg.start_offset_max_s))
                for _ in range(cfg.n_clients)]
 
-    catalog = make_synthetic_catalog(
-        video_count=cfg.n_videos, levels=cfg.levels,
-        min_bps=cfg.min_bitrate_bps, max_bps=cfg.max_bitrate_bps,
+    ladder = make_synthetic_catalog(
+        levels=cfg.levels, min_bps=cfg.min_bitrate_bps, max_bps=cfg.max_bitrate_bps,
         chunk_duration_s=cfg.chunk_duration_s, chunk_count=cfg.chunk_count,
     )
     clients = [
-        DashClient(i, catalog[videos[i]], cfg.b_max_s,
-                   start_time_s=offsets[i])
+        DashClient(i, videos[i], ladder, cfg.b_max_s, start_time_s=offsets[i])
         for i in range(cfg.n_clients)
     ]
     capacities = {i: link_capacity_bps(distances[i]) for i in range(cfg.n_clients)}
@@ -452,7 +456,7 @@ def _config_from_args(args) -> ScenarioConfig:
     overrides = {name: getattr(args, dest) for dest, name in _RUN_FLAGS.items()
                  if getattr(args, dest) is not None}
     if args.scheme:
-        overrides["schemes"] = tuple(dict.fromkeys(args.scheme))
+        overrides["schemes"] = tuple(args.scheme)
     cfg = replace(cfg, **overrides)
     cfg.validate()
     return cfg

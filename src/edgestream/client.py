@@ -52,6 +52,7 @@ class DashClient:
     def __init__(
         self,
         client_id: int,
+        video_id: int,
         ladder: QualityLadder,
         b_max_s: float,
         start_time_s: float = 0.0,
@@ -59,7 +60,7 @@ class DashClient:
         if start_time_s < 0:
             raise ValueError("start_time_s must be >= 0")
         self.client_id = client_id
-        self.video_id = ladder.video_id
+        self.video_id = video_id
         self.ladder = ladder
         self.b_max_s = b_max_s
         self.total_media_s = ladder.chunk_count * ladder.chunk_duration_s

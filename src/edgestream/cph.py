@@ -39,6 +39,7 @@ from .assign_core import (
     QualityRequest,
     SolverParams,
     build_candidates,
+    check_shared_ladders,
 )
 from .cache import LruChunkCache
 
@@ -67,7 +68,8 @@ def solve_groups(groups: Sequence[SolveGroup], capacity_bps: float) -> Best | No
     up to float rounding (see the module docstring).
 
     Groups sharing a cluster_key must be contiguous in `groups`; within a
-    cluster an equal quality_index shares one download. A configuration
+    cluster an equal quality_index is one download at one cost, as one
+    ladder per video (`check_shared_ladders`) ensures. A configuration
     keeps only the paid levels a later group of its cluster can pick, and
     each merge compares configurations with the same paid set only; in
     canonical order that is at most 2**(2*gamma + 1) sets. Returns None
@@ -140,6 +142,7 @@ def _request_groups(
     cache: LruChunkCache,
     params: SolverParams,
 ) -> tuple[list[int], list[SolveGroup]]:
+    check_shared_ladders(requests)
     order = canonical_order(requests)
     groups = [
         SolveGroup((requests[ri].video_id, requests[ri].chunk_index),

@@ -14,10 +14,9 @@ from edgestream.cli_metrics import ScenarioConfig, run_replication
 
 def _tiny_engine(scheme, *, cache=None, n_clients=3, backhaul_bps=8e6,
                  gamma=2, chunk_count=12, max_time_s=None):
-    catalog = make_synthetic_catalog(
-        video_count=2, levels=3, min_bps=2e5, max_bps=2e6,
-        chunk_duration_s=2.0, chunk_count=chunk_count)
-    clients = [DashClient(i, catalog[i % 2], b_max_s=15.0)
+    ladder = make_synthetic_catalog(
+        levels=3, min_bps=2e5, max_bps=2e6, chunk_duration_s=2.0, chunk_count=chunk_count)
+    clients = [DashClient(i, i % 2, ladder, b_max_s=15.0)
                for i in range(n_clients)]
     return ApEngine(
         scheme=scheme,
@@ -33,12 +32,12 @@ def _tiny_engine(scheme, *, cache=None, n_clients=3, backhaul_bps=8e6,
 
 
 def _prewarmed_cache(catalog_levels=(0,), videos=(0, 1), chunks=12):
-    catalog = make_synthetic_catalog(2, 3, 2e5, 2e6, 2.0, chunks)
+    ladder = make_synthetic_catalog(3, 2e5, 2e6, 2.0, chunks)
     cache = LruChunkCache()
     for v in videos:
         for k in range(chunks):
             for m in catalog_levels:
-                cache.insert(v, k, m, catalog[v].nominal_size_bits(m))
+                cache.insert(v, k, m, ladder.nominal_size_bits(m))
     return cache
 
 
@@ -143,9 +142,9 @@ def test_time_budget_cuts_the_run_short():
 def test_constructor_validation():
     with pytest.raises(ValueError):
         _tiny_engine("NOT-A-SCHEME")
-    catalog = make_synthetic_catalog(1, 2, 2e5, 2e6, 2.0, 4)
+    ladder = make_synthetic_catalog(2, 2e5, 2e6, 2.0, 4)
     with pytest.raises(ValueError):
-        ApEngine("CPH", [DashClient(0, catalog[0], 15.0)],
+        ApEngine("CPH", [DashClient(0, 0, ladder, 15.0)],
                  {0: 1e7}, LruChunkCache(), 1e7, 0.0, ScenarioConfig().solver_params())
 
 
@@ -178,9 +177,9 @@ def test_late_requester_rides_the_queued_backhaul_job():
     # 4e5-bit chunks on a 1e5 bps backhaul take 4 s each, so the job client 0
     # queues at t=0 is still waiting when client 1 asks for the same chunk at
     # t=0.5; both burst the whole 8 s video to fill their 8 s buffers
-    catalog = make_synthetic_catalog(1, 2, 2e5, 2e6, 2.0, 4)
-    clients = [DashClient(0, catalog[0], 8.0),
-               DashClient(1, catalog[0], 8.0, start_time_s=0.5)]
+    ladder = make_synthetic_catalog(2, 2e5, 2e6, 2.0, 4)
+    clients = [DashClient(0, 0, ladder, 8.0),
+               DashClient(1, 0, ladder, 8.0, start_time_s=0.5)]
     engine = ApEngine("CLIENT", clients, {0: 2e7, 1: 2e7}, LruChunkCache(),
                       1e5, 0.5, ScenarioConfig().solver_params(), record_events=True)
     engine.step_rai()
@@ -190,7 +189,7 @@ def test_late_requester_rides_the_queued_backhaul_job():
     res = engine.run()
     assert res.violations == []
     assert res.all_finished
-    chunk_bits = 4 * catalog[0].nominal_size_bits(0)
+    chunk_bits = 4 * ladder.nominal_size_bits(0)
     assert res.pipe_bits == pytest.approx(chunk_bits)
     assert res.backhaul_attributed_bits == pytest.approx(2 * chunk_bits)
     assert not engine.fifo
@@ -199,8 +198,8 @@ def test_late_requester_rides_the_queued_backhaul_job():
 def test_same_interval_requesters_share_one_backhaul_job():
     # both clients ask for every chunk in the first interval, so the second
     # request for a chunk finds the job the first one queued moments before
-    catalog = make_synthetic_catalog(1, 2, 2e5, 2e6, 2.0, 4)
-    clients = [DashClient(0, catalog[0], 8.0), DashClient(1, catalog[0], 8.0)]
+    ladder = make_synthetic_catalog(2, 2e5, 2e6, 2.0, 4)
+    clients = [DashClient(0, 0, ladder, 8.0), DashClient(1, 0, ladder, 8.0)]
     engine = ApEngine("CLIENT", clients, {0: 2e7, 1: 2e7}, LruChunkCache(),
                       1e5, 0.5, ScenarioConfig().solver_params())
     engine.step_rai()
@@ -208,7 +207,7 @@ def test_same_interval_requesters_share_one_backhaul_job():
     assert all([w.client_id for w in j.waiters] == [0, 1] for j in engine.fifo.values())
     res = engine.run()
     assert res.violations == []
-    chunk_bits = 4 * catalog[0].nominal_size_bits(0)
+    chunk_bits = 4 * ladder.nominal_size_bits(0)
     assert res.pipe_bits == pytest.approx(chunk_bits)
     assert res.backhaul_attributed_bits == pytest.approx(2 * chunk_bits)
     assert not engine.fifo

@@ -14,8 +14,10 @@ from edgestream.assign_core import (
     tolerated_set,
     utility,
 )
+from edgestream.buff import buff_assign
 from edgestream.cache import LruChunkCache
 from edgestream.cli_metrics import ScenarioConfig
+from edgestream.cph import brute_force_assign, cph_assign
 
 
 class TestToleratedSet:
@@ -175,3 +177,13 @@ class TestBuildCandidates:
             LruChunkCache(), self._params(gamma=0))
         # max(drain 1.0, backhaul 3.0) + transfer 1.0, then +6 media
         assert cands[0].estimated_buffer_s == pytest.approx(8.0 - 3.0 - 1.0 + 6.0)
+
+
+@pytest.mark.parametrize("solve", [cph_assign, brute_force_assign, buff_assign])
+def test_mixed_ladders_for_one_video_rejected(solve):
+    # level 1 is 2e6 for one requester and 3e6 for the other: two downloads,
+    # which the shared-download rule would charge as one
+    reqs = [_request(client_id=0),
+            _request(client_id=1, bitrates_bps=(1e6, 3e6, 4e6))]
+    with pytest.raises(ValueError, match="requests for video 0 carry different ladders"):
+        solve(reqs, LruChunkCache(), 2e7, ScenarioConfig(gamma=0).solver_params())

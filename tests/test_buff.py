@@ -10,6 +10,7 @@ from edgestream.assign_core import QualityRequest, SolverParams
 from edgestream.buff import buff_assign
 from edgestream.cache import LruChunkCache
 from edgestream.cli_metrics import ScenarioConfig, gen_random_instance
+from reference_buff import buff_assign as reference_buff_assign
 
 
 def _req(cid=0, video=0, chunk=0, m=1, rates=(1e6, 2e6, 4e6), buffer_s=8.0,
@@ -116,3 +117,20 @@ def test_total_cost_never_exceeds_budget():
         requests, cache, backhaul, params = gen_random_instance(rng)
         res = buff_assign(requests, cache, backhaul, params)
         assert res.total_cost_bps <= backhaul + 1e-9
+
+
+def test_one_pass_matches_the_repeated_scan_reference():
+    rng = np.random.default_rng(21)
+    fell_back = shared = 0
+    for _ in range(2000):
+        requests, cache, backhaul, params = gen_random_instance(rng)
+        res = buff_assign(requests, cache, backhaul, params)
+        assert repr(res) == repr(reference_buff_assign(requests, cache, backhaul, params))
+        fell_back += res.no_valid_config
+        if not res.no_valid_config:
+            # every request took a pick; count draws where two fetched picks are one download
+            fetched = [(r.video_id, r.chunk_index, m) for r, m in zip(requests, res.qualities)
+                       if not cache.contains(r.video_id, r.chunk_index, m)]
+            shared += len(set(fetched)) < len(fetched)
+    # both the budget cut-off and the free ride are exercised, not just solo picks
+    assert fell_back > 0 and shared > 0

@@ -5,12 +5,11 @@ import math
 
 import pytest
 
-from edgestream import CatalogError, make_synthetic_catalog, zipf_pmf
+from edgestream import CatalogError, QualityLadder, make_synthetic_catalog, zipf_pmf
 
 
 def test_geometric_ladder_endpoints_and_ratio():
-    cat = make_synthetic_catalog(3, 19, 100e3, 15e6, 2.0, 300)
-    lad = cat[0]
+    lad = make_synthetic_catalog(19, 100e3, 15e6, 2.0, 300)
     assert len(lad.bitrates_bps) == 19
     assert lad.bitrates_bps[0] == 100e3
     assert lad.bitrates_bps[-1] == 15e6
@@ -20,24 +19,23 @@ def test_geometric_ladder_endpoints_and_ratio():
 
 
 def test_every_video_shares_the_ladder():
-    cat = make_synthetic_catalog(5, 4, 1e5, 1e6, 2.0, 10)
-    assert len(cat) == 5
-    assert [lad.video_id for lad in cat] == list(range(5))
-    first = cat[0].bitrates_bps
-    assert all(lad.bitrates_bps == first for lad in cat)
+    # the catalog is one ladder; clients name their video themselves
+    lad = make_synthetic_catalog(4, 1e5, 1e6, 2.0, 10)
+    assert isinstance(lad, QualityLadder)
+    assert (lad.chunk_duration_s, lad.chunk_count) == (2.0, 10)
+    assert len(lad.bitrates_bps) == 4
 
 
 def test_nominal_chunk_size_is_rate_times_duration():
-    lad = make_synthetic_catalog(1, 3, 1e6, 4e6, 2.0, 10)[0]
+    lad = make_synthetic_catalog(3, 1e6, 4e6, 2.0, 10)
     assert lad.nominal_size_bits(0) == 2e6
     assert lad.nominal_size_bits(2) == 8e6
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(video_count=0, levels=3, min_bps=1e5, max_bps=1e6),
-    dict(video_count=1, levels=1, min_bps=1e5, max_bps=1e6),
-    dict(video_count=1, levels=3, min_bps=1e6, max_bps=1e5),
-    dict(video_count=1, levels=3, min_bps=0, max_bps=1e6),
+    dict(levels=1, min_bps=1e5, max_bps=1e6),
+    dict(levels=3, min_bps=1e6, max_bps=1e5),
+    dict(levels=3, min_bps=0, max_bps=1e6),
 ])
 def test_invalid_catalog_parameters(kwargs):
     with pytest.raises(CatalogError):

@@ -33,6 +33,7 @@ TINY = dataclasses.replace(
 
 FLOAT_FIELDS = [name for name, kind in typing.get_type_hints(ScenarioConfig).items()
                 if float in (kind, *typing.get_args(kind))]
+FINITE_FIELDS = [name for name in FLOAT_FIELDS if name != "cache_capacity_bits"]
 
 
 class TestScenarioConfig:
@@ -56,6 +57,7 @@ class TestScenarioConfig:
         dict(b_min_s=6.0, b_max_s=6.0),
         dict(cache_capacity_bits=1e5),  # smaller than one 15 Mbps, 2 s chunk
         dict(chunk_duration_s=20.0),  # longer than b_max_s = 15: one chunk, then none fits
+        dict(schemes=("CLIENT", "CPH", "CLIENT")),  # CLIENT's rows would be written twice
     ])
     def test_invalid_configs_rejected(self, kw):
         with pytest.raises(ConfigError):
@@ -316,6 +318,10 @@ class TestMainExitCodes:
                       "--clients", "2", "--scheme", "CLIENT"]):
             assert main(argv) == 2
             assert "config error" in capsys.readouterr().err
+        # a repeated scheme, which would write each of its rows twice
+        assert main(["run", "--scheme", "CLIENT", "--scheme", "CLIENT", "--reps", "2",
+                     "--clients", "1"]) == 2
+        assert "scheme 'CLIENT' is given twice" in capsys.readouterr().err
 
     def test_run_success_is_exit_0(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"
@@ -354,7 +360,9 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("line, flags", [
         *((f"{name} = nan\n", []) for name in FLOAT_FIELDS),
         ("", ["--seed", "-1"]),
-    ], ids=[*FLOAT_FIELDS, "negative-seed"])
+        # inf is unbounded only for the cache; elsewhere it hangs, crashes or idles
+        *((f"{name} = inf\n", []) for name in FINITE_FIELDS),
+    ], ids=[*FLOAT_FIELDS, "negative-seed", *(f"{name}-inf" for name in FINITE_FIELDS)])
     def test_nan_or_negative_seed_is_exit_2(self, tmp_path, capsys, line, flags):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(

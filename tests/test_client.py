@@ -11,7 +11,6 @@ from edgestream.client import (
 )
 
 LADDER = QualityLadder(
-    video_id=0,
     bitrates_bps=(1e6, 2e6, 4e6, 8e6),
     chunk_duration_s=2.0,
     chunk_count=10,
@@ -49,7 +48,7 @@ class TestSelectQuality:
 
 
 def _client(**kw) -> DashClient:
-    base = dict(client_id=0, ladder=LADDER, b_max_s=15.0)
+    base = dict(client_id=0, video_id=0, ladder=LADDER, b_max_s=15.0)
     base.update(kw)
     return DashClient(**base)
 
@@ -84,8 +83,8 @@ class TestRequestGating:
         assert c.startup_latency_s == 1.5
 
     def test_video_shorter_than_buffer_starts_once_fully_buffered(self):
-        short = QualityLadder(0, (1e6,), 2.0, 7)  # 14 s of media, b_max 15 s
-        c = DashClient(0, short, b_max_s=15.0)
+        short = QualityLadder((1e6,), 2.0, 7)  # 14 s of media, b_max 15 s
+        c = DashClient(0, 0, short, b_max_s=15.0)
         assert len(c.maybe_issue_requests(0.0)) == 7
         for k in range(7):
             c.on_chunk_delivered(1.0 + k, k, 2e6)
@@ -105,7 +104,7 @@ class TestRequestGating:
             c.on_chunk_delivered(2.0, 9, 2e6)   # never issued
 
     def test_post_playout_in_flight_cap(self):
-        c = _client(ladder=QualityLadder(0, LADDER.bitrates_bps, 2.0, 20))
+        c = _client(ladder=QualityLadder(LADDER.bitrates_bps, 2.0, 20))
         assert len(c.maybe_issue_requests(0.0)) == 8
         for k in range(8):
             c.on_chunk_delivered(1.0, k, 2e6)   # 16 s buffered: playout starts
@@ -151,8 +150,8 @@ class TestPlayout:
         assert c.stall_ratio(7.0) == pytest.approx(2.0 / 7.0)
 
     def test_finish_is_detected_and_timed(self):
-        short = QualityLadder(0, (1e6,), 2.0, 2)  # 4 s of media
-        c = DashClient(0, short, b_max_s=15.0)
+        short = QualityLadder((1e6,), 2.0, 2)  # 4 s of media
+        c = DashClient(0, 0, short, b_max_s=15.0)
         c.maybe_issue_requests(0.0)
         c.on_chunk_delivered(1.0, 0, 2e6)
         c.on_chunk_delivered(1.5, 1, 2e6)   # all 4 s buffered: playout starts
@@ -166,8 +165,8 @@ class TestPlayout:
         assert c.session_time_s(10.0) == pytest.approx(5.5)
 
     def test_no_requests_after_finish(self):
-        short = QualityLadder(0, (1e6,), 2.0, 1)
-        c = DashClient(0, short, b_max_s=15.0)
+        short = QualityLadder((1e6,), 2.0, 1)
+        c = DashClient(0, 0, short, b_max_s=15.0)
         c.maybe_issue_requests(0.0)
         c.on_chunk_delivered(0.5, 0, 2e6)
         c.advance_to(3.0)
