@@ -15,6 +15,8 @@ plus each side's src/ line count and `git describe --always --dirty`. With
 and workload, and records each side's layer shares and self times and
 whether every per-layer count of BENCHMARK.json is equal. With --tier1 it
 times each side's tier-1 test suite. It changes nothing in either checkout.
+It exits 1, after writing the JSON, when any run's result is not
+"correct": true.
 """
 from __future__ import annotations
 
@@ -218,6 +220,13 @@ def main(argv=None) -> int:
         args.out.write_text(text)
     else:
         sys.stdout.write(text)
+    traced = doc.get("traced", {})
+    incorrect = [w for w in args.workload if not doc["workloads"][w]["all_correct"]
+                 or (w in traced and not all(traced[w][side]["correct"] for side in SIDES))]
+    if incorrect:
+        print(f"error: a run's result is not correct on {', '.join(incorrect)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

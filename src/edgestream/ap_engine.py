@@ -173,6 +173,10 @@ class ApEngine:
         self.backhaul_bps = backhaul_bps
         self.t_ap_s = t_ap_s
         self.params = params
+        self.ladder = params.ladder
+        for c in self.clients:
+            if c.ladder != self.ladder:  # a level must mean one bitrate for all
+                raise ValueError(f"client {c.client_id} streams a ladder other than params.ladder")
         self.record_events = record_events
         total_media = max((c.total_media_s for c in self.clients), default=0.0)
         self.max_time_s = max_time_s if max_time_s is not None else total_media * 50 + 60
@@ -191,7 +195,7 @@ class ApEngine:
     def _queue_snapshot(self, client: DashClient) -> tuple[float, float, float]:
         """(remaining bits, whole-chunk media seconds, mean queued bitrate)."""
         q = self.dl_queues[client.client_id]
-        chunk_s = client.ladder.chunk_duration_s
+        chunk_s = self.ladder.chunk_duration_s
         bits = 0.0
         media = 0.0
         for i, item in enumerate(q):
@@ -219,8 +223,6 @@ class ApEngine:
                 video_id=r.video_id,
                 chunk_index=r.chunk_index,
                 requested_quality=r.quality_index,
-                bitrates_bps=client.ladder.bitrates_bps,
-                chunk_duration_s=client.ladder.chunk_duration_s,
                 buffer_s=client.buffer_s,
                 effective_rate_bps=self.capacity[r.client_id] * share,
                 dl_queue_bits=bits,
@@ -265,8 +267,7 @@ class ApEngine:
                 self.result.violations.append(
                     f"t={self.now}: quality shift beyond tolerance for client {req.client_id} "
                     f"({req.quality_index} -> {m})")
-            ladder = self._by_id[req.client_id].ladder
-            size = ladder.nominal_size_bits(m)
+            size = self.ladder.nominal_size_bits(m)
             key = (req.video_id, req.chunk_index, m)
             if self.policy.reads_cache and self.cache.contains(*key):
                 self.cache.touch(*key)
@@ -280,7 +281,7 @@ class ApEngine:
                 existing.waiters.append(req)
                 continue
             self.fifo[key] = BackhaulJob(size_bits=size, remaining_bits=size,
-                                         media_s=ladder.chunk_duration_s,
+                                         media_s=self.ladder.chunk_duration_s,
                                          enqueue_time_s=self.now, waiters=[req])
 
     def _allocate(self) -> list[tuple[int, float, deque[DlItem]]]:
@@ -299,7 +300,7 @@ class ApEngine:
                 buffer_s=c.buffer_s,
                 avg_queued_bitrate_bps=avg_rate,
                 link_capacity_bps=self.capacity[c.client_id],
-                buffered_chunks=c.buffer_s / c.ladder.chunk_duration_s,
+                buffered_chunks=c.buffer_s / self.ladder.chunk_duration_s,
                 playing=c.playout_started,
             ))
         if self.policy.stall_aware:
@@ -324,7 +325,7 @@ class ApEngine:
             res.cache_bits += item.size_bits
         else:
             res.backhaul_attributed_bits += item.size_bits
-        res.bitrate_sum_bps += client.ladder.bitrates_bps[item.quality_index]
+        res.bitrate_sum_bps += self.ladder.bitrates_bps[item.quality_index]
         if self.record_events:
             res.events.append(DeliveryEvent(
                 time_s=t, client_id=client_id, video_id=req.video_id,

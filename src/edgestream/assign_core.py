@@ -2,16 +2,19 @@
 
 Both solvers consume the same per-request context (QualityRequest), the same
 tolerated-quality window, the same delivery-cost rule and the same utility
-function, so their outputs are comparable candidate by candidate.
+function, so their outputs are comparable candidate by candidate. The run's
+one quality ladder is a SolverParams field, so a level is the same bitrate
+for every request of a call and equal picks of one chunk are one download.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .buffer_airtime import estimate_buffer
 from .cache import LruChunkCache
+from .catalog import QualityLadder
 
 BITRATE_UNIT_BPS = 1e3  # log() argument unit for utility values
 
@@ -22,6 +25,7 @@ class SolverParams:
     mu_c: float
     b_min_s: float
     b_max_s: float
+    ladder: QualityLadder  # every requester's, so a level means one bitrate
 
     def __post_init__(self):
         if not self.gamma >= 0:
@@ -42,8 +46,6 @@ class QualityRequest(NamedTuple):
     video_id: int
     chunk_index: int
     requested_quality: int
-    bitrates_bps: tuple[float, ...]
-    chunk_duration_s: float
     buffer_s: float
     effective_rate_bps: float     # link capacity times the airtime share assumed
     dl_queue_bits: float          # bits already queued for this client
@@ -102,22 +104,15 @@ def utility(
     return b_hat_s
 
 
-def check_shared_ladders(requests: Sequence[QualityRequest]) -> None:
-    """Raise ValueError unless all requests for one video carry one ladder,
-    as charging equal picks of one chunk as one download assumes."""
-    ladders: dict[int, tuple[float, ...]] = {}
-    for r in requests:
-        if ladders.setdefault(r.video_id, r.bitrates_bps) != r.bitrates_bps:
-            raise ValueError(f"requests for video {r.video_id} carry different ladders")
-
-
 def build_candidates(
     request: QualityRequest, cache: LruChunkCache, params: SolverParams
 ) -> list[CandidateQuality]:
-    """Score every tolerated quality level for one request, in ascending
-    level order; a chunk's size is its nominal bitrate * duration."""
-    (_, video, chunk, requested, bitrates, tau, buffer_s, effective_rate,
+    """Score every tolerated quality level of the params' ladder for one
+    request, in ascending level order; a chunk's size is its nominal
+    bitrate * duration."""
+    (_, video, chunk, requested, buffer_s, effective_rate,
      queue_bits, queue_media_s, backlog_bits, backhaul_rate) = request
+    bitrates, tau = params.ladder.bitrates_bps, params.ladder.chunk_duration_s
     gamma, mu_c, b_min_s, b_max_s = params.gamma, params.mu_c, params.b_min_s, params.b_max_s
     out: list[CandidateQuality] = []
     for m in tolerated_set(requested, gamma, len(bitrates)):

@@ -5,8 +5,8 @@ non-negative under equal airtime, plus each request's minimum tolerated
 level which is always kept as the last resort. One pass, best
 cache-weighted log-bitrate first, takes every candidate whose request is
 still open and whose cost fits the remaining backhaul budget; a pick makes
-the identical content free for everyone else. Every video has one ladder,
-so identical content has one cost, and the budget only falls: a candidate
+the identical content free for everyone else. The run has one ladder, so
+identical content has one cost, and the budget only falls: a candidate
 skipped once never fits later. Open requests keep their requested quality.
 """
 from __future__ import annotations
@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .assign_core import (BITRATE_UNIT_BPS, QualityRequest, SolverParams, build_candidates,
-                          check_shared_ladders)
+from .assign_core import BITRATE_UNIT_BPS, QualityRequest, SolverParams, build_candidates
 from .cache import LruChunkCache
 from .cph import AssignmentResult
 
@@ -26,7 +25,6 @@ def buff_assign(
     backhaul_bps: float,
     params: SolverParams,
 ) -> AssignmentResult:
-    check_shared_ladders(requests)
     # pool entry = (rank, request index, chunk key, candidate, weighted utility)
     pool = []
     for ri, req in enumerate(requests):

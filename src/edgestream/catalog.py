@@ -24,9 +24,11 @@ class QualityLadder:
     def __post_init__(self):
         if len(self.bitrates_bps) < 1:
             raise CatalogError("empty ladder")
-        if any(b <= a for a, b in zip(self.bitrates_bps, self.bitrates_bps[1:])):
+        if any(not b > a for a, b in zip(self.bitrates_bps, self.bitrates_bps[1:])):
             raise CatalogError("bitrates not strictly ascending")
-        if self.chunk_duration_s <= 0:
+        if not self.bitrates_bps[0] > 0:  # a zero-size chunk cannot be cached or scored
+            raise CatalogError("bitrates must be > 0")
+        if not self.chunk_duration_s > 0:
             raise CatalogError("chunk_duration_s must be > 0")
         if self.chunk_count < 1:
             raise CatalogError("chunk_count must be >= 1")

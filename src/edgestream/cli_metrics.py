@@ -25,7 +25,7 @@ import numpy as np
 from .ap_engine import SCHEMES, ApEngine
 from .assign_core import QualityRequest, SolverParams, tolerated_set
 from .cache import LruChunkCache
-from .catalog import make_synthetic_catalog, zipf_pmf
+from .catalog import QualityLadder, make_synthetic_catalog, zipf_pmf
 from .client import DashClient
 from .cph import brute_force_assign, cph_assign
 from .radio import link_capacity_bps, place_clients
@@ -89,9 +89,8 @@ class ScenarioConfig:
         for name, value in vars(self).items():
             if isinstance(value, float) and math.isinf(value) and name != "cache_capacity_bits":
                 raise ConfigError(f"{name} must be finite (only cache_capacity_bits may be inf)")
-        positive = ("n_clients", "n_videos", "levels", "chunk_duration_s",
-                    "chunk_count", "zipf_exponent", "t_ap_s", "radius_m", "reps",
-                    "min_bitrate_bps", "max_bitrate_bps")
+        # the ladder's own fields are checked by the catalog, in solver_params()
+        positive = ("n_clients", "n_videos", "zipf_exponent", "t_ap_s", "radius_m", "reps")
         # every check is written `not x > bound` so that NaN fails it
         for name in positive:
             if not getattr(self, name) > 0:
@@ -101,28 +100,29 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be >= 0")
         if self.max_time_s is not None and not self.max_time_s > 0:
             raise ConfigError("max_time_s must be > 0")
-        if not self.levels >= 2:
-            raise ConfigError("levels must be >= 2")
-        if not self.max_bitrate_bps > self.min_bitrate_bps:
-            raise ConfigError("max_bitrate_bps must exceed min_bitrate_bps")
+        try:
+            self.solver_params()
+        except ValueError as exc:  # CatalogError included
+            raise ConfigError(str(exc)) from None
         largest_chunk_bits = self.max_bitrate_bps * self.chunk_duration_s
         if not self.cache_capacity_bits >= largest_chunk_bits:
             raise ConfigError(
                 f"cache_capacity_bits {self.cache_capacity_bits!r} is smaller than the largest "
                 f"chunk, max_bitrate_bps * chunk_duration_s = {largest_chunk_bits!r} "
                 "(inf for unbounded)")
-        try:
-            self.solver_params()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         # a client requests a chunk only once the buffer has room for all of it
         if not self.chunk_duration_s <= self.b_max_s:
             raise ConfigError(f"chunk_duration_s {self.chunk_duration_s!r} exceeds b_max_s "
                               f"{self.b_max_s!r}: no second chunk would fit the buffer")
 
     def solver_params(self) -> SolverParams:
+        """The solver's parameters, with the one ladder every video of the run uses."""
+        ladder = make_synthetic_catalog(
+            levels=self.levels, min_bps=self.min_bitrate_bps, max_bps=self.max_bitrate_bps,
+            chunk_duration_s=self.chunk_duration_s, chunk_count=self.chunk_count,
+        )
         return SolverParams(gamma=self.gamma, mu_c=self.mu_c,
-                            b_min_s=self.b_min_s, b_max_s=self.b_max_s)
+                            b_min_s=self.b_min_s, b_max_s=self.b_max_s, ladder=ladder)
 
 
 _FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
@@ -142,8 +142,10 @@ def _parse_value(key: str, raw: str):
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Read `key = value` lines; # starts a comment; unknown keys are errors."""
+    """Read `key = value` lines; # starts a comment; unknown or repeated keys
+    are errors."""
     overrides = {}
+    first_line: dict[str, int] = {}
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -156,6 +158,10 @@ def load_config(path: str) -> ScenarioConfig:
                     key, raw = (part.strip() for part in text.split("=", 1))
                     if key not in _FIELD_TYPES:
                         raise ConfigError(f"unknown config key: {key}")
+                    if key in first_line:
+                        raise ConfigError(f"{key} is given twice, first on line "
+                                          f"{first_line[key]}")
+                    first_line[key] = lineno
                     overrides[key] = _parse_value(key, raw)
                 except ConfigError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from None
@@ -180,12 +186,9 @@ def run_replication(cfg: ScenarioConfig, scheme: str, rep: int,
     offsets = [float(rng.uniform(0.0, cfg.start_offset_max_s))
                for _ in range(cfg.n_clients)]
 
-    ladder = make_synthetic_catalog(
-        levels=cfg.levels, min_bps=cfg.min_bitrate_bps, max_bps=cfg.max_bitrate_bps,
-        chunk_duration_s=cfg.chunk_duration_s, chunk_count=cfg.chunk_count,
-    )
+    params = cfg.solver_params()
     clients = [
-        DashClient(i, videos[i], ladder, cfg.b_max_s, start_time_s=offsets[i])
+        DashClient(i, videos[i], params.ladder, cfg.b_max_s, start_time_s=offsets[i])
         for i in range(cfg.n_clients)
     ]
     capacities = {i: link_capacity_bps(distances[i]) for i in range(cfg.n_clients)}
@@ -194,7 +197,7 @@ def run_replication(cfg: ScenarioConfig, scheme: str, rep: int,
         link_capacities_bps=capacities,
         cache=LruChunkCache(cfg.cache_capacity_bits),
         backhaul_bps=cfg.backhaul_mbps * 1e6,
-        t_ap_s=cfg.t_ap_s, params=cfg.solver_params(),
+        t_ap_s=cfg.t_ap_s, params=params,
         record_events=record_events, max_time_s=cfg.max_time_s,
     )
     return engine.run()
@@ -356,20 +359,20 @@ def print_summary(rows: list[dict], stream=sys.stdout) -> None:
 def gen_random_instance(rng: np.random.Generator):
     """Small random assignment instance for exhaustive cross-checking; some
     are bursts of 6-8 clients on one chunk, with gamma capped so the
-    exhaustive space (product of tolerance windows) stays within 10^5."""
+    exhaustive space (product of tolerance windows) stays within 10^5.
+    The 1-2 videos share one ladder of 2-5 levels, drawn right after the
+    video count."""
     n_videos = int(rng.integers(1, 3))
-    ladders = []
-    for _ in range(n_videos):
-        levels = int(rng.integers(2, 6))
-        rates = np.sort(rng.uniform(1e5, 5e6, size=levels))
-        rates = tuple(float(r) + 1e3 * i for i, r in enumerate(rates))
-        ladders.append(rates)
+    levels = int(rng.integers(2, 6))
+    drawn = np.sort(rng.uniform(1e5, 5e6, size=levels))
+    rates = tuple(float(r) + 1e3 * i for i, r in enumerate(drawn))  # strictly ascending
+    tau = 2.0
+    ladder = QualityLadder(rates, tau, chunk_count=3)
     gamma = int(rng.integers(0, 3))
     mu_c = float(rng.uniform(1.0, 2.0))
     burst = bool(rng.random() < 0.15)
     n_clients = int(rng.integers(6, 9) if burst else rng.integers(1, 5))
     shared_everything = burst or bool(rng.random() < 0.4)
-    tau = 2.0
     requests = []
     for cid in range(n_clients):
         for _ in range(1 if burst else int(rng.integers(1, 3))):
@@ -378,7 +381,6 @@ def gen_random_instance(rng: np.random.Generator):
             else:
                 video = int(rng.integers(0, n_videos))
                 chunk = int(rng.integers(0, 3))
-            rates = ladders[video]
             queued_chunks = int(rng.integers(0, 3))
             dlq_media = queued_chunks * tau
             dlq_bits = dlq_media * float(rng.uniform(rates[0], rates[-1]))
@@ -386,9 +388,7 @@ def gen_random_instance(rng: np.random.Generator):
                 client_id=cid,
                 video_id=video,
                 chunk_index=chunk,
-                requested_quality=int(rng.integers(0, len(rates))),
-                bitrates_bps=rates,
-                chunk_duration_s=tau,
+                requested_quality=int(rng.integers(0, levels)),
                 buffer_s=float(rng.uniform(0.0, 15.0)),
                 effective_rate_bps=float(rng.uniform(1e6, 3e7)) * (1.0 / n_clients),
                 dl_queue_bits=dlq_bits,
@@ -397,16 +397,15 @@ def gen_random_instance(rng: np.random.Generator):
                 backhaul_rate_bps=float(rng.uniform(1e6, 4e7)),
             ))
     while gamma > 0 and math.prod(
-            len(tolerated_set(r.requested_quality, gamma, len(r.bitrates_bps)))
+            len(tolerated_set(r.requested_quality, gamma, levels))
             for r in requests) > 10**5:
         gamma -= 1
-    params = SolverParams(gamma=gamma, mu_c=mu_c, b_min_s=4.0, b_max_s=15.0)
+    params = SolverParams(gamma=gamma, mu_c=mu_c, b_min_s=4.0, b_max_s=15.0, ladder=ladder)
     cache = LruChunkCache()
     for req in requests:
-        for m in range(len(req.bitrates_bps)):
+        for m in range(levels):
             if rng.random() < 0.25:
-                size = req.bitrates_bps[m] * tau
-                cache.insert(req.video_id, req.chunk_index, m, size)
+                cache.insert(req.video_id, req.chunk_index, m, ladder.nominal_size_bits(m))
     if rng.random() < 0.3:
         backhaul = float(rng.uniform(0.0, 3e5 * n_clients))
     else:

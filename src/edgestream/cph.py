@@ -34,13 +34,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, NamedTuple, Sequence
 
-from .assign_core import (
-    CandidateQuality,
-    QualityRequest,
-    SolverParams,
-    build_candidates,
-    check_shared_ladders,
-)
+from .assign_core import CandidateQuality, QualityRequest, SolverParams, build_candidates
 from .cache import LruChunkCache
 
 
@@ -68,12 +62,13 @@ def solve_groups(groups: Sequence[SolveGroup], capacity_bps: float) -> Best | No
     up to float rounding (see the module docstring).
 
     Groups sharing a cluster_key must be contiguous in `groups`; within a
-    cluster an equal quality_index is one download at one cost, as one
-    ladder per video (`check_shared_ladders`) ensures. A configuration
-    keeps only the paid levels a later group of its cluster can pick, and
-    each merge compares configurations with the same paid set only; in
-    canonical order that is at most 2**(2*gamma + 1) sets. Returns None
-    when no configuration fits the capacity.
+    cluster an equal quality_index is one download at one cost, since
+    `build_candidates` scores every request on the one ladder of
+    `SolverParams`. A configuration keeps only the paid levels a later
+    group of its cluster can pick, and each merge compares configurations
+    with the same paid set only; in canonical order that is at most
+    2**(2*gamma + 1) sets. Returns None when no configuration fits the
+    capacity.
     """
     # live[gi]: levels the groups after gi in its cluster can pick (by index:
     # only the merge below iterates a group's items)
@@ -142,7 +137,6 @@ def _request_groups(
     cache: LruChunkCache,
     params: SolverParams,
 ) -> tuple[list[int], list[SolveGroup]]:
-    check_shared_ladders(requests)
     order = canonical_order(requests)
     groups = [
         SolveGroup((requests[ri].video_id, requests[ri].chunk_index),

@@ -5,7 +5,7 @@ unchanged as an independent check on the one-pass version. Each round scans
 the whole candidate pool for the lowest-ranked candidate whose request is
 still open and whose cost (zero once its chunk is paid) fits the remaining
 budget, takes it, and repeats until nothing fits. It does not import
-`edgestream.buff` and does not check that each video has one ladder.
+`edgestream.buff`.
 """
 from __future__ import annotations
 

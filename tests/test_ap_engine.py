@@ -12,6 +12,11 @@ from edgestream.client import DashClient
 from edgestream.cli_metrics import ScenarioConfig, run_replication
 
 
+def _params(ladder, **kw):
+    """ScenarioConfig(**kw)'s solver parameters on `ladder`."""
+    return dataclasses.replace(ScenarioConfig(**kw).solver_params(), ladder=ladder)
+
+
 def _tiny_engine(scheme, *, cache=None, n_clients=3, backhaul_bps=8e6,
                  gamma=2, chunk_count=12, max_time_s=None):
     ladder = make_synthetic_catalog(
@@ -25,7 +30,7 @@ def _tiny_engine(scheme, *, cache=None, n_clients=3, backhaul_bps=8e6,
         cache=cache if cache is not None else LruChunkCache(),
         backhaul_bps=backhaul_bps,
         t_ap_s=0.5,
-        params=ScenarioConfig(gamma=gamma).solver_params(),
+        params=_params(ladder, gamma=gamma),
         record_events=True,
         max_time_s=max_time_s,
     )
@@ -145,7 +150,17 @@ def test_constructor_validation():
     ladder = make_synthetic_catalog(2, 2e5, 2e6, 2.0, 4)
     with pytest.raises(ValueError):
         ApEngine("CPH", [DashClient(0, 0, ladder, 15.0)],
-                 {0: 1e7}, LruChunkCache(), 1e7, 0.0, ScenarioConfig().solver_params())
+                 {0: 1e7}, LruChunkCache(), 1e7, 0.0, _params(ladder))
+
+
+def test_client_on_another_ladder_rejected():
+    # a level must mean one bitrate for every client, or one download would
+    # serve two different chunks
+    params = ScenarioConfig().solver_params()
+    other = make_synthetic_catalog(2, 2e5, 2e6, 2.0, 4)
+    clients = [DashClient(0, 0, params.ladder, 15.0), DashClient(1, 0, other, 15.0)]
+    with pytest.raises(ValueError, match="client 1 streams a ladder other than params.ladder"):
+        ApEngine("CPH", clients, {0: 1e7, 1: 1e7}, LruChunkCache(), 1e7, 0.5, params)
 
 
 def test_zero_backhaul_with_cold_cache_delivers_nothing():
@@ -181,7 +196,7 @@ def test_late_requester_rides_the_queued_backhaul_job():
     clients = [DashClient(0, 0, ladder, 8.0),
                DashClient(1, 0, ladder, 8.0, start_time_s=0.5)]
     engine = ApEngine("CLIENT", clients, {0: 2e7, 1: 2e7}, LruChunkCache(),
-                      1e5, 0.5, ScenarioConfig().solver_params(), record_events=True)
+                      1e5, 0.5, _params(ladder), record_events=True)
     engine.step_rai()
     engine.step_rai()
     assert [(key, [w.client_id for w in j.waiters]) for key, j in engine.fifo.items()] == \
@@ -201,7 +216,7 @@ def test_same_interval_requesters_share_one_backhaul_job():
     ladder = make_synthetic_catalog(2, 2e5, 2e6, 2.0, 4)
     clients = [DashClient(0, 0, ladder, 8.0), DashClient(1, 0, ladder, 8.0)]
     engine = ApEngine("CLIENT", clients, {0: 2e7, 1: 2e7}, LruChunkCache(),
-                      1e5, 0.5, ScenarioConfig().solver_params())
+                      1e5, 0.5, _params(ladder))
     engine.step_rai()
     assert engine.fifo
     assert all([w.client_id for w in j.waiters] == [0, 1] for j in engine.fifo.values())

@@ -14,10 +14,9 @@ from edgestream.assign_core import (
     tolerated_set,
     utility,
 )
-from edgestream.buff import buff_assign
 from edgestream.cache import LruChunkCache
+from edgestream.catalog import QualityLadder, make_synthetic_catalog
 from edgestream.cli_metrics import ScenarioConfig
-from edgestream.cph import brute_force_assign, cph_assign
 
 
 class TestToleratedSet:
@@ -86,7 +85,8 @@ class TestSolverParams:
     def test_defaults_valid(self):
         # the defaults are ScenarioConfig's; SolverParams states none of its own
         p = ScenarioConfig().solver_params()
-        assert p == SolverParams(gamma=2, mu_c=1.3, b_min_s=4.0, b_max_s=15.0)
+        assert p == SolverParams(gamma=2, mu_c=1.3, b_min_s=4.0, b_max_s=15.0,
+                                 ladder=make_synthetic_catalog(19, 100e3, 15e6, 2.0, 300))
         with pytest.raises(TypeError):
             SolverParams()
 
@@ -107,8 +107,6 @@ def _request(**kw) -> QualityRequest:
         video_id=0,
         chunk_index=0,
         requested_quality=1,
-        bitrates_bps=(1e6, 2e6, 4e6),
-        chunk_duration_s=2.0,
         buffer_s=8.0,
         effective_rate_bps=4e6,   # a quarter of a 16 Mbps link
         dl_queue_bits=0.0,
@@ -122,9 +120,8 @@ def _request(**kw) -> QualityRequest:
 
 class TestBuildCandidates:
     def _params(self, **kw) -> SolverParams:
-        base = dict(gamma=1, mu_c=1.3, b_min_s=4.0, b_max_s=15.0)
-        base.update(kw)
-        return SolverParams(**base)
+        return dataclasses.replace(ScenarioConfig(gamma=1).solver_params(),
+                                   ladder=QualityLadder((1e6, 2e6, 4e6), 2.0, 1), **kw)
 
     def test_window_and_per_level_scoring(self):
         cache = LruChunkCache()
@@ -178,12 +175,3 @@ class TestBuildCandidates:
         # max(drain 1.0, backhaul 3.0) + transfer 1.0, then +6 media
         assert cands[0].estimated_buffer_s == pytest.approx(8.0 - 3.0 - 1.0 + 6.0)
 
-
-@pytest.mark.parametrize("solve", [cph_assign, brute_force_assign, buff_assign])
-def test_mixed_ladders_for_one_video_rejected(solve):
-    # level 1 is 2e6 for one requester and 3e6 for the other: two downloads,
-    # which the shared-download rule would charge as one
-    reqs = [_request(client_id=0),
-            _request(client_id=1, bitrates_bps=(1e6, 3e6, 4e6))]
-    with pytest.raises(ValueError, match="requests for video 0 carry different ladders"):
-        solve(reqs, LruChunkCache(), 2e7, ScenarioConfig(gamma=0).solver_params())

@@ -42,6 +42,18 @@ def test_invalid_catalog_parameters(kwargs):
         make_synthetic_catalog(chunk_duration_s=2.0, chunk_count=10, **kwargs)
 
 
+@pytest.mark.parametrize("bitrates", [
+    (0.0, 1e6),
+    (-1e6, 1e6),
+    (math.nan, 1e6),
+    (1e6, math.nan),
+], ids=["zero", "negative", "nan-first", "nan-last"])
+def test_ladder_rejects_a_non_positive_bitrate(bitrates):
+    # a zero-size chunk would fail mid-run, in the cache or the utility
+    with pytest.raises(CatalogError):
+        QualityLadder(bitrates, 2.0, 10)
+
+
 def test_zipf_pmf_normalized_and_decreasing():
     pmf = zipf_pmf(1.2, 10)
     assert math.isclose(pmf.sum(), 1.0, rel_tol=1e-12)

@@ -124,6 +124,16 @@ class TestLoadConfig:
         assert str(info.value).startswith(f"{path}:1: ")
         assert "bad value for mu_c: 'abc'" in str(info.value)
 
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys):
+        # the last value used to win silently
+        path = tmp_path / "twice.cfg"
+        path.write_text("gamma = 1\nn_clients = 3\ngamma = 0\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert str(info.value) == f"{path}:3: gamma is given twice, first on line 1"
+        assert main(["run", "--config", str(path)]) == 2
+        assert "gamma is given twice" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "nope.cfg"))

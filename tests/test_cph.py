@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from edgestream import cph
 from edgestream.assign_core import CandidateQuality, QualityRequest, SolverParams
 from edgestream.cache import LruChunkCache
+from edgestream.catalog import QualityLadder
 from edgestream.cli_metrics import ScenarioConfig, gen_random_instance, run_replication
 from edgestream.cph import (
     SolveGroup,
@@ -181,7 +182,7 @@ class TestSolveGroups:
         # so at most 2**5 paid sets are live and every scan count stays small
         rates = tuple(1e5 * 1.25 ** m for m in range(19))
         ids = np.random.default_rng(3).permutation(24)
-        reqs = [_mk_request(int(cid), 0, 0, i % 19, rates) for i, cid in enumerate(ids)]
+        reqs = [_mk_request(int(cid), 0, 0, i % 19) for i, cid in enumerate(ids)]
         solve = cph.solve_groups
 
         def metered_solve(groups, capacity_bps):
@@ -189,7 +190,7 @@ class TestSolveGroups:
                           for g in groups], capacity_bps)
 
         monkeypatch.setattr(cph, "solve_groups", metered_solve)
-        res = cph_assign(reqs, LruChunkCache(), math.inf, ScenarioConfig(gamma=2).solver_params())
+        res = cph_assign(reqs, LruChunkCache(), math.inf, _params(rates, gamma=2))
         assert not res.no_valid_config
         assert all(abs(m - r.requested_quality) <= 2 for r, m in zip(reqs, res.qualities))
 
@@ -223,13 +224,18 @@ class TestSolveGroups:
         assert solve_groups(shared, 100.0) == (3.0, 100.0, (0, 0))
 
 
-def _mk_request(cid, video, chunk, m, rates, share=0.5) -> QualityRequest:
+def _mk_request(cid, video, chunk, m, share=0.5) -> QualityRequest:
     return QualityRequest(
         client_id=cid, video_id=video, chunk_index=chunk, requested_quality=m,
-        bitrates_bps=rates, chunk_duration_s=2.0, buffer_s=8.0,
-        effective_rate_bps=2e7 * share, dl_queue_bits=0.0,
+        buffer_s=8.0, effective_rate_bps=2e7 * share, dl_queue_bits=0.0,
         dl_queue_media_s=0.0, fifo_backlog_bits=0.0, backhaul_rate_bps=2e7,
     )
+
+
+def _params(rates, **kw) -> SolverParams:
+    """ScenarioConfig(**kw)'s parameters on a ladder of `rates` and 2 s chunks."""
+    return dataclasses.replace(ScenarioConfig(**kw).solver_params(),
+                               ladder=QualityLadder(rates, 2.0, 1))
 
 
 class TestCphAssign:
@@ -243,17 +249,17 @@ class TestCphAssign:
         assert brute_force_groups([], 2e7) == solve_groups([], 2e7) == (0.0, 0.0, ())
 
     def test_infeasible_falls_back_to_requested(self):
-        req = _mk_request(0, 0, 0, 1, (1e6, 2e6))
-        res = cph_assign([req], LruChunkCache(), 0.0, ScenarioConfig(gamma=0).solver_params())
+        req = _mk_request(0, 0, 0, 1)
+        res = cph_assign([req], LruChunkCache(), 0.0, _params((1e6, 2e6), gamma=0))
         assert res.no_valid_config
         assert res.total_utility is None and res.total_cost_bps is None
         assert res.qualities == (1,)
 
     def test_shared_download_paid_once(self):
         rates = (1e6, 2e6)
-        reqs = [_mk_request(0, 0, 0, 1, rates), _mk_request(1, 0, 0, 1, rates)]
+        reqs = [_mk_request(0, 0, 0, 1), _mk_request(1, 0, 0, 1)]
         # budget fits a single 2e6 download; sharing it is the only way up
-        res = cph_assign(reqs, LruChunkCache(), 2e6, ScenarioConfig(gamma=1).solver_params())
+        res = cph_assign(reqs, LruChunkCache(), 2e6, _params(rates, gamma=1))
         assert not res.no_valid_config
         assert res.total_cost_bps == 2e6
         assert res.qualities == (1, 1)
@@ -262,8 +268,8 @@ class TestCphAssign:
         rates = (1e6, 2e6, 4e6)
         cache = LruChunkCache()
         cache.insert(0, 0, 2, 8e6)
-        res = cph_assign([_mk_request(0, 0, 0, 1, rates)], cache, 2e7,
-                         ScenarioConfig(gamma=1, mu_c=1.3).solver_params())
+        res = cph_assign([_mk_request(0, 0, 0, 1)], cache, 2e7,
+                         _params(rates, gamma=1, mu_c=1.3))
         assert res.qualities == (2,) and cache.contains(0, 0, 2)
         assert res.total_cost_bps == 0.0
 
@@ -272,11 +278,11 @@ class TestCphAssign:
         cache = LruChunkCache()
         cache.insert(1, 5, 0, 2e6)
         reqs = [
-            _mk_request(2, 1, 5, 0, rates),
-            _mk_request(0, 0, 3, 2, rates, share=0.05),
-            _mk_request(1, 1, 5, 1, rates),
+            _mk_request(2, 1, 5, 0),
+            _mk_request(0, 0, 3, 2, share=0.05),
+            _mk_request(1, 1, 5, 1),
         ]
-        params = ScenarioConfig(gamma=1).solver_params()
+        params = _params(rates, gamma=1)
         base = cph_assign(reqs, cache, 2e8, params).qualities
         assert len(set(base)) > 1  # distinct picks, so a misalignment would show
         for perm in itertools.permutations(range(len(reqs))):
@@ -284,11 +290,10 @@ class TestCphAssign:
             assert res.qualities == tuple(base[i] for i in perm), perm
 
     def test_canonical_order_groups_shareable_requests(self):
-        rates = (1e6, 2e6)
         reqs = [
-            _mk_request(0, 1, 0, 0, rates),
-            _mk_request(1, 0, 0, 0, rates),
-            _mk_request(2, 1, 0, 0, rates),
+            _mk_request(0, 1, 0, 0),
+            _mk_request(1, 0, 0, 0),
+            _mk_request(2, 1, 0, 0),
         ]
         order = canonical_order(reqs)
         keys = [(reqs[i].video_id, reqs[i].chunk_index) for i in order]
@@ -318,11 +323,11 @@ class TestCphAssign:
 
     def test_brute_force_refuses_instances_past_its_limit(self):
         rates = (1e6, 2e6, 4e6, 8e6, 1.6e7)
-        reqs = [_mk_request(c, 0, c, 2, rates) for c in range(9)]
+        reqs = [_mk_request(c, 0, c, 2) for c in range(9)]
         # five tolerated levels each: 5**9 combinations > BRUTE_FORCE_LIMIT
         assert 5 ** 9 > cph.BRUTE_FORCE_LIMIT
         with pytest.raises(ValueError, match="instance too large"):
-            brute_force_assign(reqs, LruChunkCache(), 2e7, ScenarioConfig(gamma=2).solver_params())
+            brute_force_assign(reqs, LruChunkCache(), 2e7, _params(rates, gamma=2))
 
 
 @pytest.mark.parametrize("scheme", ["CPH", "CPH-EQ", "BUFF"])
