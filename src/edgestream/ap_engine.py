@@ -74,7 +74,6 @@ class DlItem:
 class BackhaulJob:
     size_bits: float
     remaining_bits: float
-    media_s: float
     enqueue_time_s: float
     waiters: list[ChunkRequest]  # every request the download serves
 
@@ -150,13 +149,15 @@ class SimulationResult:
 
 
 class ApEngine:
+    """One AP run. `stations` holds one (video id, session start in s, link
+    capacity in bps) per client, and client i is entry i; the ladder, the
+    buffer size and the backhaul rate every client shares come from `params`."""
+
     def __init__(
         self,
         scheme: str,
-        clients: list[DashClient],
-        link_capacities_bps: dict[int, float],
+        stations: list[tuple[int, float, float]],
         cache: LruChunkCache,
-        backhaul_bps: float,
         t_ap_s: float,
         params: SolverParams,
         record_events: bool = False,
@@ -164,30 +165,26 @@ class ApEngine:
     ):
         if scheme not in POLICIES:
             raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-        if t_ap_s <= 0:
+        if not t_ap_s > 0:
             raise ValueError("t_ap_s must be > 0")
         self.policy = POLICIES[scheme]
-        self.clients = sorted(clients, key=lambda c: c.client_id)
-        self.capacity = dict(link_capacities_bps)
+        self.ladder = params.ladder
+        self.clients = [DashClient(i, video_id, self.ladder, params.b_max_s, start_time_s=start_s)
+                        for i, (video_id, start_s, _) in enumerate(stations)]
+        self.capacity = [capacity_bps for _, _, capacity_bps in stations]
         self.cache = cache
-        self.backhaul_bps = backhaul_bps
         self.t_ap_s = t_ap_s
         self.params = params
-        self.ladder = params.ladder
-        for c in self.clients:
-            if c.ladder != self.ladder:  # a level must mean one bitrate for all
-                raise ValueError(f"client {c.client_id} streams a ladder other than params.ladder")
         self.record_events = record_events
-        total_media = max((c.total_media_s for c in self.clients), default=0.0)
+        total_media = self.ladder.chunk_count * self.ladder.chunk_duration_s
         self.max_time_s = max_time_s if max_time_s is not None else total_media * 50 + 60
 
-        self._by_id = {c.client_id: c for c in self.clients}
-        self.dl_queues: dict[int, deque[DlItem]] = {c.client_id: deque() for c in self.clients}
+        self.dl_queues: list[deque[DlItem]] = [deque() for _ in self.clients]
         # backhaul jobs by (video, chunk, quality) in FIFO order; a plain dict's
         # first entry grows slow to reach after many deletions from the front
         self.fifo: OrderedDict[tuple[int, int, int], BackhaulJob] = OrderedDict()
         self.intake: list[ChunkRequest] = []
-        self.result = SimulationResult(scheme, backhaul_bps)
+        self.result = SimulationResult(scheme, params.backhaul_bps)
         self.now = 0.0
 
     # ---- solver-facing snapshots -------------------------------------
@@ -216,7 +213,7 @@ class ApEngine:
         backlog = sum(job.remaining_bits for job in self.fifo.values())
         out = []
         for r in n1:
-            client = self._by_id[r.client_id]
+            client = self.clients[r.client_id]
             bits, media, _ = self._queue_snapshot(client)
             out.append(QualityRequest(
                 client_id=r.client_id,
@@ -228,7 +225,6 @@ class ApEngine:
                 dl_queue_bits=bits,
                 dl_queue_media_s=media,
                 fifo_backlog_bits=backlog,
-                backhaul_rate_bps=self.backhaul_bps,
             ))
         return out
 
@@ -239,10 +235,11 @@ class ApEngine:
         # jobs would multiply-count a pipelining client's single stream, and
         # their pressure already reaches the solver through the queue-drain
         # term of the buffer estimates
+        rate = self.params.backhaul_bps
         if self.fifo:
             head = next(iter(self.fifo.values()))
-            return max(0.0, self.backhaul_bps - head.size_bits / head.media_s)
-        return self.backhaul_bps
+            return max(0.0, rate - head.size_bits / self.ladder.chunk_duration_s)
+        return rate
 
     def _assign(self, n1: list[ChunkRequest]) -> tuple[int, ...]:
         """One delivery quality per request of `n1`, in its order."""
@@ -281,7 +278,6 @@ class ApEngine:
                 existing.waiters.append(req)
                 continue
             self.fifo[key] = BackhaulJob(size_bits=size, remaining_bits=size,
-                                         media_s=self.ladder.chunk_duration_s,
                                          enqueue_time_s=self.now, waiters=[req])
 
     def _allocate(self) -> list[tuple[int, float, deque[DlItem]]]:
@@ -315,7 +311,7 @@ class ApEngine:
                 for load in loads if alloc.shares[load.client_id] > 0]
 
     def _deliver(self, t: float, client_id: int, item: DlItem) -> None:
-        client = self._by_id[client_id]
+        client = self.clients[client_id]
         req = item.req
         res = self.result
         client.on_chunk_delivered(t, req.chunk_index, item.size_bits)
@@ -380,11 +376,12 @@ class ApEngine:
         end = t + self.t_ap_s
         cursor = t
         drained = 0.0
-        while self.fifo and self.backhaul_bps > 0 and cursor < end - _EPS:
+        rate = self.params.backhaul_bps
+        while self.fifo and rate > 0 and cursor < end - _EPS:
             key, head = next(iter(self.fifo.items()))
-            t_done = cursor + head.remaining_bits / self.backhaul_bps
+            t_done = cursor + head.remaining_bits / rate
             if t_done > end + _EPS:  # partial send: the head job outlasts the window
-                sent = (end - cursor) * self.backhaul_bps
+                sent = (end - cursor) * rate
                 head.remaining_bits -= sent
                 drained += sent
                 break
@@ -398,7 +395,7 @@ class ApEngine:
             self._complete_backhaul_job(seg_end, key, head)
             cursor = seg_end
         self._serve_segment(cursor, end, served)
-        if drained > self.backhaul_bps * self.t_ap_s * (1 + 1e-9):
+        if drained > rate * self.t_ap_s * (1 + 1e-9):
             self.result.violations.append(
                 f"t={t}: backhaul drained {drained} bits in one interval")
         self.result.pipe_bits += drained

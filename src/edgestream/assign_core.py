@@ -26,6 +26,7 @@ class SolverParams:
     b_min_s: float
     b_max_s: float
     ladder: QualityLadder  # every requester's, so a level means one bitrate
+    backhaul_bps: float    # the AP's backhaul rate
 
     def __post_init__(self):
         if not self.gamma >= 0:
@@ -34,6 +35,12 @@ class SolverParams:
             raise ValueError("mu_c must be >= 1")
         if not (0 < self.b_min_s < self.b_max_s):
             raise ValueError("need 0 < b_min_s < b_max_s")
+        # a client requests a chunk only once the buffer has room for all of it
+        if not self.ladder.chunk_duration_s <= self.b_max_s:
+            raise ValueError(f"chunk_duration_s {self.ladder.chunk_duration_s!r} exceeds "
+                             f"b_max_s {self.b_max_s!r}: no second chunk would fit the buffer")
+        if not self.backhaul_bps >= 0:
+            raise ValueError("backhaul_bps must be >= 0")
 
 
 class QualityRequest(NamedTuple):
@@ -51,7 +58,6 @@ class QualityRequest(NamedTuple):
     dl_queue_bits: float          # bits already queued for this client
     dl_queue_media_s: float       # playable seconds of whole queued chunks
     fifo_backlog_bits: float      # bits ahead in the shared download FIFO
-    backhaul_rate_bps: float
 
 
 class CandidateQuality(NamedTuple):
@@ -111,8 +117,9 @@ def build_candidates(
     request, in ascending level order; a chunk's size is its nominal
     bitrate * duration."""
     (_, video, chunk, requested, buffer_s, effective_rate,
-     queue_bits, queue_media_s, backlog_bits, backhaul_rate) = request
+     queue_bits, queue_media_s, backlog_bits) = request
     bitrates, tau = params.ladder.bitrates_bps, params.ladder.chunk_duration_s
+    backhaul_rate = params.backhaul_bps
     gamma, mu_c, b_min_s, b_max_s = params.gamma, params.mu_c, params.b_min_s, params.b_max_s
     out: list[CandidateQuality] = []
     for m in tolerated_set(requested, gamma, len(bitrates)):

@@ -22,7 +22,7 @@ from .cph import AssignmentResult
 def buff_assign(
     requests: Sequence[QualityRequest],
     cache: LruChunkCache,
-    backhaul_bps: float,
+    capacity_bps: float,
     params: SolverParams,
 ) -> AssignmentResult:
     # pool entry = (rank, request index, chunk key, candidate, weighted utility)
@@ -39,7 +39,7 @@ def buff_assign(
     # stable: a client asking twice for one chunk ties on rank, lower index first
     pool.sort(key=lambda e: e[0])
 
-    remaining = backhaul_bps
+    remaining = capacity_bps
     chosen: dict[int, int] = {}  # request index -> quality
     paid: set = set()  # chunks being fetched once; identical picks ride along free
     total_utility = 0.0

@@ -26,7 +26,6 @@ from .ap_engine import SCHEMES, ApEngine
 from .assign_core import QualityRequest, SolverParams, tolerated_set
 from .cache import LruChunkCache
 from .catalog import QualityLadder, make_synthetic_catalog, zipf_pmf
-from .client import DashClient
 from .cph import brute_force_assign, cph_assign
 from .radio import link_capacity_bps, place_clients
 
@@ -110,19 +109,16 @@ class ScenarioConfig:
                 f"cache_capacity_bits {self.cache_capacity_bits!r} is smaller than the largest "
                 f"chunk, max_bitrate_bps * chunk_duration_s = {largest_chunk_bits!r} "
                 "(inf for unbounded)")
-        # a client requests a chunk only once the buffer has room for all of it
-        if not self.chunk_duration_s <= self.b_max_s:
-            raise ConfigError(f"chunk_duration_s {self.chunk_duration_s!r} exceeds b_max_s "
-                              f"{self.b_max_s!r}: no second chunk would fit the buffer")
 
     def solver_params(self) -> SolverParams:
-        """The solver's parameters, with the one ladder every video of the run uses."""
+        """The run's constants, with the one ladder every video of the run uses."""
         ladder = make_synthetic_catalog(
             levels=self.levels, min_bps=self.min_bitrate_bps, max_bps=self.max_bitrate_bps,
             chunk_duration_s=self.chunk_duration_s, chunk_count=self.chunk_count,
         )
         return SolverParams(gamma=self.gamma, mu_c=self.mu_c,
-                            b_min_s=self.b_min_s, b_max_s=self.b_max_s, ladder=ladder)
+                            b_min_s=self.b_min_s, b_max_s=self.b_max_s, ladder=ladder,
+                            backhaul_bps=self.backhaul_mbps * 1e6)
 
 
 _FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
@@ -186,18 +182,12 @@ def run_replication(cfg: ScenarioConfig, scheme: str, rep: int,
     offsets = [float(rng.uniform(0.0, cfg.start_offset_max_s))
                for _ in range(cfg.n_clients)]
 
-    params = cfg.solver_params()
-    clients = [
-        DashClient(i, videos[i], params.ladder, cfg.b_max_s, start_time_s=offsets[i])
-        for i in range(cfg.n_clients)
-    ]
-    capacities = {i: link_capacity_bps(distances[i]) for i in range(cfg.n_clients)}
+    stations = [(videos[i], offsets[i], link_capacity_bps(distances[i]))
+                for i in range(cfg.n_clients)]
     engine = ApEngine(
-        scheme=scheme, clients=clients,
-        link_capacities_bps=capacities,
+        scheme=scheme, stations=stations,
         cache=LruChunkCache(cfg.cache_capacity_bits),
-        backhaul_bps=cfg.backhaul_mbps * 1e6,
-        t_ap_s=cfg.t_ap_s, params=params,
+        t_ap_s=cfg.t_ap_s, params=cfg.solver_params(),
         record_events=record_events, max_time_s=cfg.max_time_s,
     )
     return engine.run()
@@ -282,15 +272,14 @@ def mean_ci(values: list[float]) -> tuple[float, float]:
 
 def summarize(rows: list[dict]) -> dict:
     """Per (param, param_value, scheme): mean and CI of every metric."""
-    groups: dict[tuple, list[dict]] = {}
-    for row in rows:
+    groups: dict[tuple, list[dict]] = {}  # filled in sort_rows order
+    for row in sort_rows(rows):
         groups.setdefault((row["param"], row["param_value"], row["scheme"]), []).append(row)
     out = {}
-    for key in sorted(groups, key=lambda k: (k[0], _value_sort_key(k[1]), k[2])):
-        param, param_value, scheme = key
+    for (param, param_value, scheme), block_rows in groups.items():
         block = {}
         for metric in METRIC_NAMES:
-            vals = [r[metric] for r in groups[key] if not math.isnan(r[metric])]
+            vals = [r[metric] for r in block_rows if not math.isnan(r[metric])]
             mean, half = mean_ci(vals)
             block[metric] = {"mean": mean, "ci95": half, "n": len(vals)}
         out.setdefault(param, {}).setdefault(param_value, {})[scheme] = block
@@ -361,7 +350,7 @@ def gen_random_instance(rng: np.random.Generator):
     are bursts of 6-8 clients on one chunk, with gamma capped so the
     exhaustive space (product of tolerance windows) stays within 10^5.
     The 1-2 videos share one ladder of 2-5 levels, drawn right after the
-    video count."""
+    video count, and every request sees one backhaul rate, as in a run."""
     n_videos = int(rng.integers(1, 3))
     levels = int(rng.integers(2, 6))
     drawn = np.sort(rng.uniform(1e5, 5e6, size=levels))
@@ -370,6 +359,7 @@ def gen_random_instance(rng: np.random.Generator):
     ladder = QualityLadder(rates, tau, chunk_count=3)
     gamma = int(rng.integers(0, 3))
     mu_c = float(rng.uniform(1.0, 2.0))
+    backhaul_rate_bps = float(rng.uniform(1e6, 4e7))
     burst = bool(rng.random() < 0.15)
     n_clients = int(rng.integers(6, 9) if burst else rng.integers(1, 5))
     shared_everything = burst or bool(rng.random() < 0.4)
@@ -394,23 +384,23 @@ def gen_random_instance(rng: np.random.Generator):
                 dl_queue_bits=dlq_bits,
                 dl_queue_media_s=dlq_media,
                 fifo_backlog_bits=float(rng.choice([0.0, rng.uniform(0.0, 2e7)])),
-                backhaul_rate_bps=float(rng.uniform(1e6, 4e7)),
             ))
     while gamma > 0 and math.prod(
             len(tolerated_set(r.requested_quality, gamma, levels))
             for r in requests) > 10**5:
         gamma -= 1
-    params = SolverParams(gamma=gamma, mu_c=mu_c, b_min_s=4.0, b_max_s=15.0, ladder=ladder)
+    params = SolverParams(gamma=gamma, mu_c=mu_c, b_min_s=4.0, b_max_s=15.0, ladder=ladder,
+                          backhaul_bps=backhaul_rate_bps)
     cache = LruChunkCache()
     for req in requests:
         for m in range(levels):
             if rng.random() < 0.25:
                 cache.insert(req.video_id, req.chunk_index, m, ladder.nominal_size_bits(m))
     if rng.random() < 0.3:
-        backhaul = float(rng.uniform(0.0, 3e5 * n_clients))
+        capacity_bps = float(rng.uniform(0.0, 3e5 * n_clients))
     else:
-        backhaul = float(rng.uniform(1e6, 4e7))
-    return requests, cache, backhaul, params
+        capacity_bps = float(rng.uniform(1e6, 4e7))
+    return requests, cache, capacity_bps, params
 
 
 def oracle_check(instances: int, seed: int) -> tuple[int, list[int]]:

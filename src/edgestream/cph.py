@@ -164,13 +164,14 @@ def _result(
 def cph_assign(
     requests: Sequence[QualityRequest],
     cache: LruChunkCache,
-    backhaul_bps: float,
+    capacity_bps: float,
     params: SolverParams,
 ) -> AssignmentResult:
     """Assign a quality to every request, falling back to the requested
-    qualities (flagged) when no configuration fits the backhaul budget."""
+    qualities (flagged) when no configuration fits `capacity_bps`, the
+    backhaul rate left for new downloads."""
     order, groups = _request_groups(requests, cache, params)
-    return _result(requests, order, solve_groups(groups, backhaul_bps))
+    return _result(requests, order, solve_groups(groups, capacity_bps))
 
 
 def brute_force_groups(groups: Sequence[SolveGroup], capacity_bps: float) -> Best | None:
@@ -206,10 +207,10 @@ def brute_force_groups(groups: Sequence[SolveGroup], capacity_bps: float) -> Bes
 def brute_force_assign(
     requests: Sequence[QualityRequest],
     cache: LruChunkCache,
-    backhaul_bps: float,
+    capacity_bps: float,
     params: SolverParams,
 ) -> AssignmentResult:
     """Exhaustive oracle over all tolerated combinations; same fold and
     tie-breaking as cph_assign so optima compare bitwise."""
     order, groups = _request_groups(requests, cache, params)
-    return _result(requests, order, brute_force_groups(groups, backhaul_bps))
+    return _result(requests, order, brute_force_groups(groups, capacity_bps))

@@ -8,29 +8,25 @@ import pytest
 from edgestream.ap_engine import SCHEMES, ApEngine
 from edgestream.cache import LruChunkCache
 from edgestream.catalog import make_synthetic_catalog
-from edgestream.client import DashClient
 from edgestream.cli_metrics import ScenarioConfig, run_replication
 
 
-def _params(ladder, **kw):
-    """ScenarioConfig(**kw)'s solver parameters on `ladder`."""
-    return dataclasses.replace(ScenarioConfig(**kw).solver_params(), ladder=ladder)
+def _params(ladder, backhaul_bps=1e7, **kw):
+    """ScenarioConfig(**kw)'s solver parameters on `ladder` and `backhaul_bps`."""
+    return dataclasses.replace(ScenarioConfig(**kw).solver_params(), ladder=ladder,
+                               backhaul_bps=backhaul_bps)
 
 
 def _tiny_engine(scheme, *, cache=None, n_clients=3, backhaul_bps=8e6,
                  gamma=2, chunk_count=12, max_time_s=None):
     ladder = make_synthetic_catalog(
         levels=3, min_bps=2e5, max_bps=2e6, chunk_duration_s=2.0, chunk_count=chunk_count)
-    clients = [DashClient(i, i % 2, ladder, b_max_s=15.0)
-               for i in range(n_clients)]
     return ApEngine(
         scheme=scheme,
-        clients=clients,
-        link_capacities_bps={i: 2e7 for i in range(n_clients)},
+        stations=[(i % 2, 0.0, 2e7) for i in range(n_clients)],
         cache=cache if cache is not None else LruChunkCache(),
-        backhaul_bps=backhaul_bps,
         t_ap_s=0.5,
-        params=_params(ladder, gamma=gamma),
+        params=_params(ladder, backhaul_bps, gamma=gamma),
         record_events=True,
         max_time_s=max_time_s,
     )
@@ -148,19 +144,19 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         _tiny_engine("NOT-A-SCHEME")
     ladder = make_synthetic_catalog(2, 2e5, 2e6, 2.0, 4)
-    with pytest.raises(ValueError):
-        ApEngine("CPH", [DashClient(0, 0, ladder, 15.0)],
-                 {0: 1e7}, LruChunkCache(), 1e7, 0.0, _params(ladder))
+    for t_ap_s in (0.0, float("nan")):  # a NaN step would end the run at t = nan
+        with pytest.raises(ValueError, match="t_ap_s must be > 0"):
+            ApEngine("CPH", [(0, 0.0, 1e7)], LruChunkCache(), t_ap_s, _params(ladder))
 
 
-def test_client_on_another_ladder_rejected():
-    # a level must mean one bitrate for every client, or one download would
-    # serve two different chunks
-    params = ScenarioConfig().solver_params()
-    other = make_synthetic_catalog(2, 2e5, 2e6, 2.0, 4)
-    clients = [DashClient(0, 0, params.ladder, 15.0), DashClient(1, 0, other, 15.0)]
-    with pytest.raises(ValueError, match="client 1 streams a ladder other than params.ladder"):
-        ApEngine("CPH", clients, {0: 1e7, 1: 1e7}, LruChunkCache(), 1e7, 0.5, params)
+def test_clients_are_built_from_stations_and_params():
+    ladder = make_synthetic_catalog(2, 2e5, 2e6, 2.0, 4)
+    params = _params(ladder, b_max_s=8.0)
+    engine = ApEngine("CLIENT", [(1, 0.0, 2e7), (0, 3.5, 1e7)], LruChunkCache(), 0.5, params)
+    assert [(c.client_id, c.video_id, c.start_time_s) for c in engine.clients] == \
+        [(0, 1, 0.0), (1, 0, 3.5)]
+    assert all(c.ladder is params.ladder and c.b_max_s == 8.0 for c in engine.clients)
+    assert engine.capacity == [2e7, 1e7]
 
 
 def test_zero_backhaul_with_cold_cache_delivers_nothing():
@@ -193,10 +189,8 @@ def test_late_requester_rides_the_queued_backhaul_job():
     # queues at t=0 is still waiting when client 1 asks for the same chunk at
     # t=0.5; both burst the whole 8 s video to fill their 8 s buffers
     ladder = make_synthetic_catalog(2, 2e5, 2e6, 2.0, 4)
-    clients = [DashClient(0, 0, ladder, 8.0),
-               DashClient(1, 0, ladder, 8.0, start_time_s=0.5)]
-    engine = ApEngine("CLIENT", clients, {0: 2e7, 1: 2e7}, LruChunkCache(),
-                      1e5, 0.5, _params(ladder), record_events=True)
+    engine = ApEngine("CLIENT", [(0, 0.0, 2e7), (0, 0.5, 2e7)], LruChunkCache(), 0.5,
+                      _params(ladder, 1e5, b_max_s=8.0), record_events=True)
     engine.step_rai()
     engine.step_rai()
     assert [(key, [w.client_id for w in j.waiters]) for key, j in engine.fifo.items()] == \
@@ -214,9 +208,8 @@ def test_same_interval_requesters_share_one_backhaul_job():
     # both clients ask for every chunk in the first interval, so the second
     # request for a chunk finds the job the first one queued moments before
     ladder = make_synthetic_catalog(2, 2e5, 2e6, 2.0, 4)
-    clients = [DashClient(0, 0, ladder, 8.0), DashClient(1, 0, ladder, 8.0)]
-    engine = ApEngine("CLIENT", clients, {0: 2e7, 1: 2e7}, LruChunkCache(),
-                      1e5, 0.5, _params(ladder))
+    engine = ApEngine("CLIENT", [(0, 0.0, 2e7), (0, 0.0, 2e7)], LruChunkCache(), 0.5,
+                      _params(ladder, 1e5, b_max_s=8.0))
     engine.step_rai()
     assert engine.fifo
     assert all([w.client_id for w in j.waiters] == [0, 1] for j in engine.fifo.values())

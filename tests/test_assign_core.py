@@ -86,7 +86,8 @@ class TestSolverParams:
         # the defaults are ScenarioConfig's; SolverParams states none of its own
         p = ScenarioConfig().solver_params()
         assert p == SolverParams(gamma=2, mu_c=1.3, b_min_s=4.0, b_max_s=15.0,
-                                 ladder=make_synthetic_catalog(19, 100e3, 15e6, 2.0, 300))
+                                 ladder=make_synthetic_catalog(19, 100e3, 15e6, 2.0, 300),
+                                 backhaul_bps=2e7)
         with pytest.raises(TypeError):
             SolverParams()
 
@@ -95,6 +96,9 @@ class TestSolverParams:
         dict(mu_c=0.9),
         dict(b_min_s=15.0, b_max_s=4.0),
         dict(b_min_s=0.0),
+        dict(b_min_s=0.5, b_max_s=1.0),  # a 2 s chunk never fits a 1 s buffer
+        dict(backhaul_bps=-1.0),
+        dict(backhaul_bps=math.nan),
     ])
     def test_invalid_params(self, kw):
         with pytest.raises(ValueError):
@@ -112,16 +116,16 @@ def _request(**kw) -> QualityRequest:
         dl_queue_bits=0.0,
         dl_queue_media_s=0.0,
         fifo_backlog_bits=2e6,
-        backhaul_rate_bps=2e6,
     )
     base.update(kw)
     return QualityRequest(**base)
 
 
 class TestBuildCandidates:
-    def _params(self, **kw) -> SolverParams:
+    def _params(self, backhaul_bps=2e6, **kw) -> SolverParams:
         return dataclasses.replace(ScenarioConfig(gamma=1).solver_params(),
-                                   ladder=QualityLadder((1e6, 2e6, 4e6), 2.0, 1), **kw)
+                                   ladder=QualityLadder((1e6, 2e6, 4e6), 2.0, 1),
+                                   backhaul_bps=backhaul_bps, **kw)
 
     def test_window_and_per_level_scoring(self):
         cache = LruChunkCache()
@@ -162,8 +166,8 @@ class TestBuildCandidates:
         assert cands[0].estimated_buffer_s == pytest.approx(8.0 - 3.0 - 0.5)
 
     def test_zero_backhaul_rate_sinks_uncached_levels(self):
-        cands = build_candidates(_request(backhaul_rate_bps=0.0),
-                                 LruChunkCache(), self._params(gamma=0))
+        cands = build_candidates(_request(), LruChunkCache(),
+                                 self._params(backhaul_bps=0.0, gamma=0))
         assert cands[0].estimated_buffer_s == -math.inf
         assert cands[0].utility == -math.inf
 

@@ -14,16 +14,17 @@ from edgestream.cli_metrics import ScenarioConfig, gen_random_instance
 from reference_buff import buff_assign as reference_buff_assign
 
 
-def _req(cid=0, video=0, chunk=0, m=1, buffer_s=8.0, backhaul=2e7) -> QualityRequest:
+def _req(cid=0, video=0, chunk=0, m=1, buffer_s=8.0) -> QualityRequest:
     return QualityRequest(
         client_id=cid, video_id=video, chunk_index=chunk, requested_quality=m,
         buffer_s=buffer_s, effective_rate_bps=1e7, dl_queue_bits=0.0,
-        dl_queue_media_s=0.0, fifo_backlog_bits=0.0, backhaul_rate_bps=backhaul,
+        dl_queue_media_s=0.0, fifo_backlog_bits=0.0,
     )
 
 
 def _params(**kw) -> SolverParams:
-    """ScenarioConfig(**kw)'s parameters on a three-level ladder of 2 s chunks."""
+    """ScenarioConfig(**kw)'s parameters (backhaul rate included) on a
+    three-level ladder of 2 s chunks."""
     return dataclasses.replace(ScenarioConfig(**kw).solver_params(),
                                ladder=QualityLadder((1e6, 2e6, 4e6), 2.0, 1))
 
@@ -59,8 +60,8 @@ def test_cache_weight_tilts_the_greedy_order():
 
 def test_unsafe_levels_filtered_except_the_floor():
     # thin buffer: every level projects negative, only the window floor stays
-    res = buff_assign([_req(buffer_s=0.05, backhaul=1e6)], LruChunkCache(),
-                      2e7, _params(gamma=1))
+    res = buff_assign([_req(buffer_s=0.05)], LruChunkCache(),
+                      2e7, _params(gamma=1, backhaul_mbps=1.0))
     assert res.qualities == (0,)
     assert not res.no_valid_config
 

@@ -10,8 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgestream import cph
-from edgestream.assign_core import CandidateQuality, QualityRequest, SolverParams
+from edgestream import ap_engine, cph
+from edgestream.assign_core import (
+    CandidateQuality,
+    QualityRequest,
+    SolverParams,
+    tolerated_set,
+)
 from edgestream.cache import LruChunkCache
 from edgestream.catalog import QualityLadder
 from edgestream.cli_metrics import ScenarioConfig, gen_random_instance, run_replication
@@ -228,12 +233,13 @@ def _mk_request(cid, video, chunk, m, share=0.5) -> QualityRequest:
     return QualityRequest(
         client_id=cid, video_id=video, chunk_index=chunk, requested_quality=m,
         buffer_s=8.0, effective_rate_bps=2e7 * share, dl_queue_bits=0.0,
-        dl_queue_media_s=0.0, fifo_backlog_bits=0.0, backhaul_rate_bps=2e7,
+        dl_queue_media_s=0.0, fifo_backlog_bits=0.0,
     )
 
 
 def _params(rates, **kw) -> SolverParams:
-    """ScenarioConfig(**kw)'s parameters on a ladder of `rates` and 2 s chunks."""
+    """ScenarioConfig(**kw)'s parameters (a 20 Mbps backhaul by default) on a
+    ladder of `rates` and 2 s chunks."""
     return dataclasses.replace(ScenarioConfig(**kw).solver_params(),
                                ladder=QualityLadder(rates, 2.0, 1))
 
@@ -363,3 +369,40 @@ def test_synchronized_burst_replication_stays_clean(scheme, monkeypatch):
     assert result.violations == []
     assert result.solver_calls > 0
     assert result.solver_fallbacks == 0
+
+
+def test_engine_solver_calls_match_exhaustive_search(monkeypatch):
+    # oracle-check draws its own instances; this checks the ones the engine
+    # builds: warm clusters, real backlogs, startup bursts and fallbacks.
+    # Calls whose tolerance product exceeds 2e4 (synchronized startup
+    # bursts) are left to the unit tests above.
+    counts = {"checked": 0, "fallbacks": 0, "skipped": 0}
+    mismatches = []
+
+    def checked_assign(requests, cache, capacity_bps, params):
+        res = cph_assign(requests, cache, capacity_bps, params)
+        levels = len(params.ladder.bitrates_bps)
+        space = math.prod(len(tolerated_set(r.requested_quality, params.gamma, levels))
+                          for r in requests)
+        if space > 2 * 10**4:
+            counts["skipped"] += 1
+            return res
+        counts["checked"] += 1
+        counts["fallbacks"] += res.no_valid_config
+        if res != brute_force_assign(requests, cache, capacity_bps, params):
+            mismatches.append((len(requests), capacity_bps))
+        return res
+
+    monkeypatch.setattr(ap_engine, "cph_assign", checked_assign)
+    base = dataclasses.replace(ScenarioConfig(), chunk_count=20, reps=2)
+    for point in (dict(n_clients=4, n_videos=1),
+                  dict(n_clients=6, n_videos=2, gamma=1),
+                  dict(n_clients=5, n_videos=1, backhaul_mbps=5.0,
+                       cache_capacity_bits=64e6)):
+        cfg = dataclasses.replace(base, **point)
+        for scheme in ("CPH", "CPH-EQ"):
+            for rep in range(cfg.reps):
+                assert run_replication(cfg, scheme, rep).violations == []
+    assert mismatches == []
+    assert counts["checked"] >= 400, counts
+    assert counts["fallbacks"] >= 1, counts
