@@ -15,12 +15,17 @@ decided here, once, when the request is routed. The client's own
 ChunkRequest travels with it from issue to delivery: a downlink item holds
 it, and a backhaul job holds one per request it serves.
 
-Which clients each phase visits: advance and request issue visit every
-client once; candidate building and the solver see only the interval's new
-requests, and a passthrough scheme runs neither; airtime allocation sees only
-the clients whose downlink queue holds data; and the drain visits only the
-clients granted a share, once per backhaul sub-segment. The backhaul FIFO is
-one ordered map keyed by chunk, so a rider finds its job with one probe.
+Which clients each phase visits, and what it reads: advance and request
+issue visit every client once, and a client that issues reads its rate
+samples once per call for one quality pick; candidate building and the
+solver see only the interval's new requests, each with its client's buffer
+and queue (bits and whole-chunk media), and a passthrough scheme runs
+neither; airtime allocation sees only the clients whose downlink queue holds
+data, and reads their queue bits and link capacity, plus, for the
+stall-aware allocator only, the mean queued bitrate, buffer and playout
+state; and the drain visits only the clients granted a share, once per
+backhaul sub-segment. The backhaul FIFO is one ordered map keyed by chunk,
+so a rider finds its job with one probe.
 
 The engine is deterministic by construction: no randomness, no iteration
 over unordered containers where order can leak into results.
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .assign_core import QualityRequest, SolverParams
@@ -37,6 +43,7 @@ from .buffer_airtime import ClientLoad, allocate_airtime, equal_airtime
 from .cache import LruChunkCache
 from .client import ChunkRequest, DashClient
 from .cph import cph_assign  # noqa: F401  (called by name through POLICIES)
+from .fold import left_sum
 
 
 class Policy(NamedTuple):
@@ -57,6 +64,8 @@ POLICIES = {
 SCHEMES = tuple(POLICIES)
 
 _EPS = 1e-9
+# ChunkRequest's (issue_time_s, client_id, chunk_index)
+_ISSUE_ORDER = itemgetter(4, 0, 2)
 
 
 @dataclass(slots=True)
@@ -127,13 +136,13 @@ class SimulationResult:
     def stall_ratio(self) -> float:
         if not self.stall_ratios:
             return 0.0
-        return sum(self.stall_ratios) / len(self.stall_ratios)
+        return left_sum(self.stall_ratios) / len(self.stall_ratios)
 
     @property
     def initial_latency_s(self) -> float:
         if not self.startup_latencies_s:
             return float("nan")
-        return sum(self.startup_latencies_s) / len(self.startup_latencies_s)
+        return left_sum(self.startup_latencies_s) / len(self.startup_latencies_s)
 
     @property
     def backhaul_utilization(self) -> float:
@@ -189,9 +198,9 @@ class ApEngine:
 
     # ---- solver-facing snapshots -------------------------------------
 
-    def _queue_snapshot(self, client: DashClient) -> tuple[float, float, float]:
+    def _queue_snapshot(self, client_id: int) -> tuple[float, float, float]:
         """(remaining bits, whole-chunk media seconds, mean queued bitrate)."""
-        q = self.dl_queues[client.client_id]
+        q = self.dl_queues[client_id]
         chunk_s = self.ladder.chunk_duration_s
         bits = 0.0
         media = 0.0
@@ -210,22 +219,16 @@ class ApEngine:
     def _build_requests(self, n1: list[ChunkRequest]) -> list[QualityRequest]:
         # selection assumes equal airtime; the realized allocation may differ
         share = 1.0 / len(self.clients)
-        backlog = sum(job.remaining_bits for job in self.fifo.values())
+        backlog = left_sum(job.remaining_bits for job in self.fifo.values())
         out = []
         for r in n1:
-            client = self.clients[r.client_id]
-            bits, media, _ = self._queue_snapshot(client)
+            cid = r.client_id
+            bits, media, _ = self._queue_snapshot(cid)
+            # positional, in field order: (client, video, chunk, requested
+            # quality, buffer, effective rate, queue bits, queue media, backlog)
             out.append(QualityRequest(
-                client_id=r.client_id,
-                video_id=r.video_id,
-                chunk_index=r.chunk_index,
-                requested_quality=r.quality_index,
-                buffer_s=client.buffer_s,
-                effective_rate_bps=self.capacity[r.client_id] * share,
-                dl_queue_bits=bits,
-                dl_queue_media_s=media,
-                fifo_backlog_bits=backlog,
-            ))
+                cid, r.video_id, r.chunk_index, r.quality_index, self.clients[cid].buffer_s,
+                self.capacity[cid] * share, bits, media, backlog))
         return out
 
     # ---- scheme dispatch ---------------------------------------------
@@ -269,9 +272,7 @@ class ApEngine:
             if self.policy.reads_cache and self.cache.contains(*key):
                 self.cache.touch(*key)
                 self.dl_queues[req.client_id].append(DlItem(
-                    req=req, quality_index=m, size_bits=size, remaining_bits=size,
-                    from_cache=True, enqueue_time_s=self.now, backhaul_delay_s=0.0,
-                ))
+                    req, m, size, size, True, self.now, 0.0))
                 continue
             existing = self.fifo.get(key)
             if existing is not None:
@@ -284,22 +285,31 @@ class ApEngine:
         """(client id, drain rate, queue) of every client granted airtime for
         the interval, in client order. An empty queue gets a share of exactly
         0 from either allocator and never counts as risky, so it is left out
-        of the loads; the other shares come out bitwise the same."""
+        of the loads; the other shares come out bitwise the same.
+
+        equal_airtime reads only a load's id, queue bits and link capacity,
+        so under it the loads carry zeros in the other fields and the queue
+        is summed without the media and mean-rate pass."""
+        stall_aware = self.policy.stall_aware
+        chunk_s = self.ladder.chunk_duration_s
+        capacity = self.capacity
         loads = []
-        for c in self.clients:
-            if not self.dl_queues[c.client_id]:
+        for cid, q in enumerate(self.dl_queues):
+            if not q:
                 continue
-            bits, media, avg_rate = self._queue_snapshot(c)
-            loads.append(ClientLoad(
-                client_id=c.client_id,
-                dl_queue_bits=bits,
-                buffer_s=c.buffer_s,
-                avg_queued_bitrate_bps=avg_rate,
-                link_capacity_bps=self.capacity[c.client_id],
-                buffered_chunks=c.buffer_s / self.ladder.chunk_duration_s,
-                playing=c.playout_started,
-            ))
-        if self.policy.stall_aware:
+            # positional, in field order: (client, queue bits, buffer, mean
+            # queued bitrate, link capacity, buffered chunks, playing)
+            if stall_aware:
+                c = self.clients[cid]
+                bits, _, avg_rate = self._queue_snapshot(cid)
+                loads.append(ClientLoad(cid, bits, c.buffer_s, avg_rate, capacity[cid],
+                                        c.buffer_s / chunk_s, c.playout_started))
+            else:
+                bits = 0.0
+                for item in q:
+                    bits += item.remaining_bits
+                loads.append(ClientLoad(cid, bits, 0.0, 0.0, capacity[cid], 0.0, False))
+        if stall_aware:
             alloc = allocate_airtime(loads, self.params.b_min_s, self.t_ap_s)
         else:
             alloc = equal_airtime(loads, self.t_ap_s)
@@ -338,19 +348,23 @@ class ApEngine:
         if t1 <= t0:
             return
         completions: list[tuple[float, int, DlItem]] = []
+        open_until = t1 - _EPS
+        done_by = t1 + _EPS
         for cid, rate, q in served:
             cursor = t0
-            while q and cursor < t1 - _EPS:
+            while q and cursor < open_until:
                 head = q[0]
                 finish = cursor + head.remaining_bits / rate
-                if finish <= t1 + _EPS:
-                    completions.append((min(finish, t1), cid, head))
+                if finish <= done_by:
+                    # a finish up to _EPS late is clamped to the segment's end
+                    completions.append((t1 if t1 < finish else finish, cid, head))
                     q.popleft()
                     cursor = finish
                 else:
                     head.remaining_bits -= rate * (t1 - cursor)
                     cursor = t1
-        completions.sort(key=lambda e: (e[0], e[1]))
+        # (time, client) is unique within a segment, so no DlItem is compared
+        completions.sort()
         for (t, cid, item) in completions:
             self._deliver(t, cid, item)
 
@@ -358,18 +372,17 @@ class ApEngine:
         self.cache.insert(*key, job.size_bits)
         for req in job.waiters:
             self.dl_queues[req.client_id].append(DlItem(
-                req=req, quality_index=key[2], size_bits=job.size_bits,
-                remaining_bits=job.size_bits, from_cache=False,
-                enqueue_time_s=t, backhaul_delay_s=t - job.enqueue_time_s,
-            ))
+                req, key[2], job.size_bits, job.size_bits, False, t, t - job.enqueue_time_s))
 
     def step_rai(self) -> None:
         t = self.now
         for c in self.clients:
-            self.intake.extend(c.maybe_issue_requests(t))  # advances c to t first
-        n1 = sorted(self.intake, key=lambda r: (r.issue_time_s, r.client_id, r.chunk_index))
-        self.intake = []
-        if n1:
+            issued = c.maybe_issue_requests(t)  # advances c to t first
+            if issued:
+                self.intake.extend(issued)
+        if self.intake:
+            n1 = sorted(self.intake, key=_ISSUE_ORDER)
+            self.intake = []
             self._enqueue(n1, self._assign(n1))
         served = self._allocate()
 

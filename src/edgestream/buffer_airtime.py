@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .fold import left_sum
+
 SUFFICIENT_CHUNKS = 2.0  # buffered chunks at which a playing client steps aside
 
 
@@ -56,7 +58,7 @@ class AirtimeAllocation:
     risky: frozenset[int]
 
     def total(self) -> float:
-        return sum(self.shares.values())
+        return left_sum(self.shares.values())
 
 
 def allocate_airtime(
@@ -85,7 +87,7 @@ def allocate_airtime(
 
     # required holds the clients in id order, so each sum below runs in it
     risky = frozenset(cid for cid, th in required.items() if th > 0)
-    total_risky = sum(th for th in required.values() if th > 0)
+    total_risky = left_sum(th for th in required.values() if th > 0)
     scale = 1.0 / total_risky if total_risky > 1.0 else 1.0
     for cid in risky:
         shares[cid] = required[cid] * scale
@@ -99,7 +101,7 @@ def allocate_airtime(
     for cid in excluded:
         shares[cid] = 0.0
 
-    residual = 1.0 - sum(shares.values())
+    residual = 1.0 - left_sum(shares.values())
     if residual > 0:
         waiting = [c for c in ordered if c.client_id not in risky and c.dl_queue_bits > 0]
         hungry = [c for c in waiting if c.client_id not in excluded]

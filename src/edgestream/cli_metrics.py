@@ -27,6 +27,7 @@ from .assign_core import QualityRequest, SolverParams, tolerated_set
 from .cache import LruChunkCache
 from .catalog import QualityLadder, make_synthetic_catalog, zipf_pmf
 from .cph import brute_force_assign, cph_assign
+from .fold import left_sum
 from .radio import link_capacity_bps, place_clients
 
 METRIC_NAMES = (
@@ -261,10 +262,10 @@ def mean_ci(values: list[float]) -> tuple[float, float]:
     n = len(values)
     if n == 0:
         return float("nan"), float("nan")
-    mean = sum(values) / n
+    mean = left_sum(values) / n
     if n == 1:
         return mean, float("nan")
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    var = left_sum((v - mean) ** 2 for v in values) / (n - 1)
     from scipy import stats  # deferred: it dominates the cost of importing edgestream
     half = stats.t.ppf(0.975, n - 1) * math.sqrt(var / n)
     return mean, half

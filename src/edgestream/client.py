@@ -11,10 +11,12 @@ startup latency and session time are measured from that start.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import NamedTuple
 
 from .catalog import QualityLadder
+from .fold import left_sum
 
 _EPS = 1e-9
 MAX_IN_FLIGHT = 3  # outstanding requests allowed once playout has started
@@ -30,22 +32,21 @@ class ChunkRequest(NamedTuple):
 
 
 def harmonic_mean_rate(samples) -> float | None:
-    """n over the sum of reciprocals; None signals a cold start."""
-    xs = list(samples)
-    if not xs:
+    """n over the sum of reciprocals; None signals a cold start. `samples`
+    is a sized collection (the client's deque), read in place."""
+    if not samples:
         return None
-    return len(xs) / sum(1.0 / x for x in xs)
+    return len(samples) / left_sum(1.0 / x for x in samples)
 
 
 def select_quality(estimate_bps: float | None, bitrates_bps) -> int:
-    """Highest level strictly below the estimate; floor on cold start."""
+    """Highest level strictly below the estimate; floor on cold start.
+    `bitrates_bps` is strictly ascending (QualityLadder checks it), so the
+    levels below the estimate are a prefix of it."""
     if estimate_bps is None:
         return 0
-    pick = 0
-    for m, rate in enumerate(bitrates_bps):
-        if rate < estimate_bps:
-            pick = m
-    return pick
+    below = bisect_left(bitrates_bps, estimate_bps)
+    return below - 1 if below else 0
 
 
 class DashClient:
@@ -87,7 +88,13 @@ class DashClient:
         self.last_time_s = t
         if not self.playout_started or self.finished:
             return
-        playable = min(self.buffer_s, dt, self.total_media_s - self.played_s)
+        # min(buffer, dt, media left), with min()'s tie and order rules
+        playable = self.buffer_s
+        if dt < playable:
+            playable = dt
+        left = self.total_media_s - self.played_s
+        if left < playable:
+            playable = left
         self.buffer_s -= playable
         self.played_s += playable
         if self.played_s >= self.total_media_s - _EPS:
@@ -117,6 +124,7 @@ class DashClient:
         if t < self.start_time_s - _EPS:
             return issued
         tau = self.ladder.chunk_duration_s
+        quality = -1  # picked at the first request; no rate sample arrives within the call
         while self.next_chunk < self.ladder.chunk_count and not self.finished:
             n_out = len(self.in_flight)
             if self.playout_started:
@@ -127,7 +135,8 @@ class DashClient:
             else:
                 if self.buffer_s + tau * n_out >= self.b_max_s - _EPS:
                     break
-            quality = select_quality(harmonic_mean_rate(self.rates), self.ladder.bitrates_bps)
+            if quality < 0:
+                quality = select_quality(harmonic_mean_rate(self.rates), self.ladder.bitrates_bps)
             req = ChunkRequest(self.client_id, self.video_id, self.next_chunk, quality, t)
             self.in_flight[self.next_chunk] = req
             self.next_chunk += 1

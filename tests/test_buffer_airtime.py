@@ -264,6 +264,36 @@ def test_load_order_does_not_move_any_share(raw, data):
         assert alloc(shuffled) == alloc(clients)
 
 
+_unread_by_equal_airtime = st.tuples(
+    st.floats(min_value=-10.0, max_value=30.0),   # buffer_s
+    st.floats(min_value=0.0, max_value=1e7),      # avg_queued_bitrate_bps
+    st.floats(min_value=0.0, max_value=20.0),     # buffered_chunks
+    st.booleans(),                                # playing
+)
+
+
+def _bits(alloc: AirtimeAllocation) -> dict[int, str]:
+    return {cid: share.hex() for cid, share in alloc.shares.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_client_strategy, min_size=1, max_size=8), st.data())
+def test_equal_shares_read_only_id_queue_bits_and_capacity(raw, data):
+    # the engine hands equal_airtime loads with zeros in every other field
+    clients = [ClientLoad(i, *row) for i, row in enumerate(raw)]
+    redrawn = [ClientLoad(c.client_id, c.dl_queue_bits, buffer_s, avg_rate,
+                          c.link_capacity_bps, chunks, playing)
+               for c, (buffer_s, avg_rate, chunks, playing)
+               in zip(clients, data.draw(st.lists(_unread_by_equal_airtime,
+                                                  min_size=len(clients),
+                                                  max_size=len(clients))))]
+    zeroed = [ClientLoad(c.client_id, c.dl_queue_bits, 0.0, 0.0, c.link_capacity_bps,
+                         0.0, False) for c in clients]
+    want = _bits(equal_airtime(clients, t_ap_s=0.5))
+    assert _bits(equal_airtime(redrawn, t_ap_s=0.5)) == want
+    assert _bits(equal_airtime(zeroed, t_ap_s=0.5)) == want
+
+
 class TestEqualAirtime:
     # C*T = 20e6 * 0.5 = 1e7 bits per interval, so a 1e7-bit queue can use it all
     def test_equal_split_skips_empty_queues(self):

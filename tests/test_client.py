@@ -1,14 +1,21 @@
 """Adaptive client behavior: rate estimation, quality choice, request gating, playout."""
 from __future__ import annotations
 
+import math
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgestream.catalog import QualityLadder
 from edgestream.client import (
+    RATE_WINDOW,
     DashClient,
     harmonic_mean_rate,
     select_quality,
 )
+from reference_abr import reference_harmonic_mean_rate, reference_select_quality
 
 LADDER = QualityLadder(
     bitrates_bps=(1e6, 2e6, 4e6, 8e6),
@@ -45,6 +52,39 @@ class TestSelectQuality:
 
     def test_below_ladder_floor(self):
         assert select_quality(1e3, LADDER.bitrates_bps) == 0
+
+
+@st.composite
+def _ladder_and_estimate(draw):
+    ladder = tuple(sorted(draw(st.lists(st.floats(min_value=1e3, max_value=1e9),
+                                        min_size=1, max_size=25, unique=True))))
+    estimate = draw(st.one_of(
+        st.none(),                                                # cold start
+        st.sampled_from(ladder),                                  # a tie is not below
+        st.sampled_from(ladder).map(lambda r: math.nextafter(r, math.inf)),
+        st.floats(min_value=0.0, max_value=ladder[0]),            # at or below the floor
+        st.floats(min_value=ladder[-1], allow_nan=False),         # at or above the top, inf too
+        st.floats(min_value=ladder[0], max_value=ladder[-1]),
+    ))
+    return ladder, estimate
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ladder_and_estimate())
+def test_select_quality_matches_the_linear_scan(case):
+    ladder, estimate = case
+    assert select_quality(estimate, ladder) == reference_select_quality(estimate, ladder)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=1.0, max_value=1e12), max_size=3 * RATE_WINDOW))
+def test_harmonic_mean_over_the_deque_is_bitwise_the_copying_one(samples):
+    rates = deque(maxlen=RATE_WINDOW)
+    for x in samples:
+        rates.append(x)
+        got, want = harmonic_mean_rate(rates), reference_harmonic_mean_rate(rates)
+        assert got.hex() == want.hex()
+    assert harmonic_mean_rate(deque(maxlen=RATE_WINDOW)) is None
 
 
 def _client(**kw) -> DashClient:

@@ -43,15 +43,39 @@ EVENTS_SHA256 = "c401c2cbe915cedd17f5dc6f60773244ff9eb47e4cd23b2c2e4ce05b8027593
 # sha256 of the CSV file of every result's row, labelled param "point" = index
 CSV_SHA256 = "b3a580a4da411f3873e70c25562a4dd5ffd6b7d4bd207b96f76d19a1751c3a3c"
 
+# the evicting, slow-backhaul point at a fifth of the default step: many
+# backhaul completions split an interval into sub-segments, and many downlink
+# finishes land within _EPS past a segment's end and are clamped to it
+SHORT_STEP = (dataclasses.replace(POINTS[-1], t_ap_s=0.1),)
+SHORT_STEP_SHA256 = "6158e39f68956b33752e2a89cf6f14be6652de9706f6496f6c046c2eada8ad64"
+SHORT_STEP_EVENTS_SHA256 = "ccfd72afa9cc524c4b77a38a476ea78a46af351bd1e8a7ef98c9251199030713"
+SHORT_STEP_CSV_SHA256 = "ddb68b91ff6f56b724a58e43f21e9f76893b234ff130b2c4555027a83e684ecc"
 
-def _records():
-    for i, cfg in enumerate(POINTS):
+
+def _hashes(points, tmp_path):
+    """Run every scheme on `points`, check each run is clean, and return
+    (results, statistics hash, events hash, CSV hash)."""
+    h = hashlib.sha256()
+    events = hashlib.sha256()
+    results = []
+    rows = []
+    for i, cfg in enumerate(points):
         for scheme in SCHEMES:
             result = run_replication(cfg, scheme, rep=0, record_events=True)
             head = (scheme, cfg.n_clients, cfg.n_videos, cfg.cache_capacity_bits,
                     cfg.backhaul_mbps)
-            row = _result_row(cfg, 0, result, "point", str(i))
-            yield result, row, repr(head + tuple(getattr(result, f) for f in DIGEST_FIELDS))
+            record = repr(head + tuple(getattr(result, f) for f in DIGEST_FIELDS))
+            assert result.violations == [], record
+            assert result.all_finished, record
+            results.append(result)
+            rows.append(_result_row(cfg, 0, result, "point", str(i)))
+            h.update(record.encode())
+            h.update(b"\n")
+            for event in result.events:
+                events.update(repr(event).encode())
+    write_csv(rows, tmp_path / "matrix.csv")
+    csv_sha = hashlib.sha256((tmp_path / "matrix.csv").read_bytes()).hexdigest()
+    return results, h.hexdigest(), events.hexdigest(), csv_sha
 
 
 def test_outputs_match_the_recorded_hash(monkeypatch, tmp_path):
@@ -64,23 +88,18 @@ def test_outputs_match_the_recorded_hash(monkeypatch, tmp_path):
         return evicted
 
     monkeypatch.setattr(LruChunkCache, "insert", counting_insert)
-    h = hashlib.sha256()
-    events = hashlib.sha256()
-    rode = False
-    rows = []
-    for result, row, record in _records():
-        rows.append(row)
-        assert result.violations == [], record
-        assert result.all_finished, record
-        # a rider's bits reach its client without crossing the backhaul again
-        rode |= result.pipe_bits < result.backhaul_attributed_bits
-        h.update(record.encode())
-        h.update(b"\n")
-        for event in result.events:
-            events.update(repr(event).encode())
+    results, stats_sha, events_sha, csv_sha = _hashes(POINTS, tmp_path)
     assert evictions, "no point of the matrix evicted from the cache"
-    assert rode, "no request rode a queued backhaul job"
-    assert h.hexdigest() == EXPECTED_SHA256
-    assert events.hexdigest() == EVENTS_SHA256
-    write_csv(rows, tmp_path / "matrix.csv")
-    assert hashlib.sha256((tmp_path / "matrix.csv").read_bytes()).hexdigest() == CSV_SHA256
+    # a rider's bits reach its client without crossing the backhaul again
+    assert any(r.pipe_bits < r.backhaul_attributed_bits for r in results), \
+        "no request rode a queued backhaul job"
+    assert stats_sha == EXPECTED_SHA256
+    assert events_sha == EVENTS_SHA256
+    assert csv_sha == CSV_SHA256
+
+
+def test_short_step_outputs_match_the_recorded_hash(tmp_path):
+    _, stats_sha, events_sha, csv_sha = _hashes(SHORT_STEP, tmp_path)
+    assert stats_sha == SHORT_STEP_SHA256
+    assert events_sha == SHORT_STEP_EVENTS_SHA256
+    assert csv_sha == SHORT_STEP_CSV_SHA256
