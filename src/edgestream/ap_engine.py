@@ -181,6 +181,9 @@ class ApEngine:
         self.clients = [DashClient(i, video_id, self.ladder, params.b_max_s, start_time_s=start_s)
                         for i, (video_id, start_s, _) in enumerate(stations)]
         self.capacity = [capacity_bps for _, _, capacity_bps in stations]
+        for i, capacity_bps in enumerate(self.capacity):
+            if not capacity_bps > 0:  # NaN too: its queue would never drain
+                raise ValueError(f"client {i}: link capacity must be > 0, got {capacity_bps!r}")
         self.cache = cache
         self.t_ap_s = t_ap_s
         self.params = params

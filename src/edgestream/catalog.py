@@ -6,9 +6,8 @@ across replications. Every chunk is its nominal size q*tau at its quality.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class CatalogError(ValueError):
@@ -49,17 +48,42 @@ def make_synthetic_catalog(
         raise CatalogError("levels must be >= 2")
     if not (0 < min_bps < max_bps):
         raise CatalogError("need 0 < min_bps < max_bps")
-    rates = np.geomspace(min_bps, max_bps, levels)
-    # force exact endpoints despite float rounding
-    rates[0], rates[-1] = min_bps, max_bps
-    return QualityLadder(tuple(float(r) for r in rates), chunk_duration_s, chunk_count)
+    # NumPy geomspace's arithmetic, in its order: 10 ** linspace(log10 min, log10 max)
+    log_min = math.log10(min_bps)
+    step = (math.log10(max_bps) - log_min) / (levels - 1)
+    inner = [10.0 ** (i * step + log_min) for i in range(1, levels - 1)]
+    # exact endpoints despite float rounding
+    return QualityLadder((float(min_bps), *inner, float(max_bps)), chunk_duration_s, chunk_count)
 
 
-def zipf_pmf(exponent: float, video_count: int) -> np.ndarray:
+def zipf_pmf(exponent: float, video_count: int) -> tuple[float, ...]:
     """P(rank r) ~ r^-s over ranks 1..video_count, normalized; video ids are
     popularity-ranked, so id 0 is the most popular."""
     if exponent <= 0:
         raise CatalogError("zipf exponent must be > 0")
-    ranks = np.arange(1, video_count + 1, dtype=np.float64)
-    weights = ranks ** (-float(exponent))
-    return weights / weights.sum()
+    ranks = range(1, video_count + 1)
+    if exponent == 1.0:  # NumPy's power takes the exact reciprocal for -1
+        weights = [1.0 / r for r in ranks]
+    else:
+        weights = [r ** -float(exponent) for r in ranks]
+    total = _pairwise_sum(weights)
+    return tuple(w / total for w in weights)
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """NumPy's float sum: 8 running sums up to 128 values, halves above
+    (the first rounded down to a multiple of 8)."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    total, tail = 0.0, values
+    if n >= 8:
+        r = values[:8]
+        for i in range(8, n - n % 8, 8):
+            r = [a + b for a, b in zip(r, values[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        tail = values[n - n % 8:]
+    for v in tail:
+        total += v
+    return total

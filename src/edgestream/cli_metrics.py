@@ -18,9 +18,6 @@ import math
 import sys
 import typing
 from dataclasses import asdict, dataclass, replace
-from multiprocessing import Pool
-
-import numpy as np
 
 from .ap_engine import SCHEMES, ApEngine
 from .assign_core import QualityRequest, SolverParams, tolerated_set
@@ -29,6 +26,7 @@ from .catalog import QualityLadder, make_synthetic_catalog, zipf_pmf
 from .cph import brute_force_assign, cph_assign
 from .fold import left_sum
 from .radio import link_capacity_bps, place_clients
+from .rng import Generator, cumulative
 
 METRIC_NAMES = (
     "mean_bitrate_kbps",
@@ -176,12 +174,11 @@ def run_replication(cfg: ScenarioConfig, scheme: str, rep: int,
                     record_events: bool = False):
     """Simulate one scheme for one replication; returns the engine result."""
     seed = cfg.base_seed + rep
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     distances = place_clients(cfg.n_clients, cfg.radius_m, rng)
-    pmf = zipf_pmf(cfg.zipf_exponent, cfg.n_videos)
-    videos = [int(rng.choice(cfg.n_videos, p=pmf)) for _ in range(cfg.n_clients)]
-    offsets = [float(rng.uniform(0.0, cfg.start_offset_max_s))
-               for _ in range(cfg.n_clients)]
+    cdf = cumulative(zipf_pmf(cfg.zipf_exponent, cfg.n_videos))
+    videos = [rng.pick(cdf) for _ in range(cfg.n_clients)]
+    offsets = [rng.uniform(0.0, cfg.start_offset_max_s) for _ in range(cfg.n_clients)]
 
     stations = [(videos[i], offsets[i], link_capacity_bps(distances[i]))
                 for i in range(cfg.n_clients)]
@@ -224,6 +221,7 @@ def _execute(tasks: list, jobs: int):
     if jobs <= 1 or len(tasks) <= 1:
         outputs = [_run_task(t) for t in tasks]
     else:
+        from multiprocessing import Pool  # deferred: most runs are serial
         with Pool(processes=min(jobs, len(tasks))) as pool:
             outputs = pool.map(_run_task, tasks)
     rows = [row for row, _ in outputs]
@@ -346,7 +344,7 @@ def print_summary(rows: list[dict], stream=sys.stdout) -> None:
 # ---- randomized solver cross-check ----------------------------------
 
 
-def gen_random_instance(rng: np.random.Generator):
+def gen_random_instance(rng: Generator):
     """Small random assignment instance for exhaustive cross-checking; some
     are bursts of 6-8 clients on one chunk, with gamma capped so the
     exhaustive space (product of tolerance windows) stays within 10^5.
@@ -354,8 +352,8 @@ def gen_random_instance(rng: np.random.Generator):
     video count, and every request sees one backhaul rate, as in a run."""
     n_videos = int(rng.integers(1, 3))
     levels = int(rng.integers(2, 6))
-    drawn = np.sort(rng.uniform(1e5, 5e6, size=levels))
-    rates = tuple(float(r) + 1e3 * i for i, r in enumerate(drawn))  # strictly ascending
+    drawn = sorted(rng.uniform(1e5, 5e6) for _ in range(levels))
+    rates = tuple(r + 1e3 * i for i, r in enumerate(drawn))  # strictly ascending
     tau = 2.0
     ladder = QualityLadder(rates, tau, chunk_count=3)
     gamma = int(rng.integers(0, 3))
@@ -384,7 +382,7 @@ def gen_random_instance(rng: np.random.Generator):
                 effective_rate_bps=float(rng.uniform(1e6, 3e7)) * (1.0 / n_clients),
                 dl_queue_bits=dlq_bits,
                 dl_queue_media_s=dlq_media,
-                fifo_backlog_bits=float(rng.choice([0.0, rng.uniform(0.0, 2e7)])),
+                fifo_backlog_bits=float((0.0, rng.uniform(0.0, 2e7))[rng.integers(0, 2)]),
             ))
     while gamma > 0 and math.prod(
             len(tolerated_set(r.requested_quality, gamma, levels))
@@ -407,7 +405,7 @@ def gen_random_instance(rng: np.random.Generator):
 def oracle_check(instances: int, seed: int) -> tuple[int, list[int]]:
     """Compare the compositional solver against exhaustive search.
 
-    Instance i is drawn from its own generator, default_rng([seed, i]), so
+    Instance i is drawn from its own generator, rng.Generator([seed, i]), so
     any instance can be rebuilt from (seed, i) alone. Returns the number of
     instances checked and the indices of those where the results differ.
     """
@@ -415,7 +413,7 @@ def oracle_check(instances: int, seed: int) -> tuple[int, list[int]]:
         raise ConfigError(f"instances and seed must be >= 0, got {instances} and {seed}")
     failures = []
     for i in range(instances):
-        instance = gen_random_instance(np.random.default_rng([seed, i]))
+        instance = gen_random_instance(Generator([seed, i]))
         if cph_assign(*instance) != brute_force_assign(*instance):
             failures.append(i)
     return instances, failures
@@ -510,7 +508,7 @@ def main(argv=None) -> int:
             if failures:
                 k = failures[0]
                 print(f"first mismatch: instance {k}; replay with edgestream.cli_metrics."
-                      f"gen_random_instance(numpy.random.default_rng([{args.seed}, {k}]))")
+                      f"gen_random_instance(edgestream.rng.Generator([{args.seed}, {k}]))")
                 return 3
             return 0
     except ConfigError as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
+from .rng import Generator
 
 REFERENCE_LOSS_DB = 46.7     # loss at 1 m
 PATH_LOSS_EXPONENT = 3.5
@@ -37,6 +37,6 @@ def link_capacity_bps(distance_m: float) -> float:
     return min(EFFICIENCY * shannon, MAX_CAPACITY_BPS)
 
 
-def place_clients(n: int, radius_m: float, rng: np.random.Generator) -> list[float]:
+def place_clients(n: int, radius_m: float, rng: Generator) -> list[float]:
     """Uniform-over-disk distances from the access point."""
-    return [float(radius_m * math.sqrt(rng.uniform())) for _ in range(n)]
+    return [radius_m * math.sqrt(rng.random()) for _ in range(n)]

@@ -149,6 +149,15 @@ def test_constructor_validation():
             ApEngine("CPH", [(0, 0.0, 1e7)], LruChunkCache(), t_ap_s, _params(ladder))
 
 
+@pytest.mark.parametrize("capacity_bps", [0.0, -1.0, float("nan")])
+def test_a_station_without_link_capacity_is_rejected(capacity_bps):
+    # a NaN capacity used to run to max_time_s unfinished with no violation
+    ladder = make_synthetic_catalog(2, 2e5, 2e6, 2.0, 4)
+    stations = [(0, 0.0, 1e7), (0, 0.0, capacity_bps)]
+    with pytest.raises(ValueError, match="client 1: link capacity must be > 0"):
+        ApEngine("CLIENT", stations, LruChunkCache(), 0.5, _params(ladder))
+
+
 def test_clients_are_built_from_stations_and_params():
     ladder = make_synthetic_catalog(2, 2e5, 2e6, 2.0, 4)
     params = _params(ladder, b_max_s=8.0)

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from edgestream import CatalogError, QualityLadder, make_synthetic_catalog, zipf_pmf
@@ -56,7 +58,8 @@ def test_ladder_rejects_a_non_positive_bitrate(bitrates):
 
 def test_zipf_pmf_normalized_and_decreasing():
     pmf = zipf_pmf(1.2, 10)
-    assert math.isclose(pmf.sum(), 1.0, rel_tol=1e-12)
+    assert isinstance(pmf, tuple)
+    assert math.isclose(math.fsum(pmf), 1.0, rel_tol=1e-12)
     assert all(a > b for a, b in zip(pmf, pmf[1:]))
     # heavier exponent concentrates more mass on the head
     assert zipf_pmf(2.0, 10)[0] > pmf[0]
@@ -68,3 +71,34 @@ def test_zipf_pmf_matches_direct_formula():
     total = sum(weights)
     for got, want in zip(pmf, weights):
         assert math.isclose(got, want / total, rel_tol=1e-12)
+
+
+# The references below are NumPy's geomspace and Zipf arithmetic with every
+# power taken by libm, as NumPy does on a host without AVX-512; NumPy's
+# AVX-512 power and log10 differ from libm in the last bit.
+
+
+def _libm_ladder(levels, min_bps, max_bps):
+    exponents = np.linspace(math.log10(min_bps), math.log10(max_bps), levels)
+    return (min_bps, *(math.pow(10.0, float(y)) for y in exponents[1:-1]), max_bps)
+
+
+def _libm_zipf(exponent, n):
+    # NumPy's power takes the exact reciprocal for an exponent of -1
+    weights = np.array([1.0 / r if exponent == 1.0 else math.pow(r, -exponent)
+                        for r in range(1, n + 1)])
+    return tuple(float(w) for w in weights / weights.sum())
+
+
+def test_ladders_and_popularity_do_not_depend_on_the_host():
+    rnd = random.Random(20)
+    for _ in range(300):
+        levels = rnd.randrange(2, 40)
+        low = rnd.uniform(1e3, 1e6)
+        high = low * rnd.uniform(1.001, 1e3)
+        got = make_synthetic_catalog(levels, low, high, 2.0, 3).bitrates_bps
+        assert got == _libm_ladder(levels, low, high), (levels, low, high)
+    cases = [(1.2, 20), (1.2, 10), (1.0, 300), (0.8, 129), (1.2, 1000), (2.0, 7)]
+    cases += [(rnd.uniform(0.1, 3.0), rnd.randrange(1, 600)) for _ in range(300)]
+    for exponent, n in cases:
+        assert tuple(zipf_pmf(exponent, n)) == _libm_zipf(exponent, n), (exponent, n)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import multiprocessing
 import typing
 
 import numpy as np
@@ -193,7 +194,7 @@ class TestRunScenario:
             def map(self, fn, tasks):
                 return [fn(t) for t in tasks]
 
-        monkeypatch.setattr(cm, "Pool", FakePool)
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)  # imported when jobs > 1
         rows, _ = run_scenario(TINY, jobs=64)  # 2 schemes x 2 reps = 4 tasks
         assert sizes == [4]
         assert len(rows) == 4
@@ -302,8 +303,11 @@ class TestOracleReplay:
         # the printed expression alone rebuilds the instance the batch checked
         replay = out.split("replay with ", 1)[1].strip()
         assert replay == ("edgestream.cli_metrics.gen_random_instance("
-                          f"numpy.random.default_rng([{seed}, {k}]))")
-        requests, cache, backhaul, params = eval(replay, {"edgestream": edgestream, "numpy": np})
+                          f"edgestream.rng.Generator([{seed}, {k}]))")
+        requests, cache, backhaul, params = eval(replay, {"edgestream": edgestream})
+        assert (requests, cache.keys_by_recency(), backhaul, params) == batch
+        # NumPy's generator, seeded alike, rebuilds the same instance
+        requests, cache, backhaul, params = cm.gen_random_instance(np.random.default_rng([seed, k]))
         assert (requests, cache.keys_by_recency(), backhaul, params) == batch
 
     def test_defaults_are_the_check_of_record(self, monkeypatch, capsys):
