@@ -50,9 +50,11 @@ class LruChunkCache:
             self._entries.move_to_end(key)
             return []
         evicted: list[ChunkKey] = []
-        while self.used_bits + size_bits > self.capacity_bits:
+        # used_bits is a running float sum, so it can keep a rounding residue
+        # after evictions; an emptied cache holds exactly 0 bits
+        while self._entries and self.used_bits + size_bits > self.capacity_bits:
             old_key, old_size = self._entries.popitem(last=False)
-            self.used_bits -= old_size
+            self.used_bits = self.used_bits - old_size if self._entries else 0.0
             evicted.append(old_key)
         self._entries[key] = size_bits
         self.used_bits += size_bits

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .fold import left_sum
+
 
 class CatalogError(ValueError):
     """Raised on invalid catalog parameters."""
@@ -61,29 +63,6 @@ def zipf_pmf(exponent: float, video_count: int) -> tuple[float, ...]:
     popularity-ranked, so id 0 is the most popular."""
     if exponent <= 0:
         raise CatalogError("zipf exponent must be > 0")
-    ranks = range(1, video_count + 1)
-    if exponent == 1.0:  # NumPy's power takes the exact reciprocal for -1
-        weights = [1.0 / r for r in ranks]
-    else:
-        weights = [r ** -float(exponent) for r in ranks]
-    total = _pairwise_sum(weights)
+    weights = [r ** -float(exponent) for r in range(1, video_count + 1)]
+    total = left_sum(weights)
     return tuple(w / total for w in weights)
-
-
-def _pairwise_sum(values: list[float]) -> float:
-    """NumPy's float sum: 8 running sums up to 128 values, halves above
-    (the first rounded down to a multiple of 8)."""
-    n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-    total, tail = 0.0, values
-    if n >= 8:
-        r = values[:8]
-        for i in range(8, n - n % 8, 8):
-            r = [a + b for a, b in zip(r, values[i:i + 8])]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        tail = values[n - n % 8:]
-    for v in tail:
-        total += v
-    return total

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 import typing
 from dataclasses import asdict, dataclass, replace
+from decimal import Decimal, localcontext
 
 from .ap_engine import SCHEMES, ApEngine
 from .assign_core import QualityRequest, SolverParams, tolerated_set
@@ -264,9 +266,48 @@ def mean_ci(values: list[float]) -> tuple[float, float]:
     if n == 1:
         return mean, float("nan")
     var = left_sum((v - mean) ** 2 for v in values) / (n - 1)
-    from scipy import stats  # deferred: it dominates the cost of importing edgestream
-    half = stats.t.ppf(0.975, n - 1) * math.sqrt(var / n)
+    half = student_t_975(n - 1) * math.sqrt(var / n)
     return mean, half
+
+
+_SQRT_PI = Decimal("1.77245385090551602729816748334114518279754945612238712821381")
+
+
+@functools.cache
+def student_t_975(df: int) -> float:
+    """The 0.975 quantile of Student's t with `df` degrees of freedom,
+    correctly rounded: Newton's method on the upper tail, in 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        nu, half = Decimal(df), Decimal("0.5")
+        a = nu / 2
+        # B(a, 1/2) = sqrt(pi) G(a) / G(a + 1/2), the Γ ratio stepped up exactly
+        k, ratio = (half, _SQRT_PI) if df % 2 else (Decimal(1), 2 / _SQRT_PI)
+        for _ in range((df - 1) // 2):
+            ratio, k = ratio * k / (k + half), k + 1
+        beta = _SQRT_PI * ratio
+        # from 1.96 the iterates rise toward the root and keep x = nu / (nu + t^2)
+        # below (a + 1) / (a + 5/2), where the continued fraction converges
+        t = Decimal("1.96")
+        while True:
+            x = nu / (nu + t * t)
+            # P(T > t) = I_x(a, 1/2) / 2, by Lentz's continued fraction
+            c, d = Decimal(1), 1 / (1 - (a + half) * x / (a + 1))
+            frac, m = d, 0
+            while True:
+                m += 1
+                for num in (m * (half - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                            -(a + m) * (a + half + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+                    d = 1 / (1 + num * d)
+                    c = 1 + num / c
+                    frac *= d * c
+                if abs(d * c - 1) < Decimal("1e-55"):
+                    break
+            tail = x ** a * (1 - x).sqrt() / (a * beta) * frac / 2
+            step = (tail - Decimal("0.025")) / (x ** (a + half) / (nu.sqrt() * beta))
+            t += step
+            if abs(step) < Decimal("1e-40"):
+                return float(t)
 
 
 def summarize(rows: list[dict]) -> dict:

@@ -71,6 +71,19 @@ def test_multi_eviction_in_one_insert():
     assert len(c) == 2
 
 
+def test_float_residue_never_evicts_from_an_empty_cache():
+    c = LruChunkCache(capacity_bits=3.0)
+    for i, size in enumerate((0.9, 0.19, 1.1)):
+        c.insert(i, 0, 0, size)
+    # (0.9 + 0.19 + 1.1) - 0.9 - 0.19 - 1.1 leaves 4.4e-16, and a full-size chunk
+    # on top of that residue is over capacity even once everything is evicted
+    assert (0.9 + 0.19 + 1.1) - 0.9 - 0.19 - 1.1 + 3.0 > 3.0
+    evicted = c.insert(3, 0, 0, 3.0)
+    assert evicted == [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+    assert c.keys_by_recency() == [(3, 0, 0)]
+    assert c.used_bits == 3.0
+
+
 def test_oversized_object_rejected():
     c = LruChunkCache(capacity_bits=100)
     c.insert(0, 0, 0, 40)

@@ -73,9 +73,10 @@ def test_zipf_pmf_matches_direct_formula():
         assert math.isclose(got, want / total, rel_tol=1e-12)
 
 
-# The references below are NumPy's geomspace and Zipf arithmetic with every
-# power taken by libm, as NumPy does on a host without AVX-512; NumPy's
-# AVX-512 power and log10 differ from libm in the last bit.
+# The ladder reference is NumPy's geomspace arithmetic with every power taken
+# by libm, as NumPy does on a host without AVX-512; NumPy's AVX-512 power and
+# log10 differ from libm in the last bit. The Zipf reference is libm's pow
+# over a plain left fold.
 
 
 def _libm_ladder(levels, min_bps, max_bps):
@@ -84,10 +85,11 @@ def _libm_ladder(levels, min_bps, max_bps):
 
 
 def _libm_zipf(exponent, n):
-    # NumPy's power takes the exact reciprocal for an exponent of -1
-    weights = np.array([1.0 / r if exponent == 1.0 else math.pow(r, -exponent)
-                        for r in range(1, n + 1)])
-    return tuple(float(w) for w in weights / weights.sum())
+    weights = [math.pow(r, -exponent) for r in range(1, n + 1)]
+    total = 0.0
+    for w in weights:
+        total += w
+    return tuple(w / total for w in weights)
 
 
 def test_ladders_and_popularity_do_not_depend_on_the_host():

@@ -5,8 +5,13 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import os
+import pathlib
+import subprocess
+import sys
 import typing
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -23,10 +28,13 @@ from edgestream.cli_metrics import (
     oracle_check,
     run_scenario,
     run_sweep,
+    student_t_975,
     summarize,
     write_csv,
     write_json,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 TINY = dataclasses.replace(
     ScenarioConfig(), schemes=("CPH", "CLIENT"), n_clients=2, n_videos=2,
@@ -157,6 +165,50 @@ class TestMeanCi:
     def test_degenerate_spread(self):
         mean, half = mean_ci([5.0, 5.0, 5.0, 5.0])
         assert mean == 5.0 and half == 0.0
+
+
+def _mpmath_t_975(df: int) -> float:
+    """The root of P(T > t) = 0.025 in 50 digits, rounded once to a float."""
+    with mpmath.workdps(50):
+        nu = mpmath.mpf(df)
+
+        def excess_tail(t):
+            x = nu / (nu + t * t)
+            return mpmath.betainc(nu / 2, 0.5, 0, x, regularized=True) / 2 - mpmath.mpf("0.025")
+
+        return float(mpmath.findroot(excess_tail, float(stats.t.ppf(0.975, df))))
+
+
+class TestStudentT975:
+    DFS = [*range(1, 401), 1000, 20_000, 100_000]
+
+    def test_correctly_rounded_against_mpmath(self):
+        wrong = [(df, student_t_975(df), want) for df in self.DFS
+                 if student_t_975(df) != (want := _mpmath_t_975(df))]
+        assert wrong == []
+
+    def test_within_scipys_own_error_of_scipy(self):
+        # scipy is up to 3.5e-15 off: 12.706204736174694 at df = 1, against ...705
+        for df in self.DFS:
+            want = float(stats.t.ppf(0.975, df))
+            assert abs(student_t_975(df) - want) <= 4e-15 * want, df
+
+
+def test_a_run_with_a_summary_imports_no_scipy_or_numpy(tmp_path):
+    out_json = tmp_path / "summary.json"
+    code = (
+        "import sys\n"
+        "from edgestream.cli_metrics import main\n"
+        "assert main(['run', '--scheme', 'CLIENT', '--clients', '1', '--reps', '2',\n"
+        f"             '--out-json', {str(out_json)!r}]) == 0\n"
+        "loaded = {'scipy', 'numpy'} & set(sys.modules)\n"
+        "assert not loaded, f'{loaded} imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    cell = json.loads(out_json.read_text())["summary"][""][""]["CLIENT"]["mean_bitrate_kbps"]
+    assert cell["n"] == 2 and math.isfinite(cell["ci95"])  # the interval was computed
 
 
 class TestRunScenario:
