@@ -5,14 +5,19 @@ tolerated-quality window, the same delivery-cost rule and the same utility
 function, so their outputs are comparable candidate by candidate. The run's
 one quality ladder is a SolverParams field, so a level is the same bitrate
 for every request of a call and equal picks of one chunk are one download.
+SolverParams also holds the ladder's per-level constants, built once per
+run; `build_candidates` scores a request in one pass over them, and
+`tolerated_set`, `estimate_buffer`, `delivery_cost` and `utility` are the
+specification it is tested against bit for bit.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .buffer_airtime import estimate_buffer
+# build_candidates inlines it; perfbench/tracer.py wraps this name by owner
+from .buffer_airtime import estimate_buffer  # noqa: F401
 from .cache import LruChunkCache
 from .catalog import QualityLadder
 
@@ -27,6 +32,9 @@ class SolverParams:
     b_max_s: float
     ladder: QualityLadder  # every requester's, so a level means one bitrate
     backhaul_bps: float    # the AP's backhaul rate
+    # per level: (bitrate, chunk bits, log(q), mu_c * log(q)), q the bitrate in
+    # BITRATE_UNIT_BPS; derived from the fields above, so replace() rebuilds it
+    levels: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.gamma >= 0:
@@ -41,6 +49,12 @@ class SolverParams:
                              f"b_max_s {self.b_max_s!r}: no second chunk would fit the buffer")
         if not self.backhaul_bps >= 0:
             raise ValueError("backhaul_bps must be >= 0")
+        tau = self.ladder.chunk_duration_s
+        levels = []
+        for rate in self.ladder.bitrates_bps:
+            log_q = math.log(rate / BITRATE_UNIT_BPS)
+            levels.append((rate, rate * tau, log_q, self.mu_c * log_q))
+        object.__setattr__(self, "levels", tuple(levels))
 
 
 class QualityRequest(NamedTuple):
@@ -112,20 +126,38 @@ def utility(
 
 def build_candidates(
     request: QualityRequest, cache: LruChunkCache, params: SolverParams
-) -> list[CandidateQuality]:
+) -> tuple[CandidateQuality, ...]:
     """Score every tolerated quality level of the params' ladder for one
     request, in ascending level order; a chunk's size is its nominal
-    bitrate * duration."""
+    bitrate * duration.
+
+    One pass over `params.levels`: each candidate equals, bit for bit,
+    `tolerated_set`, `estimate_buffer`, `delivery_cost` and `utility`
+    composed at its level (w * log(q) is the table's log(q) or
+    mu_c * log(q), and 1.0 * x == x), and both of their ValueErrors are
+    raised once per request."""
     (_, video, chunk, requested, buffer_s, effective_rate,
      queue_bits, queue_media_s, backlog_bits) = request
-    bitrates, tau = params.ladder.bitrates_bps, params.ladder.chunk_duration_s
-    backhaul_rate = params.backhaul_bps
+    levels = params.levels
+    if not (0 <= requested < len(levels)):
+        raise ValueError(f"requested quality {requested} outside ladder of {len(levels)}")
+    if queue_bits < 0 or queue_media_s < 0:
+        raise ValueError("queue fields must be non-negative")
     gamma, mu_c, b_min_s, b_max_s = params.gamma, params.mu_c, params.b_min_s, params.b_max_s
-    out: list[CandidateQuality] = []
-    for m in tolerated_set(requested, gamma, len(bitrates)):
-        rate = bitrates[m]
-        cached = cache.contains(video, chunk, m)
-        chunk_bits = rate * tau
+    backhaul_rate = params.backhaul_bps
+    # estimate_buffer's two regimes: None when the downlink queue is empty
+    if queue_bits == 0:
+        drain_s = None
+    elif effective_rate > 0:
+        drain_s = queue_bits / effective_rate
+    else:
+        drain_s = math.inf
+    contains = cache.contains
+    log = math.log
+    out = []
+    for m in range(max(0, requested - gamma), min(len(levels) - 1, requested + gamma) + 1):
+        rate, chunk_bits, log_q, weighted_log_q = levels[m]
+        cached = contains(video, chunk, m)
         dl_transmit_s = chunk_bits / effective_rate if effective_rate > 0 else math.inf
         if cached:
             backhaul_delay_s = 0.0
@@ -133,14 +165,15 @@ def build_candidates(
             backhaul_delay_s = (backlog_bits + chunk_bits) / backhaul_rate
         else:
             backhaul_delay_s = math.inf
-        b_hat = estimate_buffer(
-            current_buffer_s=buffer_s,
-            backhaul_delay_s=backhaul_delay_s,
-            dl_transmit_s=dl_transmit_s,
-            dl_queue_bits=queue_bits,
-            dl_queue_media_s=queue_media_s,
-            effective_rate_bps=effective_rate,
-        )
-        out.append(CandidateQuality(m, rate, cached, delivery_cost(rate, cached), b_hat,
-                                    utility(rate, cached, mu_c, b_hat, b_min_s, b_max_s)))
-    return out
+        if drain_s is None:
+            b_hat = buffer_s - (backhaul_delay_s + dl_transmit_s)
+        else:
+            b_hat = buffer_s - max(drain_s, backhaul_delay_s) - dl_transmit_s + queue_media_s
+        if b_hat >= b_min_s:
+            u = (weighted_log_q if cached else log_q) + log(min(b_hat, b_max_s))
+        elif b_hat > 0:
+            u = mu_c * log(b_hat) if cached else log(b_hat)
+        else:
+            u = b_hat
+        out.append(CandidateQuality(m, rate, cached, 0.0 if cached else rate, b_hat, u))
+    return tuple(out)

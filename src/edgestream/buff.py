@@ -11,10 +11,9 @@ skipped once never fits later. Open requests keep their requested quality.
 """
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
-from .assign_core import BITRATE_UNIT_BPS, QualityRequest, SolverParams, build_candidates
+from .assign_core import QualityRequest, SolverParams, build_candidates
 from .cache import LruChunkCache
 from .cph import AssignmentResult
 
@@ -27,13 +26,15 @@ def buff_assign(
 ) -> AssignmentResult:
     # pool entry = (rank, request index, chunk key, candidate, weighted utility)
     pool = []
+    levels = params.levels
     for ri, req in enumerate(requests):
         cands = build_candidates(req, cache, params)
         for c in cands:
             # cands[0] is the window's floor, kept even when unsafe
             if not c.estimated_buffer_s >= 0 and c is not cands[0]:
                 continue
-            u = (params.mu_c if c.cached else 1.0) * math.log(c.bitrate_bps / BITRATE_UNIT_BPS)
+            # mu_c * log(q) when cached, else 1.0 * log(q) == log(q)
+            u = levels[c.quality_index][3 if c.cached else 2]
             rank = (-u, -c.quality_index, req.client_id, req.video_id, req.chunk_index)
             pool.append((rank, ri, (req.video_id, req.chunk_index, c.quality_index), c, u))
     # stable: a client asking twice for one chunk ties on rank, lower index first

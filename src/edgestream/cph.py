@@ -17,7 +17,9 @@ whole frontier is compared. `canonical_order` sorts a cluster by requested
 quality, so the tolerance windows slide and a live set holds at most
 2*gamma + 1 levels: at most 2**(2*gamma + 1) paid sets, 32 at gamma = 2.
 A configuration is (paid, cost, -utility, picks), so one keyless sort per
-merge orders it by paid set, cost and utility, and picks are unique.
+merge orders it by paid set, cost and utility, and picks are unique. A
+merge reads each candidate of its group once, into a plain tuple, before
+pairing it with every configuration.
 
 Exact up to float rounding: costs are summed in group order, so one paid
 set's configurations can differ in the last ulp, and a point dropped as
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Hashable, NamedTuple, Sequence
 
 from .assign_core import CandidateQuality, QualityRequest, SolverParams, build_candidates
@@ -87,19 +90,19 @@ def solve_groups(groups: Sequence[SolveGroup], capacity_bps: float) -> Best | No
     frontier: list[tuple[int, float, float, tuple[int, ...]]] = [(0, 0.0, -0.0, ())]
     for gi, group in enumerate(groups):
         keep = live[gi]
+        # each candidate read once per group: (level bit, cost, free, utility, pick)
+        items = [(1 << m, cost, cost <= 0, u, (m,)) for m, _, _, cost, _, u in group.items]
         merged = []
         for (paid, c, nu, picks) in frontier:
-            for item in group.items:
-                level = 1 << item.quality_index
+            for level, item_cost, free, u, pick in items:
                 if paid & level:
                     cost, paid2 = c, paid
                 else:
-                    cost = c + item.cost_bps
-                    paid2 = paid if item.cost_bps <= 0 else paid | level
+                    cost = c + item_cost
+                    paid2 = paid if free else paid | level
                 if cost > capacity_bps:
                     continue
-                merged.append((paid2 & keep, cost, nu - item.utility,
-                               picks + (item.quality_index,)))
+                merged.append((paid2 & keep, cost, nu - u, picks + pick))
         if not merged:
             return None
         # equal paid sets mean equal costs for every completion, so dominance
@@ -121,15 +124,9 @@ def solve_groups(groups: Sequence[SolveGroup], capacity_bps: float) -> Best | No
 
 def canonical_order(requests: Sequence[QualityRequest]) -> list[int]:
     """Indices of `requests` by chunk (clusters contiguous), requested quality, client."""
-    return sorted(
-        range(len(requests)),
-        key=lambda i: (
-            requests[i].video_id,
-            requests[i].chunk_index,
-            requests[i].requested_quality,
-            requests[i].client_id,
-        ),
-    )
+    # (video_id, chunk_index, requested_quality, client_id) of each request
+    keys = list(map(itemgetter(1, 2, 3, 0), requests))
+    return sorted(range(len(requests)), key=keys.__getitem__)
 
 
 def _request_groups(
@@ -140,7 +137,7 @@ def _request_groups(
     order = canonical_order(requests)
     groups = [
         SolveGroup((requests[ri].video_id, requests[ri].chunk_index),
-                   tuple(build_candidates(requests[ri], cache, params)))
+                   build_candidates(requests[ri], cache, params))
         for ri in order
     ]
     return order, groups

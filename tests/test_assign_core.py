@@ -5,6 +5,8 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgestream.assign_core import (
     QualityRequest,
@@ -14,6 +16,7 @@ from edgestream.assign_core import (
     tolerated_set,
     utility,
 )
+from edgestream.buffer_airtime import estimate_buffer
 from edgestream.cache import LruChunkCache
 from edgestream.catalog import QualityLadder, make_synthetic_catalog
 from edgestream.cli_metrics import ScenarioConfig
@@ -104,6 +107,28 @@ class TestSolverParams:
         with pytest.raises(ValueError):
             dataclasses.replace(ScenarioConfig().solver_params(), **kw)
 
+    def test_level_table_is_out_of_eq_hash_and_repr(self):
+        p = ScenarioConfig().solver_params()
+        stale = dataclasses.replace(p)
+        object.__setattr__(stale, "levels", ())
+        assert stale == p and hash(stale) == hash(p)
+        assert "levels" not in repr(p)
+        with pytest.raises(TypeError):
+            SolverParams(gamma=2, mu_c=1.3, b_min_s=4.0, b_max_s=15.0, ladder=p.ladder,
+                         backhaul_bps=2e7, levels=())
+
+    def test_replace_rebuilds_the_level_table(self):
+        # replace() is how a run swaps its ladder; a stale table would score the old one
+        p = ScenarioConfig().solver_params()
+        ladder = QualityLadder((1e6, 2e6, 4e6), 2.0, 1)
+        swapped = dataclasses.replace(p, ladder=ladder)
+        assert [row[0] for row in swapped.levels] == [1e6, 2e6, 4e6]
+        assert [row[1] for row in swapped.levels] == [2e6, 4e6, 8e6]
+        reweighted = dataclasses.replace(swapped, mu_c=2.5)
+        assert [row[2] for row in reweighted.levels] == [row[2] for row in swapped.levels]
+        assert [row[3] for row in reweighted.levels] == [2.5 * math.log(q / 1e3)
+                                                        for q in (1e6, 2e6, 4e6)]
+
 
 def _request(**kw) -> QualityRequest:
     base = dict(
@@ -179,3 +204,127 @@ class TestBuildCandidates:
         # max(drain 1.0, backhaul 3.0) + transfer 1.0, then +6 media
         assert cands[0].estimated_buffer_s == pytest.approx(8.0 - 3.0 - 1.0 + 6.0)
 
+
+
+def _spec_candidates(request: QualityRequest, cache: LruChunkCache,
+                     params: SolverParams) -> list[tuple]:
+    """build_candidates as the composition of tolerated_set, estimate_buffer,
+    delivery_cost and utility, one call each per tolerated level."""
+    bitrates, tau = params.ladder.bitrates_bps, params.ladder.chunk_duration_s
+    rate_eff, backhaul = request.effective_rate_bps, params.backhaul_bps
+    out = []
+    for m in tolerated_set(request.requested_quality, params.gamma, len(bitrates)):
+        rate = bitrates[m]
+        cached = cache.contains(request.video_id, request.chunk_index, m)
+        bits = rate * tau
+        if cached:
+            delay = 0.0
+        else:
+            delay = (request.fifo_backlog_bits + bits) / backhaul if backhaul > 0 else math.inf
+        b_hat = estimate_buffer(
+            current_buffer_s=request.buffer_s,
+            backhaul_delay_s=delay,
+            dl_transmit_s=bits / rate_eff if rate_eff > 0 else math.inf,
+            dl_queue_bits=request.dl_queue_bits,
+            dl_queue_media_s=request.dl_queue_media_s,
+            effective_rate_bps=rate_eff,
+        )
+        out.append((m, rate, cached, delivery_cost(rate, cached), b_hat,
+                    utility(rate, cached, params.mu_c, b_hat, params.b_min_s, params.b_max_s)))
+    return out
+
+
+def _bits(rows) -> list[tuple]:
+    # floats by their exact bits, so -0.0 and 0.0 differ
+    return [tuple(x.hex() if isinstance(x, float) else x for x in row) for row in rows]
+
+
+def _regime(b_hat: float, params: SolverParams) -> str:
+    return "comfortable" if b_hat >= params.b_min_s else "shallow" if b_hat > 0 else "stall"
+
+
+@st.composite
+def _scoring_instances(draw):
+    n = draw(st.integers(1, 6))
+    rates = sorted(draw(st.lists(st.floats(1e4, 2e7), min_size=n, max_size=n, unique=True)))
+    tau = draw(st.floats(0.25, 4.0))
+    b_min = draw(st.floats(0.1, 8.0))
+    b_max = max(b_min, tau) + draw(st.floats(0.01, 20.0))
+    params = SolverParams(
+        gamma=draw(st.integers(0, 3)), mu_c=draw(st.floats(1.0, 3.0)),
+        b_min_s=b_min, b_max_s=b_max, ladder=QualityLadder(tuple(rates), tau, 1),
+        backhaul_bps=draw(st.sampled_from([0.0, 1e5, 2e6]) | st.floats(1e5, 1e8)))
+    queue_bits = draw(st.just(0.0) | st.floats(1.0, 1e8))
+    request = QualityRequest(
+        client_id=0, video_id=0, chunk_index=0,
+        # the ladder's edges, or anywhere on it
+        requested_quality=draw(st.sampled_from([0, n - 1]) | st.integers(0, n - 1)),
+        buffer_s=draw(st.floats(0.0, 30.0)),
+        effective_rate_bps=draw(st.just(0.0) | st.floats(1e4, 1e8)),
+        dl_queue_bits=queue_bits,
+        dl_queue_media_s=draw(st.floats(0.0, 20.0)) if queue_bits else 0.0,
+        fifo_backlog_bits=draw(st.just(0.0) | st.floats(0.0, 1e8)),
+    )
+    cache = LruChunkCache()
+    for m in draw(st.sets(st.integers(0, n - 1))):
+        cache.insert(0, 0, m, rates[m] * tau)
+    return request, cache, params
+
+
+class TestOnePassScoring:
+    """build_candidates against its specification, bit for bit."""
+
+    @given(_scoring_instances())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_equals_the_composed_specification(self, instance):
+        request, cache, params = instance
+        got = build_candidates(request, cache, params)
+        assert isinstance(got, tuple)
+        assert _bits(got) == _bits(_spec_candidates(request, cache, params))
+
+    def test_spec_cases_cover_every_regime(self):
+        # empty and queued downlinks, cached and uncached levels, zero rates
+        # (infinite delays), each utility regime and both ladder edges
+        params = TestBuildCandidates()._params()
+        cache = LruChunkCache()
+        cache.insert(0, 0, 2, 8e6)
+        seen = set()
+        for requested in (0, 1, 2):
+            for buffer_s in (0.0, 2.0, 5.0, 20.0):
+                for queue in ((0.0, 0.0), (4e6, 6.0)):
+                    for eff in (4e6, 0.0):
+                        for backhaul in (2e6, 0.0):
+                            p = dataclasses.replace(params, backhaul_bps=backhaul)
+                            req = _request(requested_quality=requested, buffer_s=buffer_s,
+                                           dl_queue_bits=queue[0], dl_queue_media_s=queue[1],
+                                           effective_rate_bps=eff)
+                            got = build_candidates(req, cache, p)
+                            assert _bits(got) == _bits(_spec_candidates(req, cache, p))
+                            seen.update((_regime(c.estimated_buffer_s, p), c.cached)
+                                        for c in got)
+        assert seen == {(r, cached) for r in ("comfortable", "shallow", "stall")
+                        for cached in (False, True)}
+
+    @given(_scoring_instances())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_buff_weight_is_the_weighted_log_bitrate(self, instance):
+        _, _, params = instance
+        for m, rate in enumerate(params.ladder.bitrates_bps):
+            for cached in (False, True):
+                want = (params.mu_c if cached else 1.0) * math.log(rate / 1e3)
+                assert params.levels[m][3 if cached else 2].hex() == want.hex()
+
+    @pytest.mark.parametrize("kw", [
+        dict(requested_quality=-1),
+        dict(requested_quality=3),
+        dict(dl_queue_bits=-1.0),
+        dict(dl_queue_bits=4e6, dl_queue_media_s=-0.5),
+    ])
+    def test_both_value_errors_are_raised(self, kw):
+        req = _request(**kw)
+        params = TestBuildCandidates()._params()
+        with pytest.raises(ValueError) as spec_err:
+            _spec_candidates(req, LruChunkCache(), params)
+        with pytest.raises(ValueError) as got_err:
+            build_candidates(req, LruChunkCache(), params)
+        assert str(got_err.value) == str(spec_err.value)

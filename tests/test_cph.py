@@ -31,24 +31,56 @@ from edgestream.cph import (
 from plain_fold import pareto_min, plain_fold
 
 
-class Metered(tuple):
-    """A group's items that count how often the merge scans them.
+class _MeteredIndex(int):
+    """A candidate's quality index whose level bit, `1 << m`, counts the
+    paid-set tests made on it and fails once they pass `limit()`."""
 
-    solve_groups scans a group's items once per frontier entry, so a
-    frontier that outgrows `limit()` fails at once instead of hanging.
+    def __new__(cls, m, limit):
+        obj = super().__new__(cls, m)
+        obj.pairs, obj.limit = 0, limit
+        return obj
+
+    def __rlshift__(self, other):
+        return _MeteredBit(int(other) << int(self), self)
+
+
+class _MeteredBit(int):
+    def __new__(cls, bit, index):
+        obj = super().__new__(cls, bit)
+        obj.index = index
+        return obj
+
+    def __rand__(self, paid):
+        index = self.index
+        index.pairs += 1
+        if index.pairs > index.limit():
+            raise AssertionError("in-cluster frontier outgrew its paid sets")
+        return paid & int(self)
+
+
+class Metered(tuple):
+    """A group's items that count the frontier entries the merge pairs them with.
+
+    solve_groups reads a group's items once (`reads`), then tests every
+    frontier entry's paid set against every item's level bit. The items'
+    quality indices here count those tests, so `scans` is the number of
+    frontier entries the group was merged with, and a frontier that outgrows
+    `limit()` fails at once instead of hanging.
     """
 
     def __new__(cls, items, limit):
-        obj = super().__new__(cls, items)
-        obj.scans = 0
-        obj.limit = limit
+        obj = super().__new__(cls, (i._replace(quality_index=_MeteredIndex(i.quality_index, limit))
+                                    for i in items))
+        obj.reads = 0
         return obj
 
     def __iter__(self):
-        self.scans += 1
-        if self.scans > self.limit():
-            raise AssertionError("in-cluster frontier outgrew its paid sets")
+        self.reads += 1
         return super().__iter__()
+
+    @property
+    def scans(self):
+        return self[0].quality_index.pairs
 
 
 class TestParetoMin:
@@ -180,6 +212,16 @@ class TestSolveGroups:
         groups = [_group("v0", [(1, 100), (2, 300), (3, 900)]) for _ in range(14)]
         groups = [SolveGroup(g.cluster_key, Metered(g.items, lambda: 5)) for g in groups]
         assert solve_groups(groups, 1000.0) == (42.0, 900.0, (2,) * 14)
+
+    def test_merge_reads_each_candidate_once_per_group(self):
+        # the cluster above: each group's items are read once, and every item
+        # is paired with every entry of the frontier it is merged into
+        groups = [_group("v0", [(1, 100), (2, 300), (3, 900)]) for _ in range(14)]
+        groups = [SolveGroup(g.cluster_key, Metered(g.items, lambda: 5)) for g in groups]
+        assert solve_groups(groups, 1000.0) == (42.0, 900.0, (2,) * 14)
+        assert [g.items.reads for g in groups] == [1] * 14
+        assert all(len({i.quality_index.pairs for i in g.items}) == 1 for g in groups)
+        assert [g.items.scans for g in groups] == [1, 3] + [5] * 12
 
     def test_spread_cluster_stays_tractable(self, monkeypatch):
         # 24 warm requests for one chunk spread over a 19-level ladder, with
