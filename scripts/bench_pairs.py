@@ -23,7 +23,6 @@ not change.
 from __future__ import annotations
 
 import argparse
-import importlib.metadata
 import json
 import os
 import platform
@@ -73,13 +72,6 @@ def describe(checkout: Path) -> str | None:
     done = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
                           capture_output=True, text=True)
     return done.stdout.strip() if done.returncode == 0 else None
-
-
-def package_version(name: str) -> str:
-    try:
-        return importlib.metadata.version(name)
-    except importlib.metadata.PackageNotFoundError:
-        return "absent"
 
 
 def summary(values: list[float]) -> dict:
@@ -193,8 +185,7 @@ def main(argv=None) -> int:
                       "n=4, method='inclusive'); change_wins counts the pairs in which the "
                       "change reads better, ties counting for neither",
         "host": f"{os.cpu_count()}-core {platform.system()}, Python "
-                f"{platform.python_version()}, numpy {package_version('numpy')}, scipy "
-                f"{package_version('scipy')}; reps_per_s and setup_s in the benchmark's "
+                f"{platform.python_version()}; reps_per_s and setup_s in the benchmark's "
                 "reference seconds (perfbench/README.md)",
         "workloads": {},
     }

@@ -6,6 +6,7 @@ from .assign_core import (
     SolverParams,
     build_candidates,
     delivery_cost,
+    estimate_buffer,
     tolerated_set,
     utility,
 )
@@ -15,7 +16,6 @@ from .buffer_airtime import (
     ClientLoad,
     allocate_airtime,
     equal_airtime,
-    estimate_buffer,
 )
 from .cache import LruChunkCache, OversizedObjectError
 from .catalog import CatalogError, QualityLadder, make_synthetic_catalog, zipf_pmf
@@ -46,10 +46,10 @@ from .radio import link_capacity_bps, path_loss_db, place_clients
 __all__ = [
     "SCHEMES", "ApEngine", "DeliveryEvent", "SimulationResult",
     "CandidateQuality", "QualityRequest", "SolverParams", "build_candidates",
-    "delivery_cost", "tolerated_set", "utility",
+    "delivery_cost", "estimate_buffer", "tolerated_set", "utility",
     "buff_assign",
     "AirtimeAllocation", "ClientLoad",
-    "allocate_airtime", "equal_airtime", "estimate_buffer",
+    "allocate_airtime", "equal_airtime",
     "LruChunkCache", "OversizedObjectError",
     "CatalogError", "QualityLadder", "make_synthetic_catalog", "zipf_pmf",
     "ChunkRequest", "DashClient", "harmonic_mean_rate", "select_quality",

@@ -201,23 +201,16 @@ class ApEngine:
 
     # ---- solver-facing snapshots -------------------------------------
 
-    def _queue_snapshot(self, client_id: int) -> tuple[float, float, float]:
-        """(remaining bits, whole-chunk media seconds, mean queued bitrate)."""
-        q = self.dl_queues[client_id]
+    def _queue_snapshot(self, client_id: int) -> tuple[float, float]:
+        """(remaining bits, whole-chunk media seconds) of a client's queue."""
         chunk_s = self.ladder.chunk_duration_s
         bits = 0.0
         media = 0.0
-        for i, item in enumerate(q):
+        for i, item in enumerate(self.dl_queues[client_id]):
             bits += item.remaining_bits
             if i > 0 or item.remaining_bits == item.size_bits:
                 media += chunk_s
-        if media > 0:
-            avg_rate = bits / media
-        elif q:
-            avg_rate = q[0].size_bits / chunk_s
-        else:
-            avg_rate = 0.0
-        return bits, media, avg_rate
+        return bits, media
 
     def _build_requests(self, n1: list[ChunkRequest]) -> list[QualityRequest]:
         # selection assumes equal airtime; the realized allocation may differ
@@ -226,7 +219,7 @@ class ApEngine:
         out = []
         for r in n1:
             cid = r.client_id
-            bits, media, _ = self._queue_snapshot(cid)
+            bits, media = self._queue_snapshot(cid)
             # positional, in field order: (client, video, chunk, requested
             # quality, buffer, effective rate, queue bits, queue media, backlog)
             out.append(QualityRequest(
@@ -304,7 +297,9 @@ class ApEngine:
             # queued bitrate, link capacity, buffered chunks, playing)
             if stall_aware:
                 c = self.clients[cid]
-                bits, _, avg_rate = self._queue_snapshot(cid)
+                bits, media = self._queue_snapshot(cid)
+                # media is 0 only for a lone, partly sent head: take its bitrate
+                avg_rate = bits / media if media > 0 else q[0].size_bits / chunk_s
                 loads.append(ClientLoad(cid, bits, c.buffer_s, avg_rate, capacity[cid],
                                         c.buffer_s / chunk_s, c.playout_started))
             else:
@@ -406,7 +401,6 @@ class ApEngine:
             seg_end = min(t_done, end)
             self._serve_segment(cursor, seg_end, served)
             drained += head.remaining_bits
-            head.remaining_bits = 0.0
             self.fifo.popitem(last=False)
             self._complete_backhaul_job(seg_end, key, head)
             cursor = seg_end

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-# build_candidates inlines it; perfbench/tracer.py wraps this name by owner
-from .buffer_airtime import estimate_buffer  # noqa: F401
 from .cache import LruChunkCache
 from .catalog import QualityLadder
 
@@ -77,7 +75,6 @@ class QualityRequest(NamedTuple):
 class CandidateQuality(NamedTuple):
     """One scored tolerated level of a request; the request says whose."""
     quality_index: int
-    bitrate_bps: float
     cached: bool
     cost_bps: float
     estimated_buffer_s: float
@@ -91,6 +88,29 @@ def tolerated_set(requested_m: int, gamma: int, ladder_size: int) -> tuple[int, 
     lo = max(0, requested_m - gamma)
     hi = min(ladder_size - 1, requested_m + gamma)
     return tuple(range(lo, hi + 1))
+
+
+def estimate_buffer(
+    *,
+    current_buffer_s: float,
+    backhaul_delay_s: float,    # download wait incl. queueing; 0 if cache-served
+    dl_transmit_s: float,       # candidate bits / (C * theta)
+    dl_queue_bits: float,
+    dl_queue_media_s: float,    # playable seconds of whole untransmitted chunks
+    effective_rate_bps: float,  # C * theta assumed during selection
+) -> float:
+    """Projected buffer seconds at candidate arrival, for a backhaul- or
+    cache-served chunk behind an empty or backlogged queue; may be negative."""
+    if dl_queue_bits < 0 or dl_queue_media_s < 0:
+        raise ValueError("queue fields must be non-negative")
+    b = current_buffer_s
+    if dl_queue_bits == 0:
+        return b - (backhaul_delay_s + dl_transmit_s)
+    if effective_rate_bps > 0:
+        drain_s = dl_queue_bits / effective_rate_bps
+    else:
+        drain_s = math.inf
+    return b - max(drain_s, backhaul_delay_s) - dl_transmit_s + dl_queue_media_s
 
 
 def delivery_cost(bitrate_bps: float, cached: bool) -> float:
@@ -175,5 +195,5 @@ def build_candidates(
             u = mu_c * log(b_hat) if cached else log(b_hat)
         else:
             u = b_hat
-        out.append(CandidateQuality(m, rate, cached, 0.0 if cached else rate, b_hat, u))
+        out.append(CandidateQuality(m, cached, 0.0 if cached else rate, b_hat, u))
     return tuple(out)

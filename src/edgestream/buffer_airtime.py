@@ -1,45 +1,19 @@
-"""Buffer estimation for candidate deliveries and downlink airtime shares.
+"""Downlink airtime shares.
 
-The buffer estimate projects a client's playout buffer to the moment a
-candidate chunk would finish arriving, covering the four delivery scenarios:
-{backhaul, cache} x {empty, backlogged} downlink queue. Both airtime
-allocators hand out fixed fractions of one interval, none larger than what
-the client's queue can absorb in it: the stall-aware one gives
+Both allocators hand out fixed fractions of one interval, none larger than
+what the client's queue can absorb in it: the stall-aware one gives
 stall-endangered clients exactly the share they need and water-fills the
 rest; the equal one, used by the other schemes, water-fills all of it. A
 capped queue is paced to empty at the interval's end, not sent at link rate.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .fold import left_sum
 
 SUFFICIENT_CHUNKS = 2.0  # buffered chunks at which a playing client steps aside
-
-
-def estimate_buffer(
-    *,
-    current_buffer_s: float,
-    backhaul_delay_s: float,    # download wait incl. queueing; 0 if cache-served
-    dl_transmit_s: float,       # candidate bits / (C * theta)
-    dl_queue_bits: float,
-    dl_queue_media_s: float,    # playable seconds of whole untransmitted chunks
-    effective_rate_bps: float,  # C * theta assumed during selection
-) -> float:
-    """Projected buffer seconds at candidate arrival; may be negative."""
-    if dl_queue_bits < 0 or dl_queue_media_s < 0:
-        raise ValueError("queue fields must be non-negative")
-    b = current_buffer_s
-    if dl_queue_bits == 0:
-        return b - (backhaul_delay_s + dl_transmit_s)
-    if effective_rate_bps > 0:
-        drain_s = dl_queue_bits / effective_rate_bps
-    else:
-        drain_s = math.inf
-    return b - max(drain_s, backhaul_delay_s) - dl_transmit_s + dl_queue_media_s
 
 
 class ClientLoad(NamedTuple):

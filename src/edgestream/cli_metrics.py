@@ -77,6 +77,9 @@ class ScenarioConfig:
     base_seed: int = 1
     max_time_s: float | None = None
 
+    def __post_init__(self):
+        self.validate()  # so every built or replace()d config is a valid one
+
     def validate(self) -> None:
         if not self.schemes:
             raise ConfigError("schemes must not be empty")
@@ -164,9 +167,7 @@ def load_config(path: str) -> ScenarioConfig:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    cfg = replace(ScenarioConfig(), **overrides)
-    cfg.validate()
-    return cfg
+    return replace(ScenarioConfig(), **overrides)
 
 
 # ---- single replication ---------------------------------------------
@@ -248,7 +249,6 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list, jobs: int = 1):
             raise ConfigError(f"sweep value {label} of {param} is given twice")
         labels.add(label)
         sub = replace(cfg, **{param: value})
-        sub.validate()
         tasks.extend((sub, scheme, rep, param, label)
                      for scheme in sub.schemes for rep in range(sub.reps))
     return _execute(tasks, jobs)
@@ -486,9 +486,7 @@ def _config_from_args(args) -> ScenarioConfig:
                  if getattr(args, dest) is not None}
     if args.scheme:
         overrides["schemes"] = tuple(args.scheme)
-    cfg = replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
+    return replace(cfg, **overrides)
 
 
 def _parse_sweep_values(param: str, raw: str) -> list:

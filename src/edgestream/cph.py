@@ -91,7 +91,7 @@ def solve_groups(groups: Sequence[SolveGroup], capacity_bps: float) -> Best | No
     for gi, group in enumerate(groups):
         keep = live[gi]
         # each candidate read once per group: (level bit, cost, free, utility, pick)
-        items = [(1 << m, cost, cost <= 0, u, (m,)) for m, _, _, cost, _, u in group.items]
+        items = [(1 << m, cost, cost <= 0, u, (m,)) for m, _, cost, _, u in group.items]
         merged = []
         for (paid, c, nu, picks) in frontier:
             for level, item_cost, free, u, pick in items:

@@ -38,7 +38,8 @@ def buff_assign(
             safe = c.estimated_buffer_s >= 0
             if not safe and c.quality_index != min_level:
                 continue
-            u = _weighted_log_bitrate(c.bitrate_bps, c.cached, params)
+            u = _weighted_log_bitrate(params.ladder.bitrates_bps[c.quality_index], c.cached,
+                                      params)
             rank = (-u, -c.quality_index, req.client_id, req.video_id, req.chunk_index)
             pool.append((rank, ri, (req.video_id, req.chunk_index, c.quality_index), c, u))
 

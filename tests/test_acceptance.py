@@ -18,8 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from edgestream.assign_core import CandidateQuality
-from edgestream.buffer_airtime import estimate_buffer
+from edgestream.assign_core import CandidateQuality, estimate_buffer
 from edgestream.cache import LruChunkCache, OversizedObjectError
 from edgestream.cli_metrics import (
     ScenarioConfig,
@@ -53,7 +52,7 @@ def test_solver_matches_exhaustive_oracle_on_500_instances():
 def _group(cluster, pairs):
     # groups of one cluster share content by level; other clusters never do
     items = tuple(
-        CandidateQuality(quality_index=m, bitrate_bps=1.0, cached=False,
+        CandidateQuality(quality_index=m, cached=False,
                          cost_bps=float(c), estimated_buffer_s=0.0, utility=float(u))
         for m, (u, c) in enumerate(pairs)
     )

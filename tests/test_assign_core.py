@@ -13,10 +13,10 @@ from edgestream.assign_core import (
     SolverParams,
     build_candidates,
     delivery_cost,
+    estimate_buffer,
     tolerated_set,
     utility,
 )
-from edgestream.buffer_airtime import estimate_buffer
 from edgestream.cache import LruChunkCache
 from edgestream.catalog import QualityLadder, make_synthetic_catalog
 from edgestream.cli_metrics import ScenarioConfig
@@ -186,7 +186,7 @@ class TestBuildCandidates:
     def test_effective_rate_is_equal_share_of_link(self):
         cands = build_candidates(_request(effective_rate_bps=16e6 * 0.5), LruChunkCache(),
                                  self._params(gamma=0))
-        assert cands[0].bitrate_bps == 2e6
+        assert cands[0].cost_bps == 2e6  # uncached, so its cost is its bitrate
         # transfer time halves when the assumed share doubles: 4e6 bits / 8e6 bps
         assert cands[0].estimated_buffer_s == pytest.approx(8.0 - 3.0 - 0.5)
 
@@ -229,7 +229,7 @@ def _spec_candidates(request: QualityRequest, cache: LruChunkCache,
             dl_queue_media_s=request.dl_queue_media_s,
             effective_rate_bps=rate_eff,
         )
-        out.append((m, rate, cached, delivery_cost(rate, cached), b_hat,
+        out.append((m, cached, delivery_cost(rate, cached), b_hat,
                     utility(rate, cached, params.mu_c, b_hat, params.b_min_s, params.b_max_s)))
     return out
 

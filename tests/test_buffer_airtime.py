@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgestream.assign_core import estimate_buffer
 from edgestream.buffer_airtime import (
     SUFFICIENT_CHUNKS,
     AirtimeAllocation,
     ClientLoad,
     allocate_airtime,
     equal_airtime,
-    estimate_buffer,
 )
 from replay_oracle import replay_buffer_projection
 

@@ -122,7 +122,7 @@ class TestParetoMin:
 def _group(cluster, pairs):
     # groups of one cluster share content by level; other clusters never do
     items = tuple(
-        CandidateQuality(quality_index=m, bitrate_bps=1.0, cached=False,
+        CandidateQuality(quality_index=m, cached=False,
                          cost_bps=float(c), estimated_buffer_s=0.0, utility=float(u))
         for m, (u, c) in enumerate(pairs)
     )
@@ -197,7 +197,7 @@ class TestSolveGroups:
             low = data.draw(st.integers(0, 3))
             levels = range(low, low + data.draw(st.integers(1, 3)))
             groups.append(SolveGroup(k, tuple(
-                CandidateQuality(quality_index=m, bitrate_bps=1.0, cached=False,
+                CandidateQuality(quality_index=m, cached=False,
                                  cost_bps=float(costs[k][m]), estimated_buffer_s=0.0,
                                  utility=float(data.draw(st.integers(0, 4))))
                 for m in levels)))
@@ -260,7 +260,7 @@ class TestSolveGroups:
         def tied(cluster, *points):
             # (quality, utility, cost), listed largest quality first
             return SolveGroup(cluster, tuple(
-                CandidateQuality(quality_index=m, bitrate_bps=1.0, cached=False,
+                CandidateQuality(quality_index=m, cached=False,
                                  cost_bps=float(c), estimated_buffer_s=0.0, utility=float(u))
                 for m, u, c in points))
         # singleton clusters: levels 2 and 0 of each group tie on (utility, cost)

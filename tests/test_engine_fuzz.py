@@ -23,7 +23,6 @@ EQUAL_SHARE = tuple(s for s in SCHEMES if s not in STALL_AWARE)
 def _assert_clean_run(cfg: ScenarioConfig) -> None:
     """Every scheme of `cfg` runs without an exception or a violation and
     plays every chunk to every client."""
-    cfg.validate()
     for scheme in cfg.schemes:
         result = run_replication(cfg, scheme, 0)
         assert result.violations == [], (scheme, result.violations)
