@@ -16,16 +16,16 @@ ChunkRequest travels with it from issue to delivery: a downlink item holds
 it, and a backhaul job holds one per request it serves.
 
 Which clients each phase visits, and what it reads: advance and request
-issue visit every client once, and a client that issues reads its rate
-samples once per call for one quality pick; candidate building and the
-solver see only the interval's new requests, each with its client's buffer
-and queue (bits and whole-chunk media), and a passthrough scheme runs
-neither; airtime allocation sees only the clients whose downlink queue holds
-data, and reads their queue bits and link capacity, plus, for the
-stall-aware allocator only, the mean queued bitrate, buffer and playout
-state; and the drain visits only the clients granted a share, once per
-backhaul sub-segment. The backhaul FIFO is one ordered map keyed by chunk,
-so a rider finds its job with one probe.
+issue visit every client once, a client the gate holds shut builds nothing,
+and one that issues reads its rate samples once per call for one quality
+pick; candidate building and the solver see only the interval's new
+requests, each with its client's buffer and queue (bits and whole-chunk
+media), and a passthrough scheme runs neither; airtime allocation sees only
+the busy queues, and the equal split reads just each one's room (its bits
+over link capacity times the interval), the stall-aware one also the mean
+queued bitrate, buffer and playout state; and the drain visits only the
+clients granted a share, once per backhaul sub-segment. The backhaul FIFO
+is one ordered map keyed by chunk, so a rider finds its job with one probe.
 
 The engine is deterministic by construction: no randomness, no iteration
 over unordered containers where order can leak into results.
@@ -280,43 +280,44 @@ class ApEngine:
     def _allocate(self) -> list[tuple[int, float, deque[DlItem]]]:
         """(client id, drain rate, queue) of every client granted airtime for
         the interval, in client order. An empty queue gets a share of exactly
-        0 from either allocator and never counts as risky, so it is left out
-        of the loads; the other shares come out bitwise the same.
-
-        equal_airtime reads only a load's id, queue bits and link capacity,
-        so under it the loads carry zeros in the other fields and the queue
-        is summed without the media and mean-rate pass."""
-        stall_aware = self.policy.stall_aware
-        chunk_s = self.ladder.chunk_duration_s
+        0 from either allocator and never counts as risky, so it is left out;
+        the other shares come out bitwise the same. equal_airtime reads only
+        each busy queue's room, so no load is built for it."""
         capacity = self.capacity
-        loads = []
-        for cid, q in enumerate(self.dl_queues):
-            if not q:
-                continue
-            # positional, in field order: (client, queue bits, buffer, mean
-            # queued bitrate, link capacity, buffered chunks, playing)
-            if stall_aware:
+        queues = self.dl_queues
+        if self.policy.stall_aware:
+            chunk_s = self.ladder.chunk_duration_s
+            loads = []
+            for cid, q in enumerate(queues):
+                if not q:
+                    continue
                 c = self.clients[cid]
                 bits, media = self._queue_snapshot(cid)
                 # media is 0 only for a lone, partly sent head: take its bitrate
                 avg_rate = bits / media if media > 0 else q[0].size_bits / chunk_s
+                # positional, in field order: (client, queue bits, buffer, mean
+                # queued bitrate, link capacity, buffered chunks, playing)
                 loads.append(ClientLoad(cid, bits, c.buffer_s, avg_rate, capacity[cid],
                                         c.buffer_s / chunk_s, c.playout_started))
-            else:
-                bits = 0.0
-                for item in q:
-                    bits += item.remaining_bits
-                loads.append(ClientLoad(cid, bits, 0.0, 0.0, capacity[cid], 0.0, False))
-        if stall_aware:
             alloc = allocate_airtime(loads, self.params.b_min_s, self.t_ap_s)
+            # allocate_airtime keys its shares in client order
+            busy, shares = list(alloc.shares), list(alloc.shares.values())
         else:
-            alloc = equal_airtime(loads, self.t_ap_s)
-        total = alloc.total()
+            t_ap_s = self.t_ap_s
+            busy, rooms = [], []
+            for cid, q in enumerate(queues):
+                if q:
+                    bits = 0.0
+                    for item in q:
+                        bits += item.remaining_bits
+                    busy.append(cid)
+                    rooms.append(bits / (capacity[cid] * t_ap_s))
+            shares = equal_airtime(rooms)
+        total = left_sum(shares)
         if total > 1.0 + 1e-9:
             self.result.violations.append(f"t={self.now}: airtime shares sum to {total}")
-        return [(load.client_id, load.link_capacity_bps * alloc.shares[load.client_id],
-                 self.dl_queues[load.client_id])
-                for load in loads if alloc.shares[load.client_id] > 0]
+        return [(cid, capacity[cid] * share, queues[cid])
+                for cid, share in zip(busy, shares) if share > 0]
 
     def _deliver(self, t: float, client_id: int, item: DlItem) -> None:
         client = self.clients[client_id]
@@ -413,10 +414,12 @@ class ApEngine:
         self.now = end
 
     def run(self) -> SimulationResult:
-        while self.now < self.max_time_s:
-            if all(c.finished for c in self.clients):
-                break
-            self.step_rai()
+        pending = deque(self.clients)  # `finished` is never reset: a finished head is done
+        while pending and self.now < self.max_time_s:
+            if pending[0].finished:
+                pending.popleft()
+            else:
+                self.step_rai()
         res = self.result
         res.t_end_s = self.now
         for c in self.clients:

@@ -1,10 +1,12 @@
 """Downlink airtime shares.
 
 Both allocators hand out fixed fractions of one interval, none larger than
-what the client's queue can absorb in it: the stall-aware one gives
-stall-endangered clients exactly the share they need and water-fills the
-rest; the equal one, used by the other schemes, water-fills all of it. A
-capped queue is paced to empty at the interval's end, not sent at link rate.
+what the client's queue can absorb in it, through one water-fill: the
+stall-aware one gives stall-endangered clients exactly the share they need
+and water-fills the rest, hungry clients before sated ones; the equal one,
+used by the other schemes, water-fills all of it over the busy queues'
+rooms, by position. A capped queue is paced to empty at the interval's end,
+not sent at link rate.
 """
 from __future__ import annotations
 
@@ -82,46 +84,40 @@ def allocate_airtime(
         sated = [c for c in waiting if c.client_id in excluded]
         # airtime a client cannot fill within the interval is dead, so each
         # equal share is capped at what the queue can absorb and the surplus
-        # falls through to the well-buffered clients instead of idling
+        # falls through to the well-buffered clients instead of idling; no
+        # tier member holds any airtime before its tier fills
         for tier in (hungry, sated):
-            residual = _fill_equally(tier, shares, residual, t_ap_s)
+            filled, residual = _water_fill(
+                [c.dl_queue_bits / (c.link_capacity_bps * t_ap_s) for c in tier], residual)
+            shares.update(zip([c.client_id for c in tier], filled))
             if residual <= 0:
                 break
     return AirtimeAllocation(shares=shares, risky=risky)
 
 
-def _fill_equally(tier: list[ClientLoad], shares: dict[int, float],
-                  residual: float, t_ap_s: float) -> float:
-    """Split `residual` equally across the tier, capping each share at what
-    the client's queue can absorb within the interval; returns the surplus.
-    """
-    live = [
-        (c.client_id, c.dl_queue_bits / (c.link_capacity_bps * t_ap_s) - shares[c.client_id])
-        for c in tier
-    ]
-    live = [(cid, room) for cid, room in live if room > 0]
+def _water_fill(rooms: list[float], residual: float) -> tuple[list[float], float]:
+    """Split `residual` equally by position, capping each share at its room
+    (the fraction of the interval its queue can absorb) and re-splitting the
+    rest among the uncapped; returns the shares and the surplus."""
+    shares = [0.0] * len(rooms)
+    live = [(i, room) for i, room in enumerate(rooms) if room > 0]
     while live and residual > 1e-12:
         per = residual / len(live)
         nxt = []
-        for cid, room in live:
-            grant = min(per, room)
-            shares[cid] += grant
+        for i, room in live:
+            grant = room if room < per else per  # min(per, room), without the call
+            shares[i] += grant
             residual -= grant
             if room - grant > 1e-12:
-                nxt.append((cid, room - grant))
+                nxt.append((i, room - grant))
         if len(nxt) == len(live):    # nobody hit a cap; split is final
             break
         live = nxt
-    return max(residual, 0.0)
+    return shares, max(residual, 0.0)
 
 
-def equal_airtime(clients: list[ClientLoad], t_ap_s: float) -> AirtimeAllocation:
-    """Equal shares of the whole interval across the clients with queued
-    data, each capped at what its queue can absorb; a slice an idle or
-    nearly drained client cannot use is re-split among the others, and a
-    capped client drains its queue exactly by the interval's end."""
-    if t_ap_s <= 0 or any(c.link_capacity_bps <= 0 for c in clients):
-        raise ValueError("t_ap_s and link_capacity_bps must be > 0")
-    shares = {c.client_id: 0.0 for c in clients}
-    _fill_equally(sorted(clients, key=lambda c: c.client_id), shares, 1.0, t_ap_s)
-    return AirtimeAllocation(shares=shares, risky=frozenset())
+def equal_airtime(rooms: list[float]) -> list[float]:
+    """Equal shares of the whole interval, one per room, by position. A room
+    is a busy queue's bits over (link capacity * t_ap_s), the most of the
+    interval it can use; a capped queue drains exactly by the interval's end."""
+    return _water_fill(rooms, 1.0)[0]

@@ -120,11 +120,10 @@ class DashClient:
     def maybe_issue_requests(self, t: float) -> list[ChunkRequest]:
         """All requests the gating rules allow at time t, in chunk order."""
         self.advance_to(t)
-        issued: list[ChunkRequest] = []
         if t < self.start_time_s - _EPS:
-            return issued
+            return []
+        issued = None  # made at the first request: a blocked poll builds nothing
         tau = self.ladder.chunk_duration_s
-        quality = -1  # picked at the first request; no rate sample arrives within the call
         while self.next_chunk < self.ladder.chunk_count and not self.finished:
             n_out = len(self.in_flight)
             if self.playout_started:
@@ -135,13 +134,14 @@ class DashClient:
             else:
                 if self.buffer_s + tau * n_out >= self.b_max_s - _EPS:
                     break
-            if quality < 0:
+            if issued is None:  # one pick per call: no rate sample arrives within it
+                issued = []
                 quality = select_quality(harmonic_mean_rate(self.rates), self.ladder.bitrates_bps)
             req = ChunkRequest(self.client_id, self.video_id, self.next_chunk, quality, t)
             self.in_flight[self.next_chunk] = req
             self.next_chunk += 1
             issued.append(req)
-        return issued
+        return [] if issued is None else issued
 
     def session_time_s(self, now: float) -> float:
         end = self.finish_time_s if self.finished else now

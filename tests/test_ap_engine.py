@@ -140,6 +140,26 @@ def test_time_budget_cuts_the_run_short():
     assert res.t_end_s <= 1.0 + 0.5
 
 
+def test_clients_finishing_out_of_index_order_end_the_run_on_time():
+    # client 0 starts 6 s late, so client 1 finishes first; the run must stop
+    # in the interval where the last client finishes, as a check of every
+    # client before each interval would
+    ladder = make_synthetic_catalog(2, 2e5, 2e6, 2.0, 6)
+
+    def engine():
+        return ApEngine("CLIENT", [(0, 6.0, 2e7), (1, 0.0, 2e7)], LruChunkCache(), 0.5,
+                        _params(ladder))
+
+    twin = engine()
+    while twin.now < twin.max_time_s and not all(c.finished for c in twin.clients):
+        twin.step_rai()
+    res = engine().run()
+    assert twin.clients[1].finish_time_s < twin.clients[0].finish_time_s
+    assert res.all_finished
+    assert res.t_end_s == twin.now
+    assert res.violations == []
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         _tiny_engine("NOT-A-SCHEME")

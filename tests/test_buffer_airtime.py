@@ -5,17 +5,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgestream.assign_core import estimate_buffer
 from edgestream.buffer_airtime import (
     SUFFICIENT_CHUNKS,
-    AirtimeAllocation,
     ClientLoad,
     allocate_airtime,
     equal_airtime,
 )
+from edgestream.fold import left_sum
+from reference_airtime import reference_equal_airtime
 from replay_oracle import replay_buffer_projection
 
 
@@ -98,6 +99,11 @@ def _load(cid, d, b, avg, cap, chunks=0.0, playing=True) -> ClientLoad:
     return ClientLoad(client_id=cid, dl_queue_bits=d, buffer_s=b,
                       avg_queued_bitrate_bps=avg, link_capacity_bps=cap,
                       buffered_chunks=chunks, playing=playing)
+
+
+def _rooms(loads, t_ap_s=0.5) -> list[float]:
+    """Each load's room, computed as ApEngine computes it for equal_airtime."""
+    return [c.dl_queue_bits / (c.link_capacity_bps * t_ap_s) for c in loads]
 
 
 class TestAllocateAirtime:
@@ -213,11 +219,11 @@ def test_allocation_invariants(raw):
     for c in clients:
         if c.dl_queue_bits == 0:
             assert alloc.shares[c.client_id] == 0.0
-    eq = equal_airtime(clients, t_ap_s=0.5)
-    assert eq.total() <= 1.0 + 1e-9
-    for c in clients:
-        room = c.dl_queue_bits / (c.link_capacity_bps * 0.5)
-        assert 0.0 <= eq.shares[c.client_id] <= room + 1e-12
+    rooms = _rooms(clients)
+    eq = equal_airtime(rooms)
+    assert left_sum(eq) <= 1.0 + 1e-9
+    for room, share in zip(rooms, eq):
+        assert 0.0 <= share <= room + 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -244,54 +250,27 @@ def test_empty_queues_leave_other_shares_bitwise_equal(raw, raw_idle):
     busy = [ClientLoad(2 * i, *row) for i, row in enumerate(raw)]
     idle = [ClientLoad(2 * i + 1, 0.0, *row[1:]) for i, row in enumerate(raw_idle)]
     mixed = sorted(busy + idle, key=lambda c: c.client_id)
-    for alloc in (lambda cs: allocate_airtime(cs, b_min_s=4.0, t_ap_s=0.5),
-                  lambda cs: equal_airtime(cs, t_ap_s=0.5)):
-        alone, together = alloc(busy), alloc(mixed)
-        assert {c.client_id: together.shares[c.client_id] for c in busy} == alone.shares
-        assert all(together.shares[c.client_id] == 0.0 for c in idle)
-        assert together.risky == alone.risky
-        assert together.total() == alone.total()
+    alone, together = (allocate_airtime(cs, b_min_s=4.0, t_ap_s=0.5) for cs in (busy, mixed))
+    assert {c.client_id: together.shares[c.client_id] for c in busy} == alone.shares
+    assert all(together.shares[c.client_id] == 0.0 for c in idle)
+    assert together.risky == alone.risky
+    assert together.total() == alone.total()
+    # equal_airtime's shares are positional: read them back by client id
+    eq_alone = equal_airtime(_rooms(busy))
+    eq_together = dict(zip([c.client_id for c in mixed], equal_airtime(_rooms(mixed))))
+    assert [eq_together[c.client_id] for c in busy] == eq_alone
+    assert all(eq_together[c.client_id] == 0.0 for c in idle)
+    assert left_sum(eq_together.values()) == left_sum(eq_alone)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_client_strategy, min_size=1, max_size=8), st.data())
 def test_load_order_does_not_move_any_share(raw, data):
-    # both allocators put the loads in client order themselves
+    # allocate_airtime puts the loads in client order itself
     clients = [ClientLoad(i, *row) for i, row in enumerate(raw)]
     shuffled = data.draw(st.permutations(clients))
-    for alloc in (lambda cs: allocate_airtime(cs, b_min_s=4.0, t_ap_s=0.5),
-                  lambda cs: equal_airtime(cs, t_ap_s=0.5)):
-        assert alloc(shuffled) == alloc(clients)
-
-
-_unread_by_equal_airtime = st.tuples(
-    st.floats(min_value=-10.0, max_value=30.0),   # buffer_s
-    st.floats(min_value=0.0, max_value=1e7),      # avg_queued_bitrate_bps
-    st.floats(min_value=0.0, max_value=20.0),     # buffered_chunks
-    st.booleans(),                                # playing
-)
-
-
-def _bits(alloc: AirtimeAllocation) -> dict[int, str]:
-    return {cid: share.hex() for cid, share in alloc.shares.items()}
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_client_strategy, min_size=1, max_size=8), st.data())
-def test_equal_shares_read_only_id_queue_bits_and_capacity(raw, data):
-    # the engine hands equal_airtime loads with zeros in every other field
-    clients = [ClientLoad(i, *row) for i, row in enumerate(raw)]
-    redrawn = [ClientLoad(c.client_id, c.dl_queue_bits, buffer_s, avg_rate,
-                          c.link_capacity_bps, chunks, playing)
-               for c, (buffer_s, avg_rate, chunks, playing)
-               in zip(clients, data.draw(st.lists(_unread_by_equal_airtime,
-                                                  min_size=len(clients),
-                                                  max_size=len(clients))))]
-    zeroed = [ClientLoad(c.client_id, c.dl_queue_bits, 0.0, 0.0, c.link_capacity_bps,
-                         0.0, False) for c in clients]
-    want = _bits(equal_airtime(clients, t_ap_s=0.5))
-    assert _bits(equal_airtime(redrawn, t_ap_s=0.5)) == want
-    assert _bits(equal_airtime(zeroed, t_ap_s=0.5)) == want
+    assert (allocate_airtime(shuffled, b_min_s=4.0, t_ap_s=0.5)
+            == allocate_airtime(clients, b_min_s=4.0, t_ap_s=0.5))
 
 
 class TestEqualAirtime:
@@ -302,34 +281,58 @@ class TestEqualAirtime:
             _load(1, 0.0, 0.0, 0.0, 20e6),
             _load(2, 1e7, 0.0, 1e6, 20e6),
         ]
-        alloc = equal_airtime(clients, t_ap_s=0.5)
         # the idle client's slice is re-split between the two loaded ones
-        assert alloc.shares == {0: 0.5, 1: 0.0, 2: 0.5}
-        assert alloc.risky == frozenset()
+        assert equal_airtime(_rooms(clients)) == [0.5, 0.0, 0.5]
 
     def test_empty_client_list(self):
-        alloc = equal_airtime([], t_ap_s=0.5)
-        assert alloc.shares == {}
-        assert alloc.total() == 0.0
+        shares = equal_airtime([])
+        assert shares == []
+        assert left_sum(shares) == 0.0
 
     def test_all_loaded(self):
         clients = [_load(i, 1e7, 0.0, 1e6, 20e6) for i in range(4)]
-        alloc = equal_airtime(clients, t_ap_s=0.5)
-        assert all(v == 0.25 for v in alloc.shares.values())
-        assert alloc.total() == pytest.approx(1.0)
+        shares = equal_airtime(_rooms(clients))
+        assert all(v == 0.25 for v in shares)
+        assert left_sum(shares) == pytest.approx(1.0)
 
     def test_share_capped_at_queue(self):
         # a 1e6-bit queue absorbs only 1e6 / 1e7 = 0.1 of the interval
         shallow = [_load(i, 1e6, 0.0, 1e6, 20e6) for i in range(2)]
-        assert equal_airtime(shallow, t_ap_s=0.5).shares == {0: 0.1, 1: 0.1}
+        assert equal_airtime(_rooms(shallow)) == [0.1, 0.1]
         # beside a deep queue, the 0.4 it cannot use goes to the deep one
         mixed = [_load(0, 1e6, 0.0, 1e6, 20e6), _load(1, 1e8, 0.0, 1e6, 20e6)]
-        alloc = equal_airtime(mixed, t_ap_s=0.5)
-        assert alloc.shares[0] == 0.1
-        assert alloc.shares[1] == pytest.approx(0.9)
+        shares = equal_airtime(_rooms(mixed))
+        assert shares[0] == 0.1
+        assert shares[1] == pytest.approx(0.9)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            equal_airtime([_load(0, 1e6, 0.0, 1e6, 20e6)], t_ap_s=0.0)
-        with pytest.raises(ValueError):
-            equal_airtime([_load(0, 1e6, 0.0, 1e6, 0.0)], t_ap_s=0.5)
+
+def _bits(shares) -> list[str]:
+    return [share.hex() for share in shares]
+
+
+# queue bits with zero drawn often, as the zero-bit loads the engine leaves out
+_queue_bits = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_queue_bits, st.floats(min_value=1e3, max_value=1e9)), max_size=12),
+       st.sampled_from([0.02, 0.1, 0.5, 1.0]))
+@example(raw=[(0.0, 2e7), (1e7, 2e7), (0.0, 1e3), (1e6, 2e7)], t_ap_s=0.5)
+def test_equal_airtime_matches_the_reference_bitwise(raw, t_ap_s):
+    # the reference sorts loads by id and keys shares by it; in client order
+    # the positional split must give every share the same bits
+    loads = [_load(i, bits, 0.0, 0.0, cap) for i, (bits, cap) in enumerate(raw)]
+    want = reference_equal_airtime(loads, t_ap_s)
+    assert _bits(equal_airtime(_rooms(loads, t_ap_s))) == _bits(want[c.client_id] for c in loads)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_queue_bits, st.floats(min_value=1e3, max_value=1e9)), max_size=12))
+def test_allocate_airtime_without_risky_or_sated_clients_is_the_equal_split(raw):
+    # a full buffer makes no client risky and a non-playing one is never
+    # set aside, so the stall-aware split is one water-fill over all rooms
+    loads = [_load(i, bits, 10.0, 1e6, cap, chunks=5.0, playing=False)
+             for i, (bits, cap) in enumerate(raw)]
+    alloc = allocate_airtime(loads, b_min_s=4.0, t_ap_s=0.5)
+    assert alloc.risky == frozenset()
+    assert _bits(alloc.shares[c.client_id] for c in loads) == _bits(equal_airtime(_rooms(loads)))

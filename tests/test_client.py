@@ -177,6 +177,58 @@ class TestRequestGating:
         assert [r.quality_index for r in reqs] == [2]
 
 
+def _burst(c: DashClient) -> DashClient:
+    c.maybe_issue_requests(0.0)
+    return c
+
+
+def _at_in_flight_cap(c: DashClient) -> DashClient:
+    c.maybe_issue_requests(0.0)
+    for k in range(8):
+        c.on_chunk_delivered(1.0, k, 2e6)
+    c.advance_to(16.5)
+    assert len(c.maybe_issue_requests(16.5)) == 3
+    return c
+
+
+def _without_room(c: DashClient) -> DashClient:
+    c.maybe_issue_requests(0.0)
+    c.on_chunk_delivered(0.5, 0, 2e6)
+    c.on_chunk_delivered(0.6, 1, 2e6)
+    return c
+
+
+def _finished(c: DashClient) -> DashClient:
+    c.maybe_issue_requests(0.0)
+    c.on_chunk_delivered(0.5, 0, 2e6)
+    c.advance_to(3.0)
+    assert c.finished
+    return c
+
+
+# (client arguments, how it is brought to the blocked state, poll time)
+_BLOCKED = {
+    "before its start": (dict(start_time_s=5.0), lambda c: c, 1.0),
+    "burst outstanding": ({}, _burst, 0.5),
+    "in-flight cap": (dict(ladder=QualityLadder(LADDER.bitrates_bps, 2.0, 20)),
+                      _at_in_flight_cap, 16.6),
+    "no room for a chunk": (dict(b_max_s=4.0), _without_room, 0.7),
+    "every chunk requested": (dict(ladder=QualityLadder((1e6,), 2.0, 7)), _burst, 0.5),
+    "finished": (dict(ladder=QualityLadder((1e6,), 2.0, 1)), _finished, 3.5),
+}
+
+
+@pytest.mark.parametrize("why", _BLOCKED)
+def test_a_blocked_poll_only_advances_the_client(why):
+    kw, bring, t = _BLOCKED[why]
+    polled, twin = bring(_client(**kw)), bring(_client(**kw))
+    got = polled.maybe_issue_requests(t)
+    assert got == []
+    assert polled.maybe_issue_requests(t) is not got   # a new list every call
+    twin.advance_to(t)
+    assert vars(polled) == vars(twin)
+
+
 class TestPlayout:
     def test_stall_accrues_only_after_playout_start(self):
         c = _client(b_max_s=2.0)
