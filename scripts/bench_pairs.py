@@ -11,10 +11,12 @@ The JSON it writes (stdout without --out) holds, per workload and end-to-end
 metric of BENCHMARK.json, the median and quartiles of each side, the
 relative change of the medians and the number of pairs the change wins,
 plus each side's src/ line count and `git describe --always --dirty`. With
---traced-seed N it also runs `--seed N --seconds 1 --trace 1` once per side
-and workload, and records each side's layer shares and self times and
-whether every per-layer count of BENCHMARK.json is equal. With --tier1 it
-times each side's tier-1 test suite. It changes nothing in either checkout.
+--traced-seed N it also runs `--seed N --seconds 1 --trace 1` three times
+per side and workload, alternating which side goes first, and records each
+side's layer shares, the median and quartiles of its self times in reference
+seconds (each run's host seconds times 2.5 / its `ref_loop_ms`), and whether
+every per-layer count of BENCHMARK.json is equal over all those runs. With
+--tier1 it times each side's tier-1 test suite. It changes nothing in either checkout.
 It exits 1, after writing the JSON, when any run's result is not
 "correct": true. A workload whose parent and change digests differ on some
 seed gets one warning line on stderr naming those seeds; the exit code does
@@ -33,6 +35,8 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+TRACED_RUNS = 3  # traced runs per side and workload
+REF_LOOP_MS = 2.5  # perfbench/run.py REF_NOMINAL_S: a reference second's loop time
 
 
 def seed_range(text: str) -> list[int]:
@@ -128,19 +132,30 @@ def bench_workload(checkouts: dict, workload: str, seeds: list[int], seconds: fl
 
 
 def traced_workload(checkouts: dict, workload: str, seed: int, counts: list[str]) -> dict:
-    record = {}
+    """TRACED_RUNS traced runs per side, alternating which side goes first;
+    self times in reference seconds, each run scaled by its own loop time."""
+    runs = {side: [] for side in SIDES}
+    for i in range(TRACED_RUNS):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            runs[side].append(run_bench(checkouts[side], workload, seed, 1, trace=1))
+    record, every_counts = {}, []
     for side in SIDES:
-        info, result = run_bench(checkouts[side], workload, seed, 1, trace=1)
-        metrics = {k: v["value"] for k, v in result["metrics"].items()}
+        infos = [info for info, _ in runs[side]]
+        metrics = [{k: v["value"] for k, v in result["metrics"].items()}
+                   for _, result in runs[side]]
+        scales = [REF_LOOP_MS / info["ref_loop_ms"] for info in infos]
         record[side] = {
-            "correct": result["correct"],
-            "digest": info["digest"],
-            "layer_share": info["layer_share"],
-            "self_s": {k: round(v, 4) for k, v in metrics.items() if k.endswith(".self_s")},
-            "trace.overhead_ratio": round(metrics["trace.overhead_ratio"], 4),
-            "counts": {k: metrics[k] for k in counts if k in metrics},
+            "correct": all(result["correct"] for _, result in runs[side]),
+            "digest": infos[0]["digest"],
+            "layer_share": {k: round(statistics.median(info["layer_share"][k] for info in infos), 4)
+                            for k in infos[0]["layer_share"]},
+            "self_s": {k: summary([m[k] * scale for m, scale in zip(metrics, scales)])
+                       for k in metrics[0] if k.endswith(".self_s")},
+            "trace.overhead_ratio": summary([m["trace.overhead_ratio"] for m in metrics]),
         }
-    record["counts_equal"] = record["parent"]["counts"] == record["change"]["counts"]
+        every_counts += [{k: m[k] for k in counts if k in m} for m in metrics]
+        record[side]["counts"] = every_counts[-1]
+    record["counts_equal"] = all(c == every_counts[0] for c in every_counts)
     return record
 
 
@@ -154,7 +169,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=seed_range, default=seed_range("3-12"),
                         help="inclusive seed range, e.g. 3-12")
     parser.add_argument("--traced-seed", type=int,
-                        help="also compare one traced run per side on this seed")
+                        help="also compare three traced runs per side on this seed")
     parser.add_argument("--tier1", action="store_true",
                         help="also time each side's tier-1 test suite")
     parser.add_argument("--out", type=Path, help="JSON output file (default: stdout)")
@@ -198,9 +213,13 @@ def main(argv=None) -> int:
         doc["traced"] = {
             "command": "python3 perfbench/run.py --workload <workload> "
                        f"--seed {args.traced_seed} --seconds 1 --trace 1",
-            "note": "one run per side; layer_share is each module's self time over the "
-                    "traced replications' host time; self_s in host seconds; counts are "
-                    "the per-layer count metrics of BENCHMARK.json",
+            "note": f"{TRACED_RUNS} runs per side, alternating which side goes first; "
+                    "layer_share is the median over the runs of each module's self time "
+                    "over the traced replications' host time; self_s is the median and "
+                    "quartiles of each run's self time in reference seconds, scaled by "
+                    f"{REF_LOOP_MS:g} / the run's ref_loop_ms; trace.overhead_ratio is "
+                    "in reference seconds; counts are the per-layer count metrics of "
+                    "BENCHMARK.json, equal over every run of both sides when counts_equal",
             **{w: traced_workload(checkouts, w, args.traced_seed, counts)
                for w in args.workload},
         }

@@ -17,9 +17,18 @@ whole frontier is compared. `canonical_order` sorts a cluster by requested
 quality, so the tolerance windows slide and a live set holds at most
 2*gamma + 1 levels: at most 2**(2*gamma + 1) paid sets, 32 at gamma = 2.
 A configuration is (paid, cost, -utility, picks), so one keyless sort per
-merge orders it by paid set, cost and utility, and picks are unique. A
-merge reads each candidate of its group once, into a plain tuple, before
-pairing it with every configuration.
+merge orders it by paid set, cost and utility, and picks are unique. Each
+group's candidates are read once, into plain tuples, before the first merge.
+
+Branch and bound (Land & Doig, 1960) drops the rest of the waste. Before
+the first merge the solver takes a floor: the utility of every group's
+best-utility pick, folded and charged as in brute_force_groups, or -inf if
+that configuration breaks the capacity. A merge drops a configuration whose
+prefix utility plus the later groups' best utilities plus a rounding slack
+(1e-9 times one plus the magnitudes involved) is still below the floor. No
+completion of it can reach the utility of a feasible configuration, so the
+optimum stays bitwise the same (solve_groups gives the argument). On a
+synchronized burst most configurations go this way.
 
 Exact up to float rounding: costs are summed in group order, so one paid
 set's configurations can differ in the last ulp, and a point dropped as
@@ -33,6 +42,7 @@ identical left fold over that order, so optimal utilities compare bitwise.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Hashable, NamedTuple, Sequence
@@ -42,6 +52,7 @@ from .cache import LruChunkCache
 
 
 BRUTE_FORCE_LIMIT = 10**6  # most combinations brute_force_assign enumerates
+_UTILITY = itemgetter(3)  # of a (level bit, cost, free, utility, pick) row
 
 
 Best = tuple[float, float, tuple[int, ...]]  # (utility, cost, picks) of an optimum
@@ -72,26 +83,65 @@ def solve_groups(groups: Sequence[SolveGroup], capacity_bps: float) -> Best | No
     with the same paid set only; in canonical order that is at most
     2**(2*gamma + 1) sets. Returns None when no configuration fits the
     capacity.
+
+    The bound: a configuration with prefix utility p after group k is
+    dropped if p + L + 1e-9 * (1 + |p| + M) is below the floor, where L
+    sums the best utilities of the groups after k and M sums their
+    absolute values. The slack covers the rounding of any fold
+    shorter than about 4e6 terms. A bound or a floor that is not finite
+    never prunes. This keeps the result exact: rounded addition is
+    monotone, so a completion of the dropped configuration folds to at
+    most p followed by the later bests, which the slack puts strictly below
+    the floor, the utility of a feasible configuration. No prefix of the
+    optimum is dropped, and a point that survives dominance only because
+    its dominator was dropped does no better than that dominator. So
+    wherever the unbounded merge agrees with brute_force_groups, the result
+    is bitwise the same.
     """
-    # live[gi]: levels the groups after gi in its cluster can pick (by index:
-    # only the merge below iterates a group's items)
-    live = [0] * len(groups)
-    for gi in range(len(groups) - 2, -1, -1):
-        nxt = groups[gi + 1]
-        if nxt.cluster_key == groups[gi].cluster_key:
-            items = nxt.items
-            levels = live[gi + 1]
-            for k in range(len(items)):
-                levels |= 1 << items[k].quality_index
-            live[gi] = levels
+    # each candidate read once: (level bit, cost, free, utility, pick)
+    rows = [[(1 << m, cost, cost <= 0, u, (m,)) for m, _, cost, _, u in g.items]
+            for g in groups]
+    if not all(rows):
+        return None
+    best = [max(row, key=_UTILITY) for row in rows]  # each group's best-utility pick
+    # right to left: live[gi], the levels the groups after gi in its cluster
+    # can pick, and rest[gi], the later groups' best utilities summed and 1
+    # plus their magnitudes summed
+    live = [0] * len(rows)
+    rest = [(0.0, 1.0)] * len(rows)
+    later, magnitude = 0.0, 1.0
+    for gi in range(len(rows) - 1, 0, -1):
+        if groups[gi].cluster_key == groups[gi - 1].cluster_key:
+            levels = live[gi]
+            for item in rows[gi]:
+                levels |= item[0]
+            live[gi - 1] = levels
+        u = best[gi][3]
+        later += u
+        magnitude += abs(u)
+        rest[gi - 1] = (later, magnitude)
+    # the floor: the best picks folded and charged as in brute_force_groups;
+    # -inf, so nothing is pruned, if they break the capacity
+    floor = cost = 0.0
+    seen = set()
+    for group, (level, item_cost, free, u, _) in zip(groups, best):
+        floor += u
+        if (group.cluster_key, level) not in seen:
+            cost += item_cost
+            if not free:
+                seen.add((group.cluster_key, level))
+        if cost > capacity_bps:
+            floor = -math.inf
+            break
+    if not math.isfinite(floor):
+        floor = -math.inf
     # configuration = (paid, cost, -utility, picks): paid is a bitmask of the
     # live levels already charged in the current cluster, and the layout
     # sorts by paid set, then cost, then utility with no key
     frontier: list[tuple[int, float, float, tuple[int, ...]]] = [(0, 0.0, -0.0, ())]
-    for gi, group in enumerate(groups):
+    for gi, items in enumerate(rows):
         keep = live[gi]
-        # each candidate read once per group: (level bit, cost, free, utility, pick)
-        items = [(1 << m, cost, cost <= 0, u, (m,)) for m, _, cost, _, u in group.items]
+        later, magnitude = rest[gi]
         merged = []
         for (paid, c, nu, picks) in frontier:
             for level, item_cost, free, u, pick in items:
@@ -102,7 +152,12 @@ def solve_groups(groups: Sequence[SolveGroup], capacity_bps: float) -> Best | No
                     paid2 = paid if free else paid | level
                 if cost > capacity_bps:
                     continue
-                merged.append((paid2 & keep, cost, nu - u, picks + pick))
+                nu2 = nu - u
+                # no completion of it can reach the floor (a bound that
+                # overflows is +inf or nan, as the slack overflows with it)
+                if later - nu2 + 1e-9 * (magnitude + abs(nu2)) < floor:
+                    continue
+                merged.append((paid2 & keep, cost, nu2, picks + pick))
         if not merged:
             return None
         # equal paid sets mean equal costs for every completion, so dominance

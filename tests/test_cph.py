@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from edgestream import ap_engine, cph
@@ -129,6 +129,46 @@ def _group(cluster, pairs):
     return SolveGroup(cluster, items)
 
 
+def _groups(*clusters):
+    """One group per (cluster, [(utility, cost), ...]) pair, levels from 0."""
+    return [_group(cluster, pairs) for cluster, pairs in clusters]
+
+
+def _bits(best):
+    """A solve's result with each float as its hex, and a zero utility unsigned."""
+    if best is None:
+        return None
+    utility, cost, picks = best
+    return (utility + 0.0).hex(), cost.hex(), picks
+
+
+# exact sums: quarters, large negatives and -inf, so that every tie is exact;
+# a tie made by rounding is the solver's known caveat, not the bound's
+_UTILITIES = st.one_of(
+    st.integers(-12, 12).map(lambda k: k / 4),
+    st.sampled_from([-1e12, -2.0**40, -math.inf]),
+)
+
+
+@st.composite
+def _bound_instances(draw):
+    """(groups, capacity): up to 3 clusters over overlapping windows of 1-3
+    levels, one cost per level and cluster, and a finite or unbounded capacity."""
+    n = draw(st.integers(1, 7))
+    clusters = sorted(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    costs = {k: draw(st.lists(st.sampled_from([0.0, 50.5, 100.0, 200.0, 300.0]),
+                              min_size=6, max_size=6)) for k in set(clusters)}
+    groups = []
+    for k in clusters:
+        low = draw(st.integers(0, 3))
+        groups.append(SolveGroup(k, tuple(
+            CandidateQuality(quality_index=m, cached=False, cost_bps=costs[k][m],
+                             estimated_buffer_s=0.0, utility=draw(_UTILITIES))
+            for m in range(low, low + draw(st.integers(1, 3))))))
+    capacity = draw(st.one_of(st.integers(0, 800).map(float), st.just(math.inf)))
+    return groups, capacity
+
+
 class TestSolveGroups:
     def test_additive_clusters_reach_known_optimum(self):
         groups = [
@@ -204,6 +244,40 @@ class TestSolveGroups:
         capacity = float(data.draw(st.integers(0, 800)))
         assert solve_groups(groups, capacity) == brute_force_groups(groups, capacity)
 
+    @given(_bound_instances())
+    @settings(max_examples=400, deadline=None)
+    # the capacity binds the floor's picks (floor -inf), then does not bind
+    @example((_groups(("a", [(1, 100), (5, 600)]), ("b", [(1, 100), (5, 600)])), 700.0))
+    @example((_groups(("a", [(1, 100), (5, 600)]), ("b", [(1, 100), (5, 600)])), math.inf))
+    # exact ties within a group and across groups
+    @example((_groups(("a", [(2, 100), (2, 100), (1, 0)]), ("b", [(2, 50), (2, 100)]),
+                      ("c", [(1, 0), (2, 100)])), 250.0))
+    # a shared-download cluster whose optimum is not every group's best pick
+    @example((_groups(("v0", [(5, 300), (9, 700), (8, 1700)]),
+                      ("v0", [(6, 300), (11, 700), (12, 1700)]),
+                      ("v0", [(4, 300), (7, 700), (15, 1700)])), 2000.0))
+    # -inf and large negative utilities, with the floor finite and not
+    @example((_groups(("a", [(-math.inf, 0), (-1e300, 100)]), ("b", [(3, 0), (-1e300, 0)])),
+              100.0))
+    @example((_groups(("a", [(-math.inf, 0), (5, 600)]), ("b", [(1, 0), (4, 600)])), 700.0))
+    # a floor that overflows to +inf: the cheaper first pick folds to +inf
+    # too, and wins the tie on cost
+    @example((_groups(("a", [(9.5e307, 0), (1e308, 100)]), ("b", [(8.9e307, 0)]),
+                      ("c", [(-8.9e307, 0)])), 100.0))
+    # sums that round: the floor, 0.1 + 0.2 + 0.3 folded, exceeds 0.1 plus the
+    # later bests summed (0.6), so only the slack keeps the optimum's prefix
+    @example((_groups(("a", [(0.1, 0), (0, 0)]), ("b", [(0.2, 0), (0, 0)]), ("c", [(0.3, 0)])),
+              0.0))
+    def test_bounded_merge_matches_exhaustive_fold_bitwise(self, instance):
+        # pruning against the floor keeps the optimum bit for bit, zero's sign
+        # aside (the merge negates its fold of -utilities). An optimum of -inf
+        # ties every feasible configuration, where the unpruned merge already
+        # breaks ties its own way, so such draws are skipped.
+        groups, capacity = instance
+        best = brute_force_groups(groups, capacity)
+        assume(best is None or best[0] > -math.inf)
+        assert _bits(solve_groups(groups, capacity)) == _bits(best)
+
     def test_large_shared_cluster_stays_tractable(self):
         # 3^14 unpruned configurations. Configurations with the same paid set
         # cost the same, so one survives per paid set, and five paid sets fit
@@ -215,13 +289,15 @@ class TestSolveGroups:
 
     def test_merge_reads_each_candidate_once_per_group(self):
         # the cluster above: each group's items are read once, and every item
-        # is paired with every entry of the frontier it is merged into
+        # is paired with every entry of the frontier it is merged into. Every
+        # group's best pick, level 2, is feasible, so the floor is the optimum
+        # (42.0) and only the all-level-2 prefix survives each merge
         groups = [_group("v0", [(1, 100), (2, 300), (3, 900)]) for _ in range(14)]
         groups = [SolveGroup(g.cluster_key, Metered(g.items, lambda: 5)) for g in groups]
         assert solve_groups(groups, 1000.0) == (42.0, 900.0, (2,) * 14)
         assert [g.items.reads for g in groups] == [1] * 14
         assert all(len({i.quality_index.pairs for i in g.items}) == 1 for g in groups)
-        assert [g.items.scans for g in groups] == [1, 3] + [5] * 12
+        assert [g.items.scans for g in groups] == [1] * 14
 
     def test_spread_cluster_stays_tractable(self, monkeypatch):
         # 24 warm requests for one chunk spread over a 19-level ladder, with
