@@ -11,12 +11,7 @@ from .assign_core import (
     utility,
 )
 from .buff import buff_assign
-from .buffer_airtime import (
-    AirtimeAllocation,
-    ClientLoad,
-    allocate_airtime,
-    equal_airtime,
-)
+from .buffer_airtime import AirtimeAllocation, allocate_airtime, equal_airtime
 from .cache import LruChunkCache, OversizedObjectError
 from .catalog import CatalogError, QualityLadder, make_synthetic_catalog, zipf_pmf
 from .client import ChunkRequest, DashClient, harmonic_mean_rate, select_quality
@@ -48,8 +43,7 @@ __all__ = [
     "CandidateQuality", "QualityRequest", "SolverParams", "build_candidates",
     "delivery_cost", "estimate_buffer", "tolerated_set", "utility",
     "buff_assign",
-    "AirtimeAllocation", "ClientLoad",
-    "allocate_airtime", "equal_airtime",
+    "AirtimeAllocation", "allocate_airtime", "equal_airtime",
     "LruChunkCache", "OversizedObjectError",
     "CatalogError", "QualityLadder", "make_synthetic_catalog", "zipf_pmf",
     "ChunkRequest", "DashClient", "harmonic_mean_rate", "select_quality",

@@ -21,11 +21,13 @@ and one that issues reads its rate samples once per call for one quality
 pick; candidate building and the solver see only the interval's new
 requests, each with its client's buffer and queue (bits and whole-chunk
 media), and a passthrough scheme runs neither; airtime allocation sees only
-the busy queues, and the equal split reads just each one's room (its bits
-over link capacity times the interval), the stall-aware one also the mean
-queued bitrate, buffer and playout state; and the drain visits only the
-clients granted a share, once per backhaul sub-segment. The backhaul FIFO
-is one ordered map keyed by chunk, so a rider finds its job with one probe.
+the busy queues, by position: the equal split reads just each one's room
+(its bits over link capacity times the interval), the stall-aware one also
+its need (the share that refills the buffer to b_min_s at the mean queued
+bitrate) and whether it is sated (playing with SUFFICIENT_CHUNKS buffered),
+both worked out here; and the drain visits only the clients granted a
+share, once per backhaul sub-segment. The backhaul FIFO is one ordered map
+keyed by chunk, so a rider finds its job with one probe.
 
 The engine is deterministic by construction: no randomness, no iteration
 over unordered containers where order can leak into results.
@@ -39,7 +41,7 @@ from typing import NamedTuple
 
 from .assign_core import QualityRequest, SolverParams
 from .buff import buff_assign  # noqa: F401  (called by name through POLICIES)
-from .buffer_airtime import ClientLoad, allocate_airtime, equal_airtime
+from .buffer_airtime import allocate_airtime, equal_airtime
 from .cache import LruChunkCache
 from .client import ChunkRequest, DashClient
 from .cph import cph_assign  # noqa: F401  (called by name through POLICIES)
@@ -64,6 +66,9 @@ POLICIES = {
 SCHEMES = tuple(POLICIES)
 
 _EPS = 1e-9
+# buffered chunks at which a playing client is sated: under stall-aware
+# airtime it steps aside until every hungrier queue has all it can use
+SUFFICIENT_CHUNKS = 2.0
 # ChunkRequest's (issue_time_s, client_id, chunk_index)
 _ISSUE_ORDER = itemgetter(4, 0, 2)
 
@@ -279,40 +284,39 @@ class ApEngine:
 
     def _allocate(self) -> list[tuple[int, float, deque[DlItem]]]:
         """(client id, drain rate, queue) of every client granted airtime for
-        the interval, in client order. An empty queue gets a share of exactly
-        0 from either allocator and never counts as risky, so it is left out;
-        the other shares come out bitwise the same. equal_airtime reads only
-        each busy queue's room, so no load is built for it."""
+        the interval, in client order. An empty queue would get a share of
+        exactly 0 from either allocator and never count as risky, so only the
+        busy queues are handed over, by position: each one's room, and for
+        the stall-aware split also its need and whether it is sated."""
         capacity = self.capacity
         queues = self.dl_queues
-        if self.policy.stall_aware:
-            chunk_s = self.ladder.chunk_duration_s
-            loads = []
-            for cid, q in enumerate(queues):
-                if not q:
-                    continue
+        t_ap_s = self.t_ap_s
+        stall_aware = self.policy.stall_aware
+        chunk_s = self.ladder.chunk_duration_s
+        b_min_s = self.params.b_min_s
+        busy, rooms, needs, sated = [], [], [], []
+        for cid, q in enumerate(queues):
+            if not q:
+                continue
+            slot = capacity[cid] * t_ap_s  # bits the link carries in the interval
+            if stall_aware:
                 c = self.clients[cid]
                 bits, media = self._queue_snapshot(cid)
                 # media is 0 only for a lone, partly sent head: take its bitrate
                 avg_rate = bits / media if media > 0 else q[0].size_bits / chunk_s
-                # positional, in field order: (client, queue bits, buffer, mean
-                # queued bitrate, link capacity, buffered chunks, playing)
-                loads.append(ClientLoad(cid, bits, c.buffer_s, avg_rate, capacity[cid],
-                                        c.buffer_s / chunk_s, c.playout_started))
-            alloc = allocate_airtime(loads, self.params.b_min_s, self.t_ap_s)
-            # allocate_airtime keys its shares in client order
-            busy, shares = list(alloc.shares), list(alloc.shares.values())
-        else:
-            t_ap_s = self.t_ap_s
-            busy, rooms = [], []
-            for cid, q in enumerate(queues):
-                if q:
-                    bits = 0.0
-                    for item in q:
-                        bits += item.remaining_bits
-                    busy.append(cid)
-                    rooms.append(bits / (capacity[cid] * t_ap_s))
-            shares = equal_airtime(rooms)
+                # the fraction of the interval that refills the buffer to b_min_s
+                needs.append(min(bits, (b_min_s - c.buffer_s) * avg_rate) / slot)
+                # a player still filling toward its start threshold has no
+                # playout drain, so parking it would freeze the session
+                sated.append(c.playout_started and c.buffer_s / chunk_s >= SUFFICIENT_CHUNKS)
+            else:
+                bits = 0.0
+                for item in q:
+                    bits += item.remaining_bits
+            busy.append(cid)
+            rooms.append(bits / slot)
+        shares = (allocate_airtime(rooms, needs, sated).shares if stall_aware
+                  else equal_airtime(rooms))
         total = left_sum(shares)
         if total > 1.0 + 1e-9:
             self.result.violations.append(f"t={self.now}: airtime shares sum to {total}")

@@ -174,7 +174,9 @@ def solve_groups(groups: Sequence[SolveGroup], capacity_bps: float) -> Best | No
     # rising cost and utility: its last entry has the highest utility, then
     # the lowest cost, then the lexicographically smallest picks
     _, cost, nu, picks = frontier[-1]
-    return -nu, cost, picks
+    # not -nu: utilities that sum to zero fold nu to +0.0, and the optimum
+    # is then +0.0, as brute_force_groups's sum is
+    return 0.0 - nu, cost, picks
 
 
 def canonical_order(requests: Sequence[QualityRequest]) -> list[int]:

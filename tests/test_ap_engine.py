@@ -5,10 +5,12 @@ import dataclasses
 
 import pytest
 
+from edgestream import ap_engine
 from edgestream.ap_engine import SCHEMES, ApEngine
 from edgestream.cache import LruChunkCache
 from edgestream.catalog import make_synthetic_catalog
 from edgestream.cli_metrics import ScenarioConfig, run_replication
+from reference_airtime import ClientLoad, reference_allocate_airtime
 
 
 def _params(ladder, backhaul_bps=1e7, **kw):
@@ -114,6 +116,46 @@ def test_rewrites_stay_within_tolerance(scheme):
                for e in res.events)
     # the cached top level pulls at least one delivery upward
     assert any(e.delivered_quality > e.requested_quality for e in res.events)
+
+
+@pytest.mark.parametrize("scheme", ["CPH", "BUFF"])
+def test_stall_aware_airtime_matches_the_keyed_reference(scheme, monkeypatch):
+    # every interval, the shares the engine gets from its positional inputs
+    # equal, bit for bit, the keyed reference's over whole loads built from
+    # the same busy queues, and the same clients are risky
+    # staggered starts over links too slow to fill every queue in one
+    # interval, so players and pre-buffering clients compete for airtime and
+    # the sated tier's membership moves shares
+    ladder = make_synthetic_catalog(3, 2e5, 2e6, 2.0, 12)
+    engine = ApEngine(scheme, [(i % 2, 1.3 * i, 2e6 + 5e5 * i) for i in range(6)],
+                      LruChunkCache(), 0.5, _params(ladder, 2e7))
+    chunk_s = engine.ladder.chunk_duration_s
+    allocate = ap_engine.allocate_airtime
+    seen = {"risky": 0, "sated": 0}
+
+    def checked(rooms, needs, sated):
+        got = allocate(rooms, needs, sated)
+        loads = []
+        for cid, q in enumerate(engine.dl_queues):
+            if q:
+                c = engine.clients[cid]
+                bits, media = engine._queue_snapshot(cid)
+                avg_rate = bits / media if media > 0 else q[0].size_bits / chunk_s
+                loads.append(ClientLoad(cid, bits, c.buffer_s, avg_rate, engine.capacity[cid],
+                                        c.buffer_s / chunk_s, c.playout_started))
+        want, want_risky = reference_allocate_airtime(loads, engine.params.b_min_s,
+                                                      engine.t_ap_s)
+        assert [share.hex() for share in got.shares] == [want[c.client_id].hex() for c in loads]
+        assert {loads[i].client_id for i in got.risky} == want_risky
+        seen["risky"] += len(got.risky)
+        seen["sated"] += sum(sated)
+        return got
+
+    monkeypatch.setattr(ap_engine, "allocate_airtime", checked)
+    res = engine.run()
+    assert res.violations == []
+    assert res.all_finished
+    assert seen["risky"] > 0 and seen["sated"] > 0  # both rules were exercised
 
 
 def test_solver_is_actually_consulted():

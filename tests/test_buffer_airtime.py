@@ -9,14 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgestream.assign_core import estimate_buffer
-from edgestream.buffer_airtime import (
-    SUFFICIENT_CHUNKS,
-    ClientLoad,
-    allocate_airtime,
-    equal_airtime,
-)
+from edgestream.ap_engine import SUFFICIENT_CHUNKS
+from edgestream.buffer_airtime import allocate_airtime, equal_airtime
 from edgestream.fold import left_sum
-from reference_airtime import reference_equal_airtime
+from reference_airtime import ClientLoad, reference_allocate_airtime, reference_equal_airtime
 from replay_oracle import replay_buffer_projection
 
 
@@ -101,36 +97,45 @@ def _load(cid, d, b, avg, cap, chunks=0.0, playing=True) -> ClientLoad:
                       buffered_chunks=chunks, playing=playing)
 
 
+def _inputs(loads, b_min_s=4.0, t_ap_s=0.5):
+    """(rooms, needs, sated) of the loads, by position, each worked out as
+    ApEngine._allocate works it out from a busy queue and its client."""
+    rooms, needs, sated = [], [], []
+    for c in loads:
+        slot = c.link_capacity_bps * t_ap_s
+        rooms.append(c.dl_queue_bits / slot)
+        needs.append(min(c.dl_queue_bits, (b_min_s - c.buffer_s) * c.avg_queued_bitrate_bps)
+                     / slot)
+        sated.append(c.playing and c.buffered_chunks >= SUFFICIENT_CHUNKS)
+    return rooms, needs, sated
+
+
 def _rooms(loads, t_ap_s=0.5) -> list[float]:
-    """Each load's room, computed as ApEngine computes it for equal_airtime."""
-    return [c.dl_queue_bits / (c.link_capacity_bps * t_ap_s) for c in loads]
+    """Each load's room, computed as ApEngine computes it."""
+    return _inputs(loads, t_ap_s=t_ap_s)[0]
 
 
 class TestAllocateAirtime:
+    # C*T = 20e6 * 0.5 = 1e7 bits per interval for every load below
     def test_required_share_formula(self):
         # need = min(5e6, (4-2)*1e6) = 2e6 bits over C*T = 1e7 -> 0.2
-        alloc = allocate_airtime([_load(0, 5e6, 2.0, 1e6, 20e6)],
-                                 b_min_s=4.0, t_ap_s=0.5)
-        assert alloc.risky == frozenset({0})
-        assert alloc.shares[0] == pytest.approx(0.2)
+        rooms, needs, sated = _inputs([_load(0, 5e6, 2.0, 1e6, 20e6)])
+        assert needs == [0.2]
+        alloc = allocate_airtime(rooms, needs, sated)
+        assert alloc.risky == [0]
+        assert alloc.shares == [0.2]
 
     def test_comfortable_buffer_not_risky(self):
-        alloc = allocate_airtime([_load(0, 5e6, 6.0, 1e6, 20e6)],
-                                 b_min_s=4.0, t_ap_s=0.5)
-        assert alloc.risky == frozenset()
+        alloc = allocate_airtime(*_inputs([_load(0, 5e6, 6.0, 1e6, 20e6)]))
+        assert alloc.risky == []
         # residual share is capped at what the queue can absorb: 5e6/1e7
-        assert alloc.shares[0] == pytest.approx(0.5)
+        assert alloc.shares == [0.5]
 
     def test_proportional_scaling_when_oversubscribed(self):
-        clients = [
-            _load(0, 8e6, 0.0, 2e6, 20e6),   # needs 0.8
-            _load(1, 6e6, 1.0, 2e6, 20e6),   # needs 0.6
-        ]
-        alloc = allocate_airtime(clients, b_min_s=4.0, t_ap_s=0.5)
-        assert alloc.risky == frozenset({0, 1})
-        assert alloc.shares[0] == pytest.approx(0.8 / 1.4)
-        assert alloc.shares[1] == pytest.approx(0.6 / 1.4)
-        assert alloc.total() <= 1.0 + 1e-9
+        alloc = allocate_airtime([0.8, 0.6], [0.8, 0.6], [False, False])
+        assert alloc.risky == [0, 1]
+        assert alloc.shares == [pytest.approx(0.8 / 1.4), pytest.approx(0.6 / 1.4)]
+        assert left_sum(alloc.shares) <= 1.0 + 1e-9
 
     def test_well_buffered_player_steps_aside(self):
         # SUFFICIENT_CHUNKS itself parks a player; a hair below it does not
@@ -140,13 +145,11 @@ class TestAllocateAirtime:
                 _load(0, 1e7, 10.0, 2e6, 20e6, chunks=chunks, playing=True),
                 _load(1, 1e7, 5.0, 2e6, 20e6, chunks=1.0, playing=True),
             ]
-            alloc = allocate_airtime(clients, b_min_s=4.0, t_ap_s=0.5)
-            if parked:
-                assert alloc.shares[0] == 0.0, chunks
-                assert alloc.shares[1] == pytest.approx(1.0)  # cap 1e7/1e7
-            else:
-                assert alloc.shares[0] == pytest.approx(0.5), chunks
-                assert alloc.shares[1] == pytest.approx(0.5)
+            rooms, needs, sated = _inputs(clients)
+            assert sated == [parked, False], chunks
+            shares = allocate_airtime(rooms, needs, sated).shares
+            # cap 1e7/1e7: a lone hungry queue can take the whole interval
+            assert shares == ([0.0, 1.0] if parked else [0.5, 0.5]), chunks
 
     def test_prebuffering_client_is_not_parked(self):
         # same holdings, but playout has not started: both split the interval
@@ -154,48 +157,32 @@ class TestAllocateAirtime:
             _load(0, 1e7, 10.0, 2e6, 20e6, chunks=3.0, playing=False),
             _load(1, 1e7, 5.0, 2e6, 20e6, chunks=1.0, playing=True),
         ]
-        alloc = allocate_airtime(clients, b_min_s=4.0, t_ap_s=0.5)
-        assert alloc.shares[0] == pytest.approx(0.5)
-        assert alloc.shares[1] == pytest.approx(0.5)
+        rooms, needs, sated = _inputs(clients)
+        assert sated == [False, False]
+        assert allocate_airtime(rooms, needs, sated).shares == [0.5, 0.5]
 
     def test_surplus_falls_through_to_sated_clients(self):
-        clients = [
-            _load(0, 4e6, 10.0, 2e6, 20e6, chunks=3.0, playing=True),  # sated
-            _load(1, 2e6, 5.0, 2e6, 20e6, chunks=1.0, playing=True),   # hungry
-        ]
-        alloc = allocate_airtime(clients, b_min_s=4.0, t_ap_s=0.5)
-        # hungry client caps at 0.2; the leftover reaches the sated one (cap 0.4)
-        assert alloc.shares[1] == pytest.approx(0.2)
-        assert alloc.shares[0] == pytest.approx(0.4)
+        # the hungry queue caps at 0.2; the leftover reaches the sated one (cap 0.4)
+        alloc = allocate_airtime([0.4, 0.2], [0.0, 0.0], [True, False])
+        assert alloc.shares == [0.4, 0.2]
 
     def test_risky_share_is_exactly_the_need(self):
-        clients = [
-            _load(0, 1e8, 3.9, 1e6, 20e6, chunks=1.0),  # tiny need, huge queue
-            _load(1, 0.0, 12.0, 0.0, 20e6, chunks=5.0),
-        ]
-        alloc = allocate_airtime(clients, b_min_s=4.0, t_ap_s=0.5)
-        assert alloc.shares[0] == pytest.approx(0.01)  # never topped up
-        assert alloc.shares[1] == 0.0
+        # a tiny need and a huge queue: never topped up
+        alloc = allocate_airtime([10.0, 0.1], [0.01, 0.0], [False, True])
+        assert alloc.shares[0] == 0.01
+        # the sated queue gets the leftover only up to its room
+        assert alloc.shares[1] == 0.1
 
     def test_exclusion_overrides_risk(self):
         # short chunks: enough chunks buffered to be parked, yet below b_min
-        alloc = allocate_airtime(
-            [_load(0, 5e6, 2.0, 1e6, 20e6, chunks=4.0, playing=True)],
-            b_min_s=4.0, t_ap_s=0.5)
-        assert 0 in alloc.risky
-        assert alloc.shares[0] == 0.0
+        alloc = allocate_airtime([0.5], [0.2], [True])
+        assert alloc.risky == [0]
+        assert alloc.shares == [0.0]
 
     def test_empty_queue_gets_nothing(self):
-        alloc = allocate_airtime([_load(0, 0.0, 0.0, 0.0, 20e6)],
-                                 b_min_s=4.0, t_ap_s=0.5)
-        assert alloc.risky == frozenset()
-        assert alloc.shares[0] == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            allocate_airtime([_load(0, 1e6, 0.0, 1e6, 20e6)], 4.0, 0.0)
-        with pytest.raises(ValueError):
-            allocate_airtime([_load(0, 1e6, 0.0, 1e6, 0.0)], 4.0, 0.5)
+        alloc = allocate_airtime(*_inputs([_load(0, 0.0, 0.0, 0.0, 20e6)]))
+        assert alloc.risky == []
+        assert alloc.shares == [0.0]
 
 
 _client_strategy = st.tuples(
@@ -212,14 +199,15 @@ _client_strategy = st.tuples(
 @given(st.lists(_client_strategy, min_size=1, max_size=8))
 def test_allocation_invariants(raw):
     clients = [ClientLoad(i, *row) for i, row in enumerate(raw)]
-    alloc = allocate_airtime(clients, b_min_s=4.0, t_ap_s=0.5)
-    assert alloc.total() <= 1.0 + 1e-9
-    assert all(th >= 0.0 for th in alloc.shares.values())
-    assert set(alloc.shares) == {c.client_id for c in clients}
-    for c in clients:
+    rooms, needs, sated = _inputs(clients)
+    alloc = allocate_airtime(rooms, needs, sated)
+    assert len(alloc.shares) == len(clients)
+    assert left_sum(alloc.shares) <= 1.0 + 1e-9
+    assert all(th >= 0.0 for th in alloc.shares)
+    assert alloc.risky == [i for i, need in enumerate(needs) if need > 0]
+    for c, share in zip(clients, alloc.shares):
         if c.dl_queue_bits == 0:
-            assert alloc.shares[c.client_id] == 0.0
-    rooms = _rooms(clients)
+            assert share == 0.0
     eq = equal_airtime(rooms)
     assert left_sum(eq) <= 1.0 + 1e-9
     for room, share in zip(rooms, eq):
@@ -234,43 +222,47 @@ def test_allocation_scale_consistency(raw):
     doubled = [ClientLoad(c.client_id, 2 * c.dl_queue_bits, c.buffer_s,
                           2 * c.avg_queued_bitrate_bps, 2 * c.link_capacity_bps,
                           c.buffered_chunks, c.playing) for c in clients]
-    a = allocate_airtime(clients, 4.0, 0.5)
-    b = allocate_airtime(doubled, 4.0, 0.5)
-    assert a.shares == b.shares
-    assert a.risky == b.risky
+    assert allocate_airtime(*_inputs(clients)) == allocate_airtime(*_inputs(doubled))
+
+
+def _bits(shares) -> list[str]:
+    return [share.hex() for share in shares]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_client_strategy, min_size=1, max_size=8),
+       st.sampled_from([(4.0, 0.5), (2.0, 0.02), (12.0, 2.0)]))
+def test_allocate_airtime_matches_the_reference_bitwise(raw, b_min_and_t_ap):
+    # the reference sorts loads by id and keys shares by it; in client order
+    # the positional split must give every share the same bits and the same
+    # queues must be risky
+    b_min_s, t_ap_s = b_min_and_t_ap
+    loads = [ClientLoad(i, *row) for i, row in enumerate(raw)]
+    want, want_risky = reference_allocate_airtime(loads, b_min_s, t_ap_s)
+    got = allocate_airtime(*_inputs(loads, b_min_s, t_ap_s))
+    assert _bits(got.shares) == _bits(want[c.client_id] for c in loads)
+    assert {loads[i].client_id for i in got.risky} == want_risky
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_client_strategy, min_size=1, max_size=8),
        st.lists(_client_strategy, max_size=8))
 def test_empty_queues_leave_other_shares_bitwise_equal(raw, raw_idle):
-    # the engine leaves clients with empty queues out of the loads, which
-    # is sound only if they get exactly 0 and move no other share by a bit;
-    # like the engine's, both lists are in client order
+    # the engine hands over only the busy queues, which is sound only if an
+    # idle one gets exactly 0 and moves no other share by a bit: the keyed
+    # reference sees idle and busy loads interleaved, the positional
+    # allocators only the busy ones
     busy = [ClientLoad(2 * i, *row) for i, row in enumerate(raw)]
     idle = [ClientLoad(2 * i + 1, 0.0, *row[1:]) for i, row in enumerate(raw_idle)]
     mixed = sorted(busy + idle, key=lambda c: c.client_id)
-    alone, together = (allocate_airtime(cs, b_min_s=4.0, t_ap_s=0.5) for cs in (busy, mixed))
-    assert {c.client_id: together.shares[c.client_id] for c in busy} == alone.shares
-    assert all(together.shares[c.client_id] == 0.0 for c in idle)
-    assert together.risky == alone.risky
-    assert together.total() == alone.total()
-    # equal_airtime's shares are positional: read them back by client id
-    eq_alone = equal_airtime(_rooms(busy))
-    eq_together = dict(zip([c.client_id for c in mixed], equal_airtime(_rooms(mixed))))
-    assert [eq_together[c.client_id] for c in busy] == eq_alone
-    assert all(eq_together[c.client_id] == 0.0 for c in idle)
-    assert left_sum(eq_together.values()) == left_sum(eq_alone)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_client_strategy, min_size=1, max_size=8), st.data())
-def test_load_order_does_not_move_any_share(raw, data):
-    # allocate_airtime puts the loads in client order itself
-    clients = [ClientLoad(i, *row) for i, row in enumerate(raw)]
-    shuffled = data.draw(st.permutations(clients))
-    assert (allocate_airtime(shuffled, b_min_s=4.0, t_ap_s=0.5)
-            == allocate_airtime(clients, b_min_s=4.0, t_ap_s=0.5))
+    want, want_risky = reference_allocate_airtime(mixed, b_min_s=4.0, t_ap_s=0.5)
+    alone = allocate_airtime(*_inputs(busy))
+    assert _bits(alone.shares) == _bits(want[c.client_id] for c in busy)
+    assert all(want[c.client_id] == 0.0 for c in idle)
+    assert {busy[i].client_id for i in alone.risky} == want_risky
+    eq_want = reference_equal_airtime(mixed, t_ap_s=0.5)
+    assert _bits(equal_airtime(_rooms(busy))) == _bits(eq_want[c.client_id] for c in busy)
+    assert all(eq_want[c.client_id] == 0.0 for c in idle)
 
 
 class TestEqualAirtime:
@@ -306,10 +298,6 @@ class TestEqualAirtime:
         assert shares[1] == pytest.approx(0.9)
 
 
-def _bits(shares) -> list[str]:
-    return [share.hex() for share in shares]
-
-
 # queue bits with zero drawn often, as the zero-bit loads the engine leaves out
 _queue_bits = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e9))
 
@@ -333,6 +321,6 @@ def test_allocate_airtime_without_risky_or_sated_clients_is_the_equal_split(raw)
     # set aside, so the stall-aware split is one water-fill over all rooms
     loads = [_load(i, bits, 10.0, 1e6, cap, chunks=5.0, playing=False)
              for i, (bits, cap) in enumerate(raw)]
-    alloc = allocate_airtime(loads, b_min_s=4.0, t_ap_s=0.5)
-    assert alloc.risky == frozenset()
-    assert _bits(alloc.shares[c.client_id] for c in loads) == _bits(equal_airtime(_rooms(loads)))
+    alloc = allocate_airtime(*_inputs(loads))
+    assert alloc.risky == []
+    assert _bits(alloc.shares) == _bits(equal_airtime(_rooms(loads)))

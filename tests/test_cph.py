@@ -135,11 +135,11 @@ def _groups(*clusters):
 
 
 def _bits(best):
-    """A solve's result with each float as its hex, and a zero utility unsigned."""
+    """A solve's result with each float as its hex."""
     if best is None:
         return None
     utility, cost, picks = best
-    return (utility + 0.0).hex(), cost.hex(), picks
+    return utility.hex(), cost.hex(), picks
 
 
 # exact sums: quarters, large negatives and -inf, so that every tie is exact;
@@ -268,11 +268,12 @@ class TestSolveGroups:
     # later bests summed (0.6), so only the slack keeps the optimum's prefix
     @example((_groups(("a", [(0.1, 0), (0, 0)]), ("b", [(0.2, 0), (0, 0)]), ("c", [(0.3, 0)])),
               0.0))
+    # utilities that sum to zero: the optimum is +0.0 on both sides
+    @example((_groups(("a", [(1.0, 0)]), ("b", [(-1.0, 0)])), 0.0))
     def test_bounded_merge_matches_exhaustive_fold_bitwise(self, instance):
-        # pruning against the floor keeps the optimum bit for bit, zero's sign
-        # aside (the merge negates its fold of -utilities). An optimum of -inf
-        # ties every feasible configuration, where the unpruned merge already
-        # breaks ties its own way, so such draws are skipped.
+        # pruning against the floor keeps the optimum bit for bit. An optimum
+        # of -inf ties every feasible configuration, where the unpruned merge
+        # already breaks ties its own way, so such draws are skipped.
         groups, capacity = instance
         best = brute_force_groups(groups, capacity)
         assume(best is None or best[0] > -math.inf)
