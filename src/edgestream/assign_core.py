@@ -1,14 +1,15 @@
 """Shared quality-assignment primitives.
 
-Both solvers consume the same per-request context (QualityRequest), the same
-tolerated-quality window, the same delivery-cost rule and the same utility
-function, so their outputs are comparable candidate by candidate. The run's
-one quality ladder is a SolverParams field, so a level is the same bitrate
-for every request of a call and equal picks of one chunk are one download.
-SolverParams also holds the ladder's per-level constants, built once per
-run; `build_candidates` scores a request in one pass over them, and
-`tolerated_set`, `estimate_buffer`, `delivery_cost` and `utility` are the
-specification it is tested against bit for bit.
+Both solvers consume the same per-request context (QualityRequest) and the
+same scored candidates, so their outputs are comparable candidate by
+candidate. The run's one quality ladder is a SolverParams field, so a level
+is the same bitrate for every request of a call and equal picks of one chunk
+are one download. SolverParams also holds the ladder's per-level constants,
+built once per run; `build_candidates` scores a request in one pass over
+them. Its specification, one function per rule (tolerated window, delivery
+cost, utility), lives with the tests in `tests/reference_scoring.py`.
+`estimate_buffer` stays here only because perfbench's tracer wraps it here
+by name; no run calls it.
 """
 from __future__ import annotations
 
@@ -81,15 +82,6 @@ class CandidateQuality(NamedTuple):
     utility: float
 
 
-def tolerated_set(requested_m: int, gamma: int, ladder_size: int) -> tuple[int, ...]:
-    """Symmetric window of quality indices around the request, clipped."""
-    if not (0 <= requested_m < ladder_size):
-        raise ValueError(f"requested quality {requested_m} outside ladder of {ladder_size}")
-    lo = max(0, requested_m - gamma)
-    hi = min(ladder_size - 1, requested_m + gamma)
-    return tuple(range(lo, hi + 1))
-
-
 def estimate_buffer(
     *,
     current_buffer_s: float,
@@ -113,37 +105,6 @@ def estimate_buffer(
     return b - max(drain_s, backhaul_delay_s) - dl_transmit_s + dl_queue_media_s
 
 
-def delivery_cost(bitrate_bps: float, cached: bool) -> float:
-    """Backhaul bandwidth claimed by one delivery: zero when cache-served."""
-    return 0.0 if cached else bitrate_bps
-
-
-def utility(
-    bitrate_bps: float,
-    cached: bool,
-    mu_c: float,
-    b_hat_s: float,
-    b_min_s: float,
-    b_max_s: float,
-) -> float:
-    """Buffer-aware log-bitrate utility of delivering one chunk.
-
-    Three regimes on the estimated buffer: comfortable (>= b_min) rewards
-    bitrate plus clamped buffer headroom, shallow (0 < b_hat < b_min)
-    rewards only the remaining buffer, and non-positive b_hat is returned
-    as-is so its magnitude reads as expected stall duration.
-    """
-    if bitrate_bps <= 0:
-        raise ValueError("bitrate_bps must be > 0")
-    q = bitrate_bps / BITRATE_UNIT_BPS
-    w = mu_c if cached else 1.0
-    if b_hat_s >= b_min_s:
-        return w * math.log(q) + math.log(min(b_hat_s, b_max_s))
-    if b_hat_s > 0:
-        return w * math.log(b_hat_s)
-    return b_hat_s
-
-
 def build_candidates(
     request: QualityRequest, cache: LruChunkCache, params: SolverParams
 ) -> tuple[CandidateQuality, ...]:
@@ -151,11 +112,10 @@ def build_candidates(
     request, in ascending level order; a chunk's size is its nominal
     bitrate * duration.
 
-    One pass over `params.levels`: each candidate equals, bit for bit,
-    `tolerated_set`, `estimate_buffer`, `delivery_cost` and `utility`
-    composed at its level (w * log(q) is the table's log(q) or
-    mu_c * log(q), and 1.0 * x == x), and both of their ValueErrors are
-    raised once per request."""
+    One pass over `params.levels`: each candidate equals, bit for bit, the
+    reference scoring functions composed at its level (w * log(q) is the
+    table's log(q) or mu_c * log(q), and 1.0 * x == x), and both of their
+    ValueErrors are raised once per request."""
     (_, video, chunk, requested, buffer_s, effective_rate,
      queue_bits, queue_media_s, backlog_bits) = request
     levels = params.levels

@@ -19,7 +19,7 @@ class OversizedObjectError(ValueError):
 
 class LruChunkCache:
     def __init__(self, capacity_bits: float = math.inf):
-        if capacity_bits < 0:
+        if not capacity_bits >= 0:
             raise ValueError("capacity_bits must be >= 0")
         self.capacity_bits = capacity_bits
         self.used_bits = 0.0
@@ -39,7 +39,7 @@ class LruChunkCache:
         Returns evicted keys in eviction order. Re-inserting a present key
         refreshes recency without changing stored size.
         """
-        if size_bits <= 0:
+        if not size_bits > 0:
             raise ValueError("size_bits must be > 0")
         if size_bits > self.capacity_bits:
             raise OversizedObjectError(
@@ -65,7 +65,3 @@ class LruChunkCache:
         key = (video_id, chunk_index, quality_index)
         if key in self._entries:
             self._entries.move_to_end(key)
-
-    def keys_by_recency(self) -> list[ChunkKey]:
-        """Oldest first; exposed for tests and state dumps."""
-        return list(self._entries)

@@ -61,8 +61,10 @@ def make_synthetic_catalog(
 def zipf_pmf(exponent: float, video_count: int) -> tuple[float, ...]:
     """P(rank r) ~ r^-s over ranks 1..video_count, normalized; video ids are
     popularity-ranked, so id 0 is the most popular."""
-    if exponent <= 0:
+    if not exponent > 0:
         raise CatalogError("zipf exponent must be > 0")
+    if not video_count >= 1:
+        raise CatalogError("video_count must be >= 1")
     weights = [r ** -float(exponent) for r in range(1, video_count + 1)]
     total = left_sum(weights)
     return tuple(w / total for w in weights)

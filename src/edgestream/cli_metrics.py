@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, replace
 from decimal import Decimal, localcontext
 
 from .ap_engine import SCHEMES, ApEngine
-from .assign_core import QualityRequest, SolverParams, tolerated_set
+from .assign_core import QualityRequest, SolverParams
 from .cache import LruChunkCache
 from .catalog import QualityLadder, make_synthetic_catalog, zipf_pmf
 from .cph import brute_force_assign, cph_assign
@@ -241,6 +241,8 @@ def run_scenario(cfg: ScenarioConfig, jobs: int = 1):
 def run_sweep(cfg: ScenarioConfig, param: str, values: list, jobs: int = 1):
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep param {param!r}; expected one of {SWEEP_PARAMS}")
+    if not values:
+        raise ConfigError(f"a sweep of {param} needs at least one value")
     tasks = []
     labels = set()
     for value in values:
@@ -425,8 +427,9 @@ def gen_random_instance(rng: Generator):
                 dl_queue_media_s=dlq_media,
                 fifo_backlog_bits=float((0.0, rng.uniform(0.0, 2e7))[rng.integers(0, 2)]),
             ))
+    # each request's tolerated window, clipped to the ladder
     while gamma > 0 and math.prod(
-            len(tolerated_set(r.requested_quality, gamma, levels))
+            min(levels - 1, r.requested_quality + gamma) - max(0, r.requested_quality - gamma) + 1
             for r in requests) > 10**5:
         gamma -= 1
     params = SolverParams(gamma=gamma, mu_c=mu_c, b_min_s=4.0, b_max_s=15.0, ladder=ladder,
@@ -489,13 +492,6 @@ def _config_from_args(args) -> ScenarioConfig:
     return replace(cfg, **overrides)
 
 
-def _parse_sweep_values(param: str, raw: str) -> list:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError("--values must list at least one value")
-    return [_parse_value(param, p) for p in parts]
-
-
 def _finish(cfg, rows, violations, args) -> int:
     if args.out_csv:
         write_csv(rows, args.out_csv)
@@ -538,7 +534,8 @@ def main(argv=None) -> int:
             return _finish(cfg, rows, violations, args)
         if args.command == "sweep":
             cfg = _config_from_args(args)
-            values = _parse_sweep_values(args.param, args.values)
+            values = [_parse_value(args.param, p.strip())
+                      for p in args.values.split(",") if p.strip()]
             rows, violations = run_sweep(cfg, args.param, values, jobs=args.jobs)
             return _finish(cfg, rows, violations, args)
         if args.command == "oracle-check":

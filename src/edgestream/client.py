@@ -58,7 +58,7 @@ class DashClient:
         b_max_s: float,
         start_time_s: float = 0.0,
     ):
-        if start_time_s < 0:
+        if not start_time_s >= 0:
             raise ValueError("start_time_s must be >= 0")
         self.client_id = client_id
         self.video_id = video_id

@@ -28,7 +28,7 @@ def path_loss_db(distance_m: float) -> float:
 
 def link_capacity_bps(distance_m: float) -> float:
     """Achievable downlink rate in bps at the given distance."""
-    if distance_m < 0:
+    if not distance_m >= 0:
         raise ValueError("distance_m must be >= 0")
     noise_dbm = -174.0 + 10.0 * math.log10(BANDWIDTH_HZ) + NOISE_FIGURE_DB
     snr_db = TX_POWER_DBM - path_loss_db(distance_m) - noise_dbm

@@ -1,7 +1,12 @@
 """List-backed LRU used as a differential oracle: most recent at the end, O(n) ops."""
 from __future__ import annotations
 
-from edgestream.cache import OversizedObjectError
+from edgestream.cache import LruChunkCache, OversizedObjectError
+
+
+def keys_by_recency(cache: LruChunkCache) -> list:
+    """An LruChunkCache's keys, oldest first: the order it evicts them in."""
+    return list(cache._entries)
 
 
 class ReferenceLru:

@@ -30,7 +30,7 @@ from edgestream.cli_metrics import (
 )
 from edgestream.cph import SolveGroup, solve_groups
 from plain_fold import pareto_min, plain_fold
-from reference_lru import ReferenceLru
+from reference_lru import ReferenceLru, keys_by_recency
 from replay_oracle import replay_buffer_projection
 
 
@@ -307,5 +307,5 @@ def test_lru_matches_reference_on_ten_thousand_ops():
             ref.touch(key)
         else:
             assert cache.contains(*key) == ref.contains(key)
-        assert cache.keys_by_recency() == [k for k, _ in ref.items]
+        assert keys_by_recency(cache) == [k for k, _ in ref.items]
         assert cache.used_bits == sum(s for _, s in ref.items)

@@ -1,4 +1,4 @@
-"""Shared assignment primitives: tolerance window, delivery cost, utility, candidate scoring."""
+"""Candidate scoring, and its reference spec: tolerance window, delivery cost, utility."""
 from __future__ import annotations
 
 import dataclasses
@@ -8,18 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgestream.assign_core import (
-    QualityRequest,
-    SolverParams,
-    build_candidates,
-    delivery_cost,
-    estimate_buffer,
-    tolerated_set,
-    utility,
-)
+from edgestream.assign_core import QualityRequest, SolverParams, build_candidates
 from edgestream.cache import LruChunkCache
 from edgestream.catalog import QualityLadder, make_synthetic_catalog
 from edgestream.cli_metrics import ScenarioConfig
+from reference_scoring import delivery_cost, estimate_buffer, tolerated_set, utility
 
 
 class TestToleratedSet:

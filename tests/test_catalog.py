@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from edgestream import CatalogError, QualityLadder, make_synthetic_catalog, zipf_pmf
+from edgestream.catalog import CatalogError, QualityLadder, make_synthetic_catalog, zipf_pmf
 
 
 def test_geometric_ladder_endpoints_and_ratio():

@@ -32,6 +32,7 @@ from edgestream.cli_metrics import (
     write_csv,
     write_json,
 )
+from reference_lru import keys_by_recency
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -272,6 +273,10 @@ class TestRunSweep:
         assert by_value["1"]["n_clients"] == 1
         assert by_value["2"]["n_clients"] == 2
 
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(ConfigError, match="sweep of n_clients needs at least one value"):
+            run_sweep(TINY, "n_clients", [])
+
     def test_invalid_sweep_value_rejected(self):
         with pytest.raises(ConfigError):
             run_sweep(TINY, "n_clients", [0])
@@ -340,7 +345,7 @@ class TestOracleReplay:
         solve = cm.cph_assign
 
         def wrong_at_k(requests, cache, backhaul, params):
-            checked.append((requests, cache.keys_by_recency(), backhaul, params))
+            checked.append((requests, keys_by_recency(cache), backhaul, params))
             result = solve(requests, cache, backhaul, params)
             if len(checked) == k + 1:
                 return dataclasses.replace(result, no_valid_config=not result.no_valid_config)
@@ -361,10 +366,10 @@ class TestOracleReplay:
         assert replay == ("edgestream.cli_metrics.gen_random_instance("
                           f"edgestream.rng.Generator([{seed}, {k}]))")
         requests, cache, backhaul, params = eval(replay, {"edgestream": edgestream})
-        assert (requests, cache.keys_by_recency(), backhaul, params) == batch
+        assert (requests, keys_by_recency(cache), backhaul, params) == batch
         # NumPy's generator, seeded alike, rebuilds the same instance
         requests, cache, backhaul, params = cm.gen_random_instance(np.random.default_rng([seed, k]))
-        assert (requests, cache.keys_by_recency(), backhaul, params) == batch
+        assert (requests, keys_by_recency(cache), backhaul, params) == batch
 
     def test_defaults_are_the_check_of_record(self, monkeypatch, capsys):
         calls = []
@@ -385,7 +390,9 @@ class TestMainExitCodes:
                      ["sweep", "--param", "n_clients", "--values", "2,2", "--reps", "2",
                       "--scheme", "CLIENT"],
                      ["sweep", "--param", "backhaul_mbps", "--values", "10,10.0", "--reps", "1",
-                      "--clients", "2", "--scheme", "CLIENT"]):
+                      "--clients", "2", "--scheme", "CLIENT"],
+                     # no value at all once the empty items are dropped
+                     ["sweep", "--param", "n_clients", "--values", ","]):
             assert main(argv) == 2
             assert "config error" in capsys.readouterr().err
         # a repeated scheme, which would write each of its rows twice

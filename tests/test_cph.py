@@ -11,12 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from edgestream import ap_engine, cph
-from edgestream.assign_core import (
-    CandidateQuality,
-    QualityRequest,
-    SolverParams,
-    tolerated_set,
-)
+from edgestream.assign_core import CandidateQuality, QualityRequest, SolverParams
 from edgestream.cache import LruChunkCache
 from edgestream.catalog import QualityLadder
 from edgestream.cli_metrics import ScenarioConfig, gen_random_instance, run_replication
@@ -29,6 +24,7 @@ from edgestream.cph import (
     solve_groups,
 )
 from plain_fold import pareto_min, plain_fold
+from reference_scoring import tolerated_set
 
 
 class _MeteredIndex(int):

@@ -25,6 +25,13 @@ def tracer(monkeypatch):
     return importlib.import_module("tracer")
 
 
+def test_the_package_exports_what_the_benchmark_reads():
+    # perfbench/run.py and workloads.py read these two from the package itself
+    assert edgestream.__all__ == ["ScenarioConfig", "run_replication"]
+    assert edgestream.ScenarioConfig is edgestream.cli_metrics.ScenarioConfig
+    assert edgestream.run_replication is edgestream.cli_metrics.run_replication
+
+
 def test_every_traced_name_is_in_its_owners_namespace(tracer):
     targets = tracer.TARGETS + (tracer.REPLICATION,)
     assert len(targets) > 10
