@@ -8,9 +8,14 @@ capacity; playout begins once the buffer first fills (or holds the whole of
 a video shorter than the buffer), after which at most three requests may be
 outstanding and only while the buffer has room for another whole chunk. A client is silent before its session start time;
 startup latency and session time are measured from that start.
+
+The rate window holds each sample's reciprocal, so a pick is one sum. Each
+poll also records `next_poll_s`, the earliest time its gate can open unless
+a delivery comes first; the engine only advances a client before then.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import deque
 from typing import NamedTuple
@@ -21,6 +26,7 @@ from .fold import left_sum
 _EPS = 1e-9
 MAX_IN_FLIGHT = 3  # outstanding requests allowed once playout has started
 RATE_WINDOW = 5    # per-chunk rate samples in the harmonic mean
+POLL_MARGIN_S = 1e-6  # next_poll_s's rounding margin (maybe_issue_requests)
 
 
 class ChunkRequest(NamedTuple):
@@ -29,14 +35,6 @@ class ChunkRequest(NamedTuple):
     chunk_index: int
     quality_index: int
     issue_time_s: float
-
-
-def harmonic_mean_rate(samples) -> float | None:
-    """n over the sum of reciprocals; None signals a cold start. `samples`
-    is a sized collection (the client's deque), read in place."""
-    if not samples:
-        return None
-    return len(samples) / left_sum(1.0 / x for x in samples)
 
 
 def select_quality(estimate_bps: float | None, bitrates_bps) -> int:
@@ -65,8 +63,9 @@ class DashClient:
         self.ladder = ladder
         self.b_max_s = b_max_s
         self.total_media_s = ladder.chunk_count * ladder.chunk_duration_s
-        self.rates = deque(maxlen=RATE_WINDOW)
+        self.inv_rates = deque(maxlen=RATE_WINDOW)  # 1 / rate of the last samples
         self.start_time_s = start_time_s
+        self.next_poll_s = -math.inf  # not polled yet
 
         self.buffer_s = 0.0
         self.next_chunk = 0
@@ -110,7 +109,7 @@ class DashClient:
         duration = t - self.in_flight.pop(chunk_index).issue_time_s
         self.buffer_s += self.ladder.chunk_duration_s
         if duration > 0:
-            self.rates.append(size_bits / duration)
+            self.inv_rates.append(1.0 / (size_bits / duration))
         # a video shorter than the buffer starts once all of it is buffered
         if (not self.playout_started
                 and self.buffer_s >= min(self.b_max_s, self.total_media_s) - _EPS):
@@ -118,10 +117,25 @@ class DashClient:
             self.startup_latency_s = t - self.start_time_s
 
     def maybe_issue_requests(self, t: float) -> list[ChunkRequest]:
-        """All requests the gating rules allow at time t, in chunk order."""
+        """All requests the gating rules allow at time t, in chunk order.
+
+        Sets `next_poll_s`, the earliest time a poll can issue unless a
+        delivery comes first: the gate's own start comparison before the
+        start; inf when only a delivery can open the gate (in-flight cap,
+        every chunk requested, finished, before playout); for a playing
+        client the room test blocks, t plus the buffer's excess over the
+        test less POLL_MARGIN_S, as playout drains at most dt in dt. The
+        margin covers rounding: each boundary step is subtracted exactly
+        after the first interval (Sterbenz), so the buffer lags the clock by
+        half an ulp of buffer_s per boundary (< 1e-14 s under 64 s), plus a
+        few ulps of the clock (< 1e-9 s before 1e6 s); 1e-6 s covers 1e7
+        boundaries.
+        """
         self.advance_to(t)
         if t < self.start_time_s - _EPS:
+            self.next_poll_s = self.start_time_s - _EPS
             return []
+        next_poll_s = math.inf
         issued = None  # made at the first request: a blocked poll builds nothing
         tau = self.ladder.chunk_duration_s
         while self.next_chunk < self.ladder.chunk_count and not self.finished:
@@ -129,18 +143,25 @@ class DashClient:
             if self.playout_started:
                 if n_out >= MAX_IN_FLIGHT:
                     break
-                if self.buffer_s + tau * (n_out + 1) > self.b_max_s + _EPS:
+                # room for one more chunk; a float difference is > 0 exactly
+                # when the first operand is the larger
+                excess = self.buffer_s + tau * (n_out + 1) - (self.b_max_s + _EPS)
+                if excess > 0:
+                    next_poll_s = t + excess - POLL_MARGIN_S
                     break
             else:
                 if self.buffer_s + tau * n_out >= self.b_max_s - _EPS:
                     break
             if issued is None:  # one pick per call: no rate sample arrives within it
                 issued = []
-                quality = select_quality(harmonic_mean_rate(self.rates), self.ladder.bitrates_bps)
+                inv = self.inv_rates
+                quality = select_quality(len(inv) / left_sum(inv) if inv else None,
+                                         self.ladder.bitrates_bps)
             req = ChunkRequest(self.client_id, self.video_id, self.next_chunk, quality, t)
             self.in_flight[self.next_chunk] = req
             self.next_chunk += 1
             issued.append(req)
+        self.next_poll_s = next_poll_s
         return [] if issued is None else issued
 
     def session_time_s(self, now: float) -> float:

@@ -290,3 +290,27 @@ def test_same_interval_requesters_share_one_backhaul_job():
     assert res.pipe_bits == pytest.approx(chunk_bits)
     assert res.backhaul_attributed_bits == pytest.approx(2 * chunk_bits)
     assert not engine.fifo
+
+
+def test_request_gates_are_evaluated_only_when_they_can_open(monkeypatch):
+    # a client is polled only once its next_poll_s has come or after a
+    # delivery; polling every client every interval would make at least
+    # clients x intervals calls
+    counts = {"polls": 0, "intervals": 0}
+    poll, step = ap_engine.DashClient.maybe_issue_requests, ApEngine.step_rai
+
+    def counted_poll(self, t):
+        counts["polls"] += 1
+        return poll(self, t)
+
+    def counted_step(self):
+        counts["intervals"] += 1
+        step(self)
+
+    monkeypatch.setattr(ap_engine.DashClient, "maybe_issue_requests", counted_poll)
+    monkeypatch.setattr(ApEngine, "step_rai", counted_step)
+    cfg = dataclasses.replace(ScenarioConfig(), n_clients=10, chunk_count=30,
+                              schemes=("CLIENT",), reps=1)
+    res = run_replication(cfg, "CLIENT", 0)
+    assert res.all_finished and res.violations == []
+    assert counts["polls"] < 10 * counts["intervals"] / 2, counts

@@ -2,17 +2,18 @@
 from __future__ import annotations
 
 import math
-from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgestream import client as client_module
 from edgestream.catalog import QualityLadder
 from edgestream.client import (
     RATE_WINDOW,
+    ChunkRequest,
     DashClient,
-    harmonic_mean_rate,
     select_quality,
 )
 from reference_abr import reference_harmonic_mean_rate, reference_select_quality
@@ -24,18 +25,40 @@ LADDER = QualityLadder(
 )
 
 
+def _estimate_after(deliveries) -> float | None:
+    """The throughput estimate a fresh client picks its next quality from,
+    after one delivery per (size in bits, seconds from issue), in order. The
+    client stays before playout, so nothing drains and the poll issues."""
+    c = DashClient(0, 0, QualityLadder(LADDER.bitrates_bps, 2.0, 100), b_max_s=40.0)
+    t = 0.0
+    for k, (size_bits, seconds) in enumerate(deliveries):
+        c.in_flight[k] = ChunkRequest(0, 0, k, 0, t)
+        t += seconds
+        c.on_chunk_delivered(t, k, size_bits)
+    seen = []
+
+    def spy(estimate_bps, bitrates_bps):
+        seen.append(estimate_bps)
+        return select_quality(estimate_bps, bitrates_bps)
+
+    with mock.patch.object(client_module, "select_quality", spy):
+        assert c.maybe_issue_requests(t)
+    assert len(seen) == 1  # one pick per poll
+    return seen[0]
+
+
 class TestRateEstimate:
     def test_cold_start_is_none(self):
-        assert harmonic_mean_rate([]) is None
+        assert _estimate_after([]) is None
 
     def test_two_samples_frozen(self):
-        assert harmonic_mean_rate([2e6, 5e6]) == 2857142.8571428573
+        assert _estimate_after([(2e6, 1.0), (5e6, 1.0)]) == 2857142.8571428573
 
     def test_single_sample_is_identity(self):
-        assert harmonic_mean_rate([3e6]) == 3e6
+        assert _estimate_after([(3e6, 1.0)]) == 3e6
 
     def test_dominated_by_slow_samples(self):
-        assert harmonic_mean_rate([1e6, 100e6]) < 2e6
+        assert _estimate_after([(1e6, 1.0), (100e6, 1.0)]) < 2e6
 
 
 class TestSelectQuality:
@@ -76,15 +99,21 @@ def test_select_quality_matches_the_linear_scan(case):
     assert select_quality(estimate, ladder) == reference_select_quality(estimate, ladder)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(min_value=1.0, max_value=1e12), max_size=3 * RATE_WINDOW))
-def test_harmonic_mean_over_the_deque_is_bitwise_the_copying_one(samples):
-    rates = deque(maxlen=RATE_WINDOW)
-    for x in samples:
-        rates.append(x)
-        got, want = harmonic_mean_rate(rates), reference_harmonic_mean_rate(rates)
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.floats(min_value=1e3, max_value=1e10),
+                          st.floats(min_value=1e-3, max_value=1e3)),
+                max_size=3 * RATE_WINDOW))
+def test_the_estimate_is_bitwise_the_reference_harmonic_mean(deliveries):
+    # each raw sample is the chunk's size over the time from its issue
+    raw, t = [], 0.0
+    for size_bits, seconds in deliveries:
+        raw.append(size_bits / ((t + seconds) - t))
+        t += seconds
+    got = _estimate_after(deliveries)
+    want = reference_harmonic_mean_rate(raw[-RATE_WINDOW:])
+    assert (got is None) == (want is None)
+    if want is not None:
         assert got.hex() == want.hex()
-    assert harmonic_mean_rate(deque(maxlen=RATE_WINDOW)) is None
 
 
 def _client(**kw) -> DashClient:
@@ -137,7 +166,7 @@ class TestRequestGating:
         c = _client(start_time_s=1.0)
         assert c.maybe_issue_requests(1.0)[0].issue_time_s == 1.0
         c.on_chunk_delivered(1.5, 0, 2e6)
-        assert list(c.rates) == [2e6 / (1.5 - 1.0)]
+        assert list(c.inv_rates) == [1.0 / (2e6 / (1.5 - 1.0))]
         with pytest.raises(KeyError):
             c.on_chunk_delivered(2.0, 0, 2e6)   # already delivered
         with pytest.raises(KeyError):
@@ -226,7 +255,27 @@ def test_a_blocked_poll_only_advances_the_client(why):
     assert got == []
     assert polled.maybe_issue_requests(t) is not got   # a new list every call
     twin.advance_to(t)
-    assert vars(polled) == vars(twin)
+    # next_poll_s is the only field a blocked poll sets beyond the advance
+    assert ({k: v for k, v in vars(polled).items() if k != "next_poll_s"}
+            == {k: v for k, v in vars(twin).items() if k != "next_poll_s"})
+
+
+@pytest.mark.parametrize("why", _BLOCKED)
+def test_no_poll_issues_before_next_poll_s(why):
+    kw, bring, t = _BLOCKED[why]
+    c = bring(_client(**kw))
+    assert c.maybe_issue_requests(t) == []
+    assert c.next_poll_s > t
+    opens = math.isfinite(c.next_poll_s)  # inf: only a delivery can open it
+    for k in range(1, 200):  # plain polls on 0.1 s boundaries, no delivery
+        boundary = t + 0.1 * k
+        blocked_until = c.next_poll_s
+        issued = c.maybe_issue_requests(boundary)
+        if boundary < blocked_until:
+            assert issued == [], (boundary, blocked_until)
+        if issued:
+            break
+    assert bool(issued) == opens
 
 
 class TestPlayout:

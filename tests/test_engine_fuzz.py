@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from edgestream.ap_engine import POLICIES, SCHEMES
 from edgestream.cli_metrics import ScenarioConfig, run_replication
+from edgestream.client import DashClient
+from test_golden_output import DIGEST_FIELDS
 
 
 # CPH and BUFF run on the stall-aware allocator, which still starves a client
@@ -52,6 +55,49 @@ def small_configs(draw):
         base_seed=draw(st.integers(0, 2**20)),
         reps=1,
     )
+
+
+def _outputs(cfg: ScenarioConfig, scheme: str) -> tuple[str, str, list[str]]:
+    """repr of a run's statistics, violations and delivery events: repr
+    round-trips every float, so equal reprs are equal bits."""
+    result = run_replication(cfg, scheme, 0, record_events=True)
+    return (repr(tuple(getattr(result, f) for f in DIGEST_FIELDS)), repr(result.violations),
+            [repr(e) for e in result.events])
+
+
+def _poll_every_interval():
+    """The engine as it ran before clients recorded next_poll_s: every poll
+    leaves next_poll_s at -inf, so every client is polled at every boundary."""
+    plain = DashClient.maybe_issue_requests
+
+    def polled_every_interval(self, t):
+        issued = plain(self, t)
+        self.next_poll_s = -math.inf
+        return issued
+
+    return mock.patch.object(DashClient, "maybe_issue_requests", polled_every_interval)
+
+
+def _example_cfg(**kw) -> ScenarioConfig:
+    return dataclasses.replace(ScenarioConfig(), **{
+        "reps": 1, "n_clients": 4, "n_videos": 2, "levels": 4, "chunk_count": 10, **kw})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_configs())
+@example(_example_cfg(t_ap_s=0.02, base_seed=11))
+@example(_example_cfg(t_ap_s=0.1, base_seed=12))
+# a long session, 600 s of media, cut by max_time_s while late starters play
+@example(_example_cfg(chunk_count=300, t_ap_s=0.5, max_time_s=620.0, base_seed=13))
+# 2 s chunks into a 15 s buffer drain on 0.5 s steps, so the room test
+# (buffer + chunks in flight and asked <= b_max_s) opens exactly on a boundary
+@example(_example_cfg(chunk_duration_s=2.0, b_min_s=5.0, b_max_s=15.0, t_ap_s=0.5, base_seed=14))
+def test_polling_only_when_the_gate_can_open_changes_no_output(cfg):
+    for scheme in SCHEMES:
+        fast = _outputs(cfg, scheme)
+        with _poll_every_interval():
+            reference = _outputs(cfg, scheme)
+        assert fast == reference, scheme
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
