@@ -15,23 +15,11 @@ decided here, once, when the request is routed. The client's own
 ChunkRequest travels with it from issue to delivery: a downlink item holds
 it, and a backhaul job holds one per request it serves.
 
-Which clients each phase visits, and what it reads: advance visits every
-client once, and request issue only those whose `next_poll_s` has come (the
-earliest time the client's last poll says its gate can open; a delivery
-polls at once and resets it), so a gate held shut by the buffer, the
-in-flight cap or the start time is not re-tested each interval; a poll the
-gate holds shut builds nothing, and one that issues sums its reciprocal rate
-samples once for one quality pick; candidate building and the solver see
-only the interval's new requests, each with its client's buffer and queue
-(bits and whole-chunk media), and a passthrough scheme runs neither;
-airtime allocation sees only the busy queues, by position: the equal split
-reads just each one's room (its bits over link capacity times the
-interval), the stall-aware one also its need (the share that refills the
-buffer to b_min_s at the mean queued bitrate) and whether it is sated
-(playing with SUFFICIENT_CHUNKS buffered), both worked out here; and the
-drain visits only the clients granted a share, once per backhaul
-sub-segment. The backhaul FIFO is one ordered map
-keyed by chunk, so a rider finds its job with one probe.
+A client's request gate is tested only once the `next_poll_s` its last
+poll set has come (a delivery polls at once, which resets it), so a gate
+held shut by the buffer, the in-flight cap or the start time is not
+re-tested each interval. The backhaul FIFO is one ordered map keyed by
+chunk, so a rider finds its job with one probe.
 
 The engine is deterministic by construction: no randomness, no iteration
 over unordered containers where order can leak into results.

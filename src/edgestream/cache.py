@@ -26,9 +26,6 @@ class LruChunkCache:
         # key -> size_bits; insertion order = recency order, oldest first
         self._entries: OrderedDict[ChunkKey, float] = OrderedDict()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def contains(self, video_id: int, chunk_index: int, quality_index: int) -> bool:
         return (video_id, chunk_index, quality_index) in self._entries
 

@@ -393,39 +393,42 @@ def gen_random_instance(rng: Generator):
     exhaustive space (product of tolerance windows) stays within 10^5.
     The 1-2 videos share one ladder of 2-5 levels, drawn right after the
     video count, and every request sees one backhaul rate, as in a run."""
-    n_videos = int(rng.integers(1, 3))
-    levels = int(rng.integers(2, 6))
+    def integer(lo: int, hi: int) -> int:  # lo..hi-1; int(uniform(lo, hi)) can round up to hi
+        return lo + int(rng.random() * (hi - lo))
+
+    n_videos = integer(1, 3)
+    levels = integer(2, 6)
     drawn = sorted(rng.uniform(1e5, 5e6) for _ in range(levels))
     rates = tuple(r + 1e3 * i for i, r in enumerate(drawn))  # strictly ascending
     tau = 2.0
     ladder = QualityLadder(rates, tau, chunk_count=3)
-    gamma = int(rng.integers(0, 3))
-    mu_c = float(rng.uniform(1.0, 2.0))
-    backhaul_rate_bps = float(rng.uniform(1e6, 4e7))
-    burst = bool(rng.random() < 0.15)
-    n_clients = int(rng.integers(6, 9) if burst else rng.integers(1, 5))
-    shared_everything = burst or bool(rng.random() < 0.4)
+    gamma = integer(0, 3)
+    mu_c = rng.uniform(1.0, 2.0)
+    backhaul_rate_bps = rng.uniform(1e6, 4e7)
+    burst = rng.random() < 0.15
+    n_clients = integer(6, 9) if burst else integer(1, 5)
+    shared_everything = burst or rng.random() < 0.4
     requests = []
     for cid in range(n_clients):
-        for _ in range(1 if burst else int(rng.integers(1, 3))):
+        for _ in range(1 if burst else integer(1, 3)):
             if shared_everything:
                 video, chunk = 0, 0
             else:
-                video = int(rng.integers(0, n_videos))
-                chunk = int(rng.integers(0, 3))
-            queued_chunks = int(rng.integers(0, 3))
+                video = integer(0, n_videos)
+                chunk = integer(0, 3)
+            queued_chunks = integer(0, 3)
             dlq_media = queued_chunks * tau
-            dlq_bits = dlq_media * float(rng.uniform(rates[0], rates[-1]))
+            dlq_bits = dlq_media * rng.uniform(rates[0], rates[-1])
             requests.append(QualityRequest(
                 client_id=cid,
                 video_id=video,
                 chunk_index=chunk,
-                requested_quality=int(rng.integers(0, levels)),
-                buffer_s=float(rng.uniform(0.0, 15.0)),
-                effective_rate_bps=float(rng.uniform(1e6, 3e7)) * (1.0 / n_clients),
+                requested_quality=integer(0, levels),
+                buffer_s=rng.uniform(0.0, 15.0),
+                effective_rate_bps=rng.uniform(1e6, 3e7) * (1.0 / n_clients),
                 dl_queue_bits=dlq_bits,
                 dl_queue_media_s=dlq_media,
-                fifo_backlog_bits=float((0.0, rng.uniform(0.0, 2e7))[rng.integers(0, 2)]),
+                fifo_backlog_bits=(0.0, rng.uniform(0.0, 2e7))[integer(0, 2)],
             ))
     # each request's tolerated window, clipped to the ladder
     while gamma > 0 and math.prod(
@@ -440,9 +443,9 @@ def gen_random_instance(rng: Generator):
             if rng.random() < 0.25:
                 cache.insert(req.video_id, req.chunk_index, m, ladder.nominal_size_bits(m))
     if rng.random() < 0.3:
-        capacity_bps = float(rng.uniform(0.0, 3e5 * n_clients))
+        capacity_bps = rng.uniform(0.0, 3e5 * n_clients)
     else:
-        capacity_bps = float(rng.uniform(1e6, 4e7))
+        capacity_bps = rng.uniform(1e6, 4e7)
     return requests, cache, capacity_bps, params
 
 

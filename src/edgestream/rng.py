@@ -3,8 +3,8 @@
 A run makes a few scalar draws per client, so the generator is plain
 Python: NumPy's `SeedSequence` hash of the seed, the PCG64 XSL-RR 128/64
 bit generator (O'Neill 2014, https://www.pcg-random.org/paper.html), and
-NumPy `Generator`'s rules for `random`, `uniform`, `integers` and
-`choice(n, p=pmf)`. Every draw equals NumPy's, on any host.
+NumPy `Generator`'s rules for `random`, `uniform` and `choice(n, p=pmf)`.
+Every draw equals NumPy's, on any host.
 """
 from __future__ import annotations
 
@@ -80,21 +80,12 @@ class Generator:
         self._inc = ((i0 << 64 | i1) << 1 | 1) & _M128
         # PCG's srandom: step from 0 (giving inc), add the seed, step again
         self._state = ((self._inc + (s0 << 64 | s1)) * _PCG_MULT + self._inc) & _M128
-        self._half = None  # the high 32 bits of a word whose low half was used
 
     def _next64(self) -> int:
         state = self._state = (self._state * _PCG_MULT + self._inc) & _M128
         rot = state >> 122
         word = (state >> 64 ^ state) & _M64
         return (word >> rot | word << (64 - rot)) & _M64
-
-    def _next32(self) -> int:
-        if self._half is not None:
-            half, self._half = self._half, None
-            return half
-        word = self._next64()
-        self._half = word >> 32
-        return word & _M32
 
     def random(self) -> float:
         """Uniform on [0, 1) from the top 53 bits of one word."""
@@ -106,21 +97,6 @@ class Generator:
         if not 0.0 <= span < float("inf"):
             raise ValueError(f"need finite low <= high, got {low!r}, {high!r}")
         return low + span * self.random()
-
-    def integers(self, low: int, high: int) -> int:
-        """Uniform on low..high-1 by Lemire's method on 32-bit halves; a span
-        of 1 draws nothing. Spans above 2**32 are not supported."""
-        span = high - low
-        if not 1 <= span <= 1 << 32:
-            raise ValueError(f"need 1 <= high - low <= 2**32, got {low}, {high}")
-        if span == 1:
-            return low
-        product = self._next32() * span
-        if product & _M32 < span:
-            threshold = (_M32 - span + 1) % span
-            while product & _M32 < threshold:
-                product = self._next32() * span
-        return low + (product >> 32)
 
     def pick(self, cdf: list[float]) -> int:
         """`choice(len(cdf), p=pmf)` given `cdf = cumulative(pmf)`."""

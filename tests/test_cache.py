@@ -16,7 +16,7 @@ def test_insert_and_contains():
     assert c.insert(0, 0, 0, 40) == []
     assert c.contains(0, 0, 0)
     assert c.used_bits == 40
-    assert len(c) == 1
+    assert len(keys_by_recency(c)) == 1
 
 
 def test_eviction_order_is_lru():
@@ -69,7 +69,7 @@ def test_multi_eviction_in_one_insert():
     # needs 60 free: evicts the two oldest, keeps (2,0,0)
     assert evicted == [(0, 0, 0), (1, 0, 0)]
     assert c.used_bits == 30 + 60
-    assert len(c) == 2
+    assert len(keys_by_recency(c)) == 2
 
 
 def test_float_residue_never_evicts_from_an_empty_cache():
@@ -110,13 +110,13 @@ def test_unbounded_cache_never_evicts():
     assert math.isinf(c.capacity_bits)
     for i in range(1000):
         assert c.insert(i, 0, 0, 1e9) == []
-    assert len(c) == 1000
+    assert len(keys_by_recency(c)) == 1000
 
 
 def test_touch_missing_key_is_noop():
     c = LruChunkCache(capacity_bits=100)
     c.touch(9, 9, 9)
-    assert len(c) == 0
+    assert len(keys_by_recency(c)) == 0
 
 
 def test_keys_by_recency_oldest_first():

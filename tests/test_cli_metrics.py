@@ -1,6 +1,7 @@
 """Scenario config, replication rows, sweeps, CSV/JSON output, CLI exit codes."""
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import math
@@ -32,6 +33,7 @@ from edgestream.cli_metrics import (
     write_csv,
     write_json,
 )
+from edgestream.rng import Generator
 from reference_lru import keys_by_recency
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -335,6 +337,27 @@ def test_oracle_check_small_batch():
     checked, mismatches = oracle_check(25, seed=7)
     assert checked == 25
     assert mismatches == []
+
+
+def test_oracle_instances_keep_their_adversarial_shapes():
+    # floors near half the shares measured on instances 0..2999 of seed 7
+    floors = {"burst": 0.10, "fallback": 0.08, "gamma 0": 0.16, "rewritten": 0.27,
+              "cached pick": 0.41}
+    n = 500
+    seen = dict.fromkeys(floors, 0)
+    for i in range(n):
+        requests, cache, capacity, params = cm.gen_random_instance(Generator([7, i]))
+        levels = len(params.ladder.bitrates_bps)
+        assert all(0 <= r.requested_quality < levels for r in requests)
+        result = cm.cph_assign(requests, cache, capacity, params)
+        per_chunk = collections.Counter((r.video_id, r.chunk_index) for r in requests)
+        seen["burst"] += max(per_chunk.values()) >= 6
+        seen["fallback"] += result.no_valid_config
+        seen["gamma 0"] += params.gamma == 0
+        seen["rewritten"] += result.qualities != tuple(r.requested_quality for r in requests)
+        seen["cached pick"] += any(cache.contains(r.video_id, r.chunk_index, q)
+                                   for r, q in zip(requests, result.qualities))
+    assert {k: v for k, v in seen.items() if v < floors[k] * n} == {}
 
 
 class TestOracleReplay:
