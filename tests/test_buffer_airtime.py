@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from edgestream.ap_engine import SUFFICIENT_CHUNKS
 from edgestream.buffer_airtime import allocate_airtime, equal_airtime
 from edgestream.fold import left_sum
 from reference_airtime import ClientLoad, reference_allocate_airtime, reference_equal_airtime
+from replay_oracle import replay_buffer_projection
 
 
 def _est(**kw) -> float:
@@ -28,6 +30,24 @@ def _est(**kw) -> float:
 
 
 class TestEstimateBuffer:
+    def test_backhaul_empty_queue(self):
+        # B=8, backhaul wait 3, transfer 1 -> 4
+        assert _est(backhaul_delay_s=3.0) == 4.0
+
+    def test_backhaul_backlogged_queue(self):
+        # drain 4e6/1e6 = 4 s overlaps the 3 s backhaul wait; queued media adds 6 s
+        got = _est(
+            backhaul_delay_s=3.0, dl_queue_bits=4e6, dl_queue_media_s=6.0)
+        assert got == 8.0 - max(4.0, 3.0) - 1.0 + 6.0 == 9.0
+
+    def test_cache_empty_queue(self):
+        assert _est(backhaul_delay_s=0.0) == 7.0
+
+    def test_cache_backlogged_queue(self):
+        got = _est(
+            backhaul_delay_s=0.0, dl_queue_bits=4e6, dl_queue_media_s=6.0)
+        assert got == 8.0 - 4.0 - 1.0 + 6.0 == 9.0
+
     def test_identity_limit(self):
         # cache-served, nothing queued, instantaneous transfer: buffer unchanged
         assert _est(backhaul_delay_s=0.0, dl_transmit_s=0.0) == 8.0
@@ -45,6 +65,30 @@ class TestEstimateBuffer:
     def test_negative_queue_fields_rejected(self, field):
         with pytest.raises(ValueError):
             _est(**{field: -1.0})
+
+    def test_differential_against_event_replay(self):
+        # the closed form must match a chunk-by-chunk drain simulation
+        rng = np.random.default_rng(77)
+        for _ in range(300):
+            rate = float(rng.uniform(1e5, 5e7))
+            n_chunks = int(rng.integers(0, 6))
+            chunks = [(float(rng.uniform(1e5, 8e6)), float(rng.uniform(0.5, 4.0)))
+                      for _ in range(n_chunks)]
+            cand_bits = float(rng.uniform(1e5, 8e6))
+            from_cache = bool(rng.integers(0, 2))
+            t_b = 0.0 if from_cache else float(rng.uniform(0.0, 10.0))
+            b0 = float(rng.uniform(-5.0, 20.0))
+            got = estimate_buffer(
+                current_buffer_s=b0,
+                backhaul_delay_s=t_b,
+                dl_transmit_s=cand_bits / rate,
+                dl_queue_bits=sum(s for s, _ in chunks),
+                dl_queue_media_s=sum(m for _, m in chunks),
+                effective_rate_bps=rate,
+            )
+            want = replay_buffer_projection(b0, chunks, cand_bits, rate,
+                                            from_cache, t_b)
+            assert got == pytest.approx(want, abs=0.5)
 
 
 def _load(cid, d, b, avg, cap, chunks=0.0, playing=True) -> ClientLoad:

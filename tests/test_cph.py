@@ -23,7 +23,7 @@ from edgestream.cph import (
     cph_assign,
     solve_groups,
 )
-from plain_fold import pareto_min
+from plain_fold import pareto_min, plain_fold
 from reference_scoring import tolerated_set
 
 
@@ -80,6 +80,9 @@ class Metered(tuple):
 
 
 class TestParetoMin:
+    def test_dominated_point_dropped(self):
+        assert pareto_min([(20, 850), (7, 950)]) == [(20, 850)]
+
     def test_incomparable_points_kept(self):
         pts = [(20, 850), (25, 950), (7, 100)]
         assert pareto_min(pts) == [(7, 100), (20, 850), (25, 950)]
@@ -163,6 +166,33 @@ def _bound_instances(draw):
 
 
 class TestSolveGroups:
+    def test_additive_clusters_reach_known_optimum(self):
+        groups = [
+            _group("a", [(3, 150), (10, 400), (4, 500)]),
+            _group("b", [(3, 450), (10, 450), (12, 800)]),
+            _group("c", [(2, 100), (9, 300), (11, 900)]),
+        ]
+        assert solve_groups(groups, 1200.0) == (29.0, 1150.0, (1, 1, 1))
+
+    def test_shared_cluster_pays_each_download_once(self):
+        shared = [
+            _group("v0", [(5, 300), (9, 700), (8, 1700)]),
+            _group("v0", [(6, 300), (11, 700), (12, 1700)]),
+            _group("v0", [(4, 300), (7, 700), (15, 1700)]),
+        ]
+        # all three on the top level: 1700 paid once, utilities sum to 35
+        assert solve_groups(shared, 2000.0) == (35.0, 1700.0, (2, 2, 2))
+
+    def test_eager_pruning_misses_shared_cost_optimum(self):
+        shared = [
+            _group("v0", [(5, 300), (9, 700), (8, 1700)]),
+            _group("v0", [(6, 300), (11, 700), (12, 1700)]),
+            _group("v0", [(4, 300), (7, 700), (15, 1700)]),
+        ]
+        got = plain_fold(shared, 2000.0)
+        # pruning across paid sets drops the locally dominated expensive level
+        assert got == (27.0, 700.0, (1, 1, 1))
+
     def test_equal_quality_shares_only_within_a_cluster(self):
         pair = [(1, 100), (5, 600)]
         one = [_group("v0", pair), _group("v0", pair)]

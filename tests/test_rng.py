@@ -52,6 +52,8 @@ def test_every_draw_equals_default_rng(seed, draws):
 
 
 @pytest.mark.parametrize("call", [
+    lambda rng: Generator([3, -1]),
+    lambda rng: rng.uniform(0.0, float("nan")),
     lambda rng: rng.uniform(1.0, 0.0),
     lambda rng: rng.uniform(0.0, float("inf")),
     lambda rng: Generator(-1),
