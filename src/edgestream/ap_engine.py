@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
 
-from .assign_core import QualityRequest, SolverParams
+from .assign_core import SolverParams
 from .buff import buff_assign  # noqa: F401  (called by name through POLICIES)
 from .buffer_airtime import allocate_airtime, equal_airtime
 from .cache import LruChunkCache
@@ -209,7 +209,7 @@ class ApEngine:
                 media += chunk_s
         return bits, media
 
-    def _build_requests(self, n1: list[ChunkRequest]) -> list[QualityRequest]:
+    def _build_requests(self, n1: list[ChunkRequest]) -> list[tuple]:
         # selection assumes equal airtime; the realized allocation may differ
         share = 1.0 / len(self.clients)
         backlog = left_sum(job.remaining_bits for job in self.fifo.values())
@@ -217,11 +217,10 @@ class ApEngine:
         for r in n1:
             cid = r.client_id
             bits, media = self._queue_snapshot(cid)
-            # positional, in field order: (client, video, chunk, requested
+            # plain, in QualityRequest's field order: (client, video, chunk, requested
             # quality, buffer, effective rate, queue bits, queue media, backlog)
-            out.append(QualityRequest(
-                cid, r.video_id, r.chunk_index, r.quality_index, self.clients[cid].buffer_s,
-                self.capacity[cid] * share, bits, media, backlog))
+            out.append((cid, r.video_id, r.chunk_index, r.quality_index, self.clients[cid].buffer_s,
+                        self.capacity[cid] * share, bits, media, backlog))
         return out
 
     # ---- scheme dispatch ---------------------------------------------
@@ -255,12 +254,13 @@ class ApEngine:
         """Route each request at its quality: a cache hit to the client's
         downlink queue, a miss onto the backhaul job for its chunk."""
         tolerance = self.params.gamma if self.policy.solver is not None else 0
+        levels = self.params.levels
         for req, m in zip(n1, qualities):
             if abs(m - req.quality_index) > tolerance:
                 self.result.violations.append(
                     f"t={self.now}: quality shift beyond tolerance for client {req.client_id} "
                     f"({req.quality_index} -> {m})")
-            size = self.ladder.nominal_size_bits(m)
+            size = levels[m][1]  # chunk bits: the ladder's nominal_size_bits(m)
             key = (req.video_id, req.chunk_index, m)
             if self.policy.reads_cache and self.cache.contains(*key):
                 self.cache.touch(*key)

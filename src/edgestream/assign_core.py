@@ -1,12 +1,14 @@
 """Shared quality-assignment primitives.
 
-Both solvers consume the same per-request context (QualityRequest) and the
-same scored candidates, so their outputs are comparable candidate by
-candidate. The run's one quality ladder is a SolverParams field, so a level
-is the same bitrate for every request of a call and equal picks of one chunk
-are one download. SolverParams also holds the ladder's per-level constants,
-built once per run; `build_candidates` scores a request in one pass over
-them. Its specification, one function per rule (tolerated window, delivery
+Both solvers consume the same per-request context and the same scored
+candidates, so their outputs are comparable candidate by candidate. Both are
+read by position: a request in QualityRequest's field order, named or a
+plain tuple, and a candidate as a plain `Candidate` tuple. The run's one
+quality ladder is a SolverParams field, so a level is the same bitrate for
+every request of a call and equal picks of one chunk are one download.
+SolverParams also holds the ladder's per-level constants, built once per
+run; `build_candidates` scores a request in one pass over them. Its
+specification, one function per rule (tolerated window, delivery
 cost, utility), lives with the tests in `tests/reference_scoring.py`.
 `estimate_buffer` stays here only because perfbench's tracer wraps it here
 by name; no run calls it.
@@ -57,7 +59,8 @@ class SolverParams:
 
 
 class QualityRequest(NamedTuple):
-    """One pending chunk request plus the state needed to score candidates.
+    """One pending chunk request plus the state needed to score candidates;
+    the engine builds plain tuples in this field order.
 
     Snapshot semantics: buffer, queue and backlog fields describe the state
     at the allocation instant; the solver treats them as immutable.
@@ -71,15 +74,6 @@ class QualityRequest(NamedTuple):
     dl_queue_bits: float          # bits already queued for this client
     dl_queue_media_s: float       # playable seconds of whole queued chunks
     fifo_backlog_bits: float      # bits ahead in the shared download FIFO
-
-
-class CandidateQuality(NamedTuple):
-    """One scored tolerated level of a request; the request says whose."""
-    quality_index: int
-    cached: bool
-    cost_bps: float
-    estimated_buffer_s: float
-    utility: float
 
 
 def estimate_buffer(
@@ -105,12 +99,16 @@ def estimate_buffer(
     return b - max(drain_s, backhaul_delay_s) - dl_transmit_s + dl_queue_media_s
 
 
+# (quality_index, cached, cost_bps, estimated_buffer_s, utility) of one level
+Candidate = tuple[int, bool, float, float, float]
+
+
 def build_candidates(
     request: QualityRequest, cache: LruChunkCache, params: SolverParams
-) -> tuple[CandidateQuality, ...]:
+) -> tuple[Candidate, ...]:
     """Score every tolerated quality level of the params' ladder for one
-    request, in ascending level order; a chunk's size is its nominal
-    bitrate * duration.
+    request, in ascending level order, as plain `Candidate` tuples; a
+    chunk's size is its nominal bitrate * duration.
 
     One pass over `params.levels`: each candidate equals, bit for bit, the
     reference scoring functions composed at its level (w * log(q) is the
@@ -150,10 +148,11 @@ def build_candidates(
         else:
             b_hat = buffer_s - max(drain_s, backhaul_delay_s) - dl_transmit_s + queue_media_s
         if b_hat >= b_min_s:
-            u = (weighted_log_q if cached else log_q) + log(min(b_hat, b_max_s))
+            # min(b_hat, b_max_s), NaN included, without the call
+            u = (weighted_log_q if cached else log_q) + log(b_max_s if b_max_s < b_hat else b_hat)
         elif b_hat > 0:
             u = mu_c * log(b_hat) if cached else log(b_hat)
         else:
             u = b_hat
-        out.append(CandidateQuality(m, cached, 0.0 if cached else rate, b_hat, u))
+        out.append((m, cached, 0.0 if cached else rate, b_hat, u))
     return tuple(out)

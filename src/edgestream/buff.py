@@ -11,6 +11,7 @@ skipped once never fits later. Open requests keep their requested quality.
 """
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
 from .assign_core import QualityRequest, SolverParams, build_candidates
@@ -24,39 +25,41 @@ def buff_assign(
     capacity_bps: float,
     params: SolverParams,
 ) -> AssignmentResult:
-    # pool entry = (rank, request index, chunk key, candidate, weighted utility)
+    # pool entry = (rank, request index, chunk key, quality, cost, weighted utility)
     pool = []
     levels = params.levels
     for ri, req in enumerate(requests):
+        client, video, chunk = req[0], req[1], req[2]
         cands = build_candidates(req, cache, params)
         for c in cands:
+            m, cached, cost, b_hat, _ = c
             # cands[0] is the window's floor, kept even when unsafe
-            if not c.estimated_buffer_s >= 0 and c is not cands[0]:
+            if not b_hat >= 0 and c is not cands[0]:
                 continue
             # mu_c * log(q) when cached, else 1.0 * log(q) == log(q)
-            u = levels[c.quality_index][3 if c.cached else 2]
-            rank = (-u, -c.quality_index, req.client_id, req.video_id, req.chunk_index)
-            pool.append((rank, ri, (req.video_id, req.chunk_index, c.quality_index), c, u))
+            u = levels[m][3 if cached else 2]
+            pool.append(((-u, -m, client, video, chunk), ri, (video, chunk, m), m, cost, u))
     # stable: a client asking twice for one chunk ties on rank, lower index first
-    pool.sort(key=lambda e: e[0])
+    pool.sort(key=itemgetter(0))
 
     remaining = capacity_bps
     chosen: dict[int, int] = {}  # request index -> quality
     paid: set = set()  # chunks being fetched once; identical picks ride along free
     total_utility = 0.0
     total_cost = 0.0
-    for _, ri, key, c, u in pool:
-        cost = 0.0 if key in paid else c.cost_bps
+    for _, ri, key, m, cost, u in pool:
+        if key in paid:
+            cost = 0.0
         if ri in chosen or cost > remaining:
             continue
-        chosen[ri] = c.quality_index
+        chosen[ri] = m
         total_utility += u
         total_cost += cost
         remaining -= cost
         if cost > 0:
             paid.add(key)
 
-    qualities = [r.requested_quality for r in requests]
+    qualities = [r[3] for r in requests]  # requested_quality
     for ri, m in chosen.items():
         qualities[ri] = m
     fell_back = len(chosen) < len(requests)

@@ -18,7 +18,9 @@ quality, so the tolerance windows slide and a live set holds at most
 2*gamma + 1 levels: at most 2**(2*gamma + 1) paid sets, 32 at gamma = 2.
 A configuration is (paid, cost, -utility, picks), so one keyless sort per
 merge orders it by paid set, cost and utility, and picks are unique. Each
-group's candidates are read once, into plain tuples, before the first merge.
+group's candidates are read once, into rows, before the first merge.
+Requests and candidates are read by position (see assign_core); SolveGroup
+and AssignmentResult stay NamedTuples, as perfbench's tracer reads them.
 
 Branch and bound (Land & Doig, 1960) drops the rest of the waste. Before
 the first merge the solver takes a floor: the utility of every group's
@@ -43,16 +45,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Hashable, NamedTuple, Sequence
 
-from .assign_core import CandidateQuality, QualityRequest, SolverParams, build_candidates
+from .assign_core import Candidate, QualityRequest, SolverParams, build_candidates
 from .cache import LruChunkCache
 
 
 BRUTE_FORCE_LIMIT = 10**6  # most combinations brute_force_assign enumerates
 _UTILITY = itemgetter(3)  # of a (level bit, cost, free, utility, pick) row
+_CHUNK = itemgetter(1, 2)  # (video_id, chunk_index) of a request
 
 
 Best = tuple[float, float, tuple[int, ...]]  # (utility, cost, picks) of an optimum
@@ -60,11 +62,10 @@ Best = tuple[float, float, tuple[int, ...]]  # (utility, cost, picks) of an opti
 
 class SolveGroup(NamedTuple):
     cluster_key: Hashable  # (video, chunk): an equal quality is one download
-    items: tuple[CandidateQuality, ...]
+    items: tuple[Candidate, ...]
 
 
-@dataclass(frozen=True)
-class AssignmentResult:
+class AssignmentResult(NamedTuple):
     qualities: tuple[int, ...]  # one delivery quality per request, in input order
     no_valid_config: bool
     total_utility: float | None
@@ -192,11 +193,8 @@ def _request_groups(
     params: SolverParams,
 ) -> tuple[list[int], list[SolveGroup]]:
     order = canonical_order(requests)
-    groups = [
-        SolveGroup((requests[ri].video_id, requests[ri].chunk_index),
-                   build_candidates(requests[ri], cache, params))
-        for ri in order
-    ]
+    groups = [SolveGroup(_CHUNK(requests[ri]), build_candidates(requests[ri], cache, params))
+              for ri in order]
     return order, groups
 
 
@@ -206,7 +204,7 @@ def _result(
     best: Best | None,
 ) -> AssignmentResult:
     # picks follow the canonical order; None keeps the requests, flagged
-    qualities = [r.requested_quality for r in requests]
+    qualities = [r[3] for r in requests]  # requested_quality
     if best is None:
         return AssignmentResult(tuple(qualities), True, None, None)
     utility, cost, picks = best
@@ -241,17 +239,17 @@ def brute_force_groups(groups: Sequence[SolveGroup], capacity_bps: float) -> Bes
         u = 0.0
         c = 0.0
         seen: set = set()
-        for g, item in zip(groups, combo):
-            u += item.utility
-            chunk = (g.cluster_key, item.quality_index)
+        for g, (m, _, cost, _, utility) in zip(groups, combo):
+            u += utility
+            chunk = (g.cluster_key, m)
             if chunk not in seen:
-                c += item.cost_bps
-                if item.cost_bps > 0:
+                c += cost
+                if cost > 0:
                     seen.add(chunk)
             if c > capacity_bps:
                 break
         else:
-            picks = tuple(item.quality_index for item in combo)
+            picks = tuple(item[0] for item in combo)
             if (best is None or (u, -c) > (best[0], -best[1])
                     or (u, c) == best[:2] and picks < best[2]):
                 best = (u, c, picks)

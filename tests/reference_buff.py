@@ -5,7 +5,8 @@ unchanged as an independent check on the one-pass version. Each round scans
 the whole candidate pool for the lowest-ranked candidate whose request is
 still open and whose cost (zero once its chunk is paid) fits the remaining
 budget, takes it, and repeats until nothing fits. It does not import
-`edgestream.buff`.
+`edgestream.buff`. It reads candidates by name, so it names the plain
+tuples `build_candidates` returns.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from typing import Sequence
 from edgestream.assign_core import BITRATE_UNIT_BPS, QualityRequest, SolverParams, build_candidates
 from edgestream.cache import LruChunkCache
 from edgestream.cph import AssignmentResult
+from reference_scoring import CandidateQuality
 
 
 def _weighted_log_bitrate(bitrate_bps: float, cached: bool, params: SolverParams) -> float:
@@ -32,7 +34,7 @@ def buff_assign(
     # pool entry = (rank, request index, chunk key, candidate, weighted utility)
     pool = []
     for ri, req in enumerate(requests):
-        cands = build_candidates(req, cache, params)
+        cands = [CandidateQuality(*c) for c in build_candidates(req, cache, params)]
         min_level = min(c.quality_index for c in cands)
         for c in cands:
             safe = c.estimated_buffer_s >= 0

@@ -2,14 +2,40 @@
 `assign_core.build_candidates` is checked against bit for bit.
 
 `estimate_buffer` is re-exported from `assign_core`, where it stays because
-perfbench's tracer wraps it there by name."""
+perfbench's tracer wraps it there by name. `CandidateQuality` names the
+fields of the plain 5-tuples `build_candidates` returns; the solvers read
+candidates by position, so the tests may hand them either form."""
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from edgestream.assign_core import BITRATE_UNIT_BPS, estimate_buffer
+from edgestream.cph import SolveGroup
 
-__all__ = ["tolerated_set", "estimate_buffer", "delivery_cost", "utility"]
+__all__ = ["tolerated_set", "estimate_buffer", "delivery_cost", "utility",
+           "CandidateQuality", "candidate_group"]
+
+
+class CandidateQuality(NamedTuple):
+    """One scored tolerated level of a request; the request says whose."""
+    quality_index: int
+    cached: bool
+    cost_bps: float
+    estimated_buffer_s: float
+    utility: float
+
+
+def candidate_group(cluster, pairs) -> SolveGroup:
+    """A solve group of uncached candidates, one per (utility, cost) pair,
+    at levels 0, 1, ...; groups of one cluster share content by level, other
+    clusters never do."""
+    items = tuple(
+        CandidateQuality(quality_index=m, cached=False,
+                         cost_bps=float(c), estimated_buffer_s=0.0, utility=float(u))
+        for m, (u, c) in enumerate(pairs)
+    )
+    return SolveGroup(cluster, items)
 
 
 def tolerated_set(requested_m: int, gamma: int, ladder_size: int) -> tuple[int, ...]:

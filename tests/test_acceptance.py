@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from edgestream.assign_core import CandidateQuality, estimate_buffer
+from edgestream.assign_core import estimate_buffer
 from edgestream.cache import LruChunkCache, OversizedObjectError
 from edgestream.cli_metrics import (
     ScenarioConfig,
@@ -28,9 +28,10 @@ from edgestream.cli_metrics import (
     run_scenario,
     run_sweep,
 )
-from edgestream.cph import SolveGroup, solve_groups
+from edgestream.cph import solve_groups
 from plain_fold import pareto_min, plain_fold
 from reference_lru import ReferenceLru, keys_by_recency
+from reference_scoring import candidate_group
 from replay_oracle import replay_buffer_projection
 
 
@@ -49,21 +50,11 @@ def test_solver_matches_exhaustive_oracle_on_500_instances():
 # ---- 2: worked merge examples, exact -----------------------------------
 
 
-def _group(cluster, pairs):
-    # groups of one cluster share content by level; other clusters never do
-    items = tuple(
-        CandidateQuality(quality_index=m, cached=False,
-                         cost_bps=float(c), estimated_buffer_s=0.0, utility=float(u))
-        for m, (u, c) in enumerate(pairs)
-    )
-    return SolveGroup(cluster, items)
-
-
 def test_distinct_content_merge_reaches_known_optimum():
     groups = [
-        _group("a", [(3, 150), (10, 400), (4, 500)]),
-        _group("b", [(3, 450), (10, 450), (12, 800)]),
-        _group("c", [(2, 100), (9, 300), (11, 900)]),
+        candidate_group("a", [(3, 150), (10, 400), (4, 500)]),
+        candidate_group("b", [(3, 450), (10, 450), (12, 800)]),
+        candidate_group("c", [(2, 100), (9, 300), (11, 900)]),
     ]
     utility, cost, picks = solve_groups(groups, 1200.0)
     assert utility == 29.0
@@ -73,9 +64,9 @@ def test_distinct_content_merge_reaches_known_optimum():
 
 def test_shared_content_merge_beats_eager_pruning():
     shared = [
-        _group("v0", [(5, 300), (9, 700), (8, 1700)]),
-        _group("v0", [(6, 300), (11, 700), (12, 1700)]),
-        _group("v0", [(4, 300), (7, 700), (15, 1700)]),
+        candidate_group("v0", [(5, 300), (9, 700), (8, 1700)]),
+        candidate_group("v0", [(6, 300), (11, 700), (12, 1700)]),
+        candidate_group("v0", [(4, 300), (7, 700), (15, 1700)]),
     ]
     deferred = solve_groups(shared, 2000.0)
     eager = plain_fold(shared, 2000.0)

@@ -7,6 +7,7 @@ import pytest
 
 from edgestream import ap_engine
 from edgestream.ap_engine import SCHEMES, ApEngine
+from edgestream.assign_core import QualityRequest
 from edgestream.cache import LruChunkCache
 from edgestream.catalog import make_synthetic_catalog
 from edgestream.cli_metrics import ScenarioConfig, run_replication
@@ -105,6 +106,27 @@ def test_passthrough_schemes_build_no_solver_requests(scheme, monkeypatch):
     assert res.violations == []
     assert res.all_finished
     assert res.delivered_chunks == 3 * 12
+
+
+@pytest.mark.parametrize("scheme", ["CPH", "BUFF"])
+def test_solver_requests_are_plain_tuples_in_field_order(scheme, monkeypatch):
+    seen = []
+    name = ap_engine.POLICIES[scheme].solver
+    solve = getattr(ap_engine, name)
+
+    def recorded(requests, *args):
+        seen.extend(requests)
+        return solve(requests, *args)
+
+    monkeypatch.setattr(ap_engine, name, recorded)
+    res = _tiny_engine(scheme).run()
+    assert res.violations == []
+    assert len(seen) == res.delivered_chunks == 3 * 12
+    assert all(type(r) is tuple and len(r) == len(QualityRequest._fields) for r in seen)
+    named = [QualityRequest(*r) for r in seen]
+    assert all(0 <= r.client_id < 3 and r.video_id == r.client_id % 2 for r in named)
+    # an equal share of the 2e7 link among 3 clients, as the engine computes it
+    assert all(r.effective_rate_bps == 2e7 * (1.0 / 3) and r.buffer_s >= 0 for r in named)
 
 
 @pytest.mark.parametrize("scheme", ["CPH", "CPH-EQ", "BUFF"])

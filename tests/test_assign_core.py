@@ -149,45 +149,47 @@ class TestBuildCandidates:
         cache = LruChunkCache()
         cache.insert(0, 0, 2, 8e6)  # top level of this chunk is cached
         cands = build_candidates(_request(), cache, self._params())
-        assert [c.quality_index for c in cands] == [0, 1, 2]
+        assert [m for m, *_ in cands] == [0, 1, 2]
 
         # level 0: backhaul wait (2e6+2e6)/2e6 = 2 s, transfer 2e6/4e6 = 0.5 s
-        c0 = cands[0]
-        assert not c0.cached
-        assert c0.cost_bps == 1e6
-        assert c0.estimated_buffer_s == pytest.approx(8.0 - 2.5)
-        assert c0.utility == pytest.approx(math.log(1e3) + math.log(5.5))
+        _, cached, cost_bps, b_hat, u = cands[0]
+        assert not cached
+        assert cost_bps == 1e6
+        assert b_hat == pytest.approx(8.0 - 2.5)
+        assert u == pytest.approx(math.log(1e3) + math.log(5.5))
 
         # level 1: wait 3 s, transfer 1 s -> lands exactly at the comfort floor
-        c1 = cands[1]
-        assert c1.estimated_buffer_s == pytest.approx(4.0)
-        assert c1.utility == pytest.approx(math.log(2e3) + math.log(4.0))
+        _, _, _, b_hat, u = cands[1]
+        assert b_hat == pytest.approx(4.0)
+        assert u == pytest.approx(math.log(2e3) + math.log(4.0))
 
         # level 2 is cache-served: no backhaul wait, no backhaul cost
-        c2 = cands[2]
-        assert c2.cached
-        assert c2.cost_bps == 0.0
-        assert c2.estimated_buffer_s == pytest.approx(8.0 - 2.0)
-        assert c2.utility == pytest.approx(1.3 * math.log(4e3) + math.log(6.0))
+        _, cached, cost_bps, b_hat, u = cands[2]
+        assert cached
+        assert cost_bps == 0.0
+        assert b_hat == pytest.approx(8.0 - 2.0)
+        assert u == pytest.approx(1.3 * math.log(4e3) + math.log(6.0))
 
     def test_cache_state_keys_on_exact_level(self):
         cache = LruChunkCache()
         cache.insert(0, 0, 0, 2e6)  # different level than the lookups below
         cands = build_candidates(_request(), cache, self._params())
-        assert cands[0].cached and not cands[1].cached and not cands[2].cached
+        assert [cached for _, cached, *_ in cands] == [True, False, False]
 
     def test_effective_rate_is_equal_share_of_link(self):
         cands = build_candidates(_request(effective_rate_bps=16e6 * 0.5), LruChunkCache(),
                                  self._params(gamma=0))
-        assert cands[0].cost_bps == 2e6  # uncached, so its cost is its bitrate
+        _, _, cost_bps, b_hat, _ = cands[0]
+        assert cost_bps == 2e6  # uncached, so its cost is its bitrate
         # transfer time halves when the assumed share doubles: 4e6 bits / 8e6 bps
-        assert cands[0].estimated_buffer_s == pytest.approx(8.0 - 3.0 - 0.5)
+        assert b_hat == pytest.approx(8.0 - 3.0 - 0.5)
 
     def test_zero_backhaul_rate_sinks_uncached_levels(self):
         cands = build_candidates(_request(), LruChunkCache(),
                                  self._params(backhaul_bps=0.0, gamma=0))
-        assert cands[0].estimated_buffer_s == -math.inf
-        assert cands[0].utility == -math.inf
+        _, _, _, b_hat, u = cands[0]
+        assert b_hat == -math.inf
+        assert u == -math.inf
 
     def test_queued_bits_shift_the_projection(self):
         # 4e6 queued bits at 4e6 bps effective = 1 s extra wait, 6 s media gain
@@ -195,7 +197,7 @@ class TestBuildCandidates:
             _request(dl_queue_bits=4e6, dl_queue_media_s=6.0),
             LruChunkCache(), self._params(gamma=0))
         # max(drain 1.0, backhaul 3.0) + transfer 1.0, then +6 media
-        assert cands[0].estimated_buffer_s == pytest.approx(8.0 - 3.0 - 1.0 + 6.0)
+        assert cands[0][3] == pytest.approx(8.0 - 3.0 - 1.0 + 6.0)  # estimated_buffer_s
 
 
 
@@ -272,7 +274,8 @@ class TestOnePassScoring:
     def test_equals_the_composed_specification(self, instance):
         request, cache, params = instance
         got = build_candidates(request, cache, params)
-        assert isinstance(got, tuple)
+        # plain tuples, positional: no named-tuple constructor on the hot path
+        assert type(got) is tuple and all(type(c) is tuple for c in got)
         assert _bits(got) == _bits(_spec_candidates(request, cache, params))
 
     def test_spec_cases_cover_every_regime(self):
@@ -293,8 +296,8 @@ class TestOnePassScoring:
                                            effective_rate_bps=eff)
                             got = build_candidates(req, cache, p)
                             assert _bits(got) == _bits(_spec_candidates(req, cache, p))
-                            seen.update((_regime(c.estimated_buffer_s, p), c.cached)
-                                        for c in got)
+                            seen.update((_regime(b_hat, p), cached)
+                                        for _, cached, _, b_hat, _ in got)
         assert seen == {(r, cached) for r in ("comfortable", "shallow", "stall")
                         for cached in (False, True)}
 

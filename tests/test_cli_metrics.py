@@ -371,7 +371,7 @@ class TestOracleReplay:
             checked.append((requests, keys_by_recency(cache), backhaul, params))
             result = solve(requests, cache, backhaul, params)
             if len(checked) == k + 1:
-                return dataclasses.replace(result, no_valid_config=not result.no_valid_config)
+                return result._replace(no_valid_config=not result.no_valid_config)
             return result
 
         monkeypatch.setattr(cm, "cph_assign", wrong_at_k)

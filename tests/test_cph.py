@@ -11,7 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from edgestream import ap_engine, cph
-from edgestream.assign_core import CandidateQuality, QualityRequest, SolverParams
+from edgestream.assign_core import QualityRequest, SolverParams
+from edgestream.buff import buff_assign
 from edgestream.cache import LruChunkCache
 from edgestream.catalog import QualityLadder
 from edgestream.cli_metrics import ScenarioConfig, gen_random_instance, run_replication
@@ -23,8 +24,9 @@ from edgestream.cph import (
     cph_assign,
     solve_groups,
 )
+from edgestream.rng import Generator
 from plain_fold import pareto_min, plain_fold
-from reference_scoring import tolerated_set
+from reference_scoring import CandidateQuality, candidate_group, tolerated_set
 
 
 class _MeteredIndex(int):
@@ -65,8 +67,9 @@ class Metered(tuple):
     """
 
     def __new__(cls, items, limit):
-        obj = super().__new__(cls, (i._replace(quality_index=_MeteredIndex(i.quality_index, limit))
-                                    for i in items))
+        # candidates are read by position: (quality_index, cached, cost_bps,
+        # estimated_buffer_s, utility), named or plain
+        obj = super().__new__(cls, ((_MeteredIndex(m, limit), *rest) for m, *rest in items))
         obj.reads = 0
         return obj
 
@@ -76,7 +79,7 @@ class Metered(tuple):
 
     @property
     def scans(self):
-        return self[0].quality_index.pairs
+        return self[0][0].pairs
 
 
 class TestParetoMin:
@@ -115,19 +118,9 @@ class TestParetoMin:
         assert len(set((k[0], k[1]) for k in kept)) == len(kept)
 
 
-def _group(cluster, pairs):
-    # groups of one cluster share content by level; other clusters never do
-    items = tuple(
-        CandidateQuality(quality_index=m, cached=False,
-                         cost_bps=float(c), estimated_buffer_s=0.0, utility=float(u))
-        for m, (u, c) in enumerate(pairs)
-    )
-    return SolveGroup(cluster, items)
-
-
 def _groups(*clusters):
     """One group per (cluster, [(utility, cost), ...]) pair, levels from 0."""
-    return [_group(cluster, pairs) for cluster, pairs in clusters]
+    return [candidate_group(cluster, pairs) for cluster, pairs in clusters]
 
 
 def _bits(best):
@@ -168,26 +161,26 @@ def _bound_instances(draw):
 class TestSolveGroups:
     def test_additive_clusters_reach_known_optimum(self):
         groups = [
-            _group("a", [(3, 150), (10, 400), (4, 500)]),
-            _group("b", [(3, 450), (10, 450), (12, 800)]),
-            _group("c", [(2, 100), (9, 300), (11, 900)]),
+            candidate_group("a", [(3, 150), (10, 400), (4, 500)]),
+            candidate_group("b", [(3, 450), (10, 450), (12, 800)]),
+            candidate_group("c", [(2, 100), (9, 300), (11, 900)]),
         ]
         assert solve_groups(groups, 1200.0) == (29.0, 1150.0, (1, 1, 1))
 
     def test_shared_cluster_pays_each_download_once(self):
         shared = [
-            _group("v0", [(5, 300), (9, 700), (8, 1700)]),
-            _group("v0", [(6, 300), (11, 700), (12, 1700)]),
-            _group("v0", [(4, 300), (7, 700), (15, 1700)]),
+            candidate_group("v0", [(5, 300), (9, 700), (8, 1700)]),
+            candidate_group("v0", [(6, 300), (11, 700), (12, 1700)]),
+            candidate_group("v0", [(4, 300), (7, 700), (15, 1700)]),
         ]
         # all three on the top level: 1700 paid once, utilities sum to 35
         assert solve_groups(shared, 2000.0) == (35.0, 1700.0, (2, 2, 2))
 
     def test_eager_pruning_misses_shared_cost_optimum(self):
         shared = [
-            _group("v0", [(5, 300), (9, 700), (8, 1700)]),
-            _group("v0", [(6, 300), (11, 700), (12, 1700)]),
-            _group("v0", [(4, 300), (7, 700), (15, 1700)]),
+            candidate_group("v0", [(5, 300), (9, 700), (8, 1700)]),
+            candidate_group("v0", [(6, 300), (11, 700), (12, 1700)]),
+            candidate_group("v0", [(4, 300), (7, 700), (15, 1700)]),
         ]
         got = plain_fold(shared, 2000.0)
         # pruning across paid sets drops the locally dominated expensive level
@@ -195,8 +188,8 @@ class TestSolveGroups:
 
     def test_equal_quality_shares_only_within_a_cluster(self):
         pair = [(1, 100), (5, 600)]
-        one = [_group("v0", pair), _group("v0", pair)]
-        two = [_group("v0", pair), _group("v1", pair)]
+        one = [candidate_group("v0", pair), candidate_group("v0", pair)]
+        two = [candidate_group("v0", pair), candidate_group("v1", pair)]
         # one cluster: the top level is one download, paid once
         assert solve_groups(one, 1200.0) == (10.0, 600.0, (1, 1))
         assert solve_groups(one, 600.0) == (10.0, 600.0, (1, 1))
@@ -210,7 +203,7 @@ class TestSolveGroups:
         rng = np.random.default_rng(11)
         for _ in range(20):
             groups = [
-                _group("v0" if g < 6 else f"k{g}",
+                candidate_group("v0" if g < 6 else f"k{g}",
                        [(float(rng.uniform(0, 10)),
                          float(rng.choice([0, rng.integers(1, 500)])))
                         for _ in range(4)])
@@ -280,7 +273,7 @@ class TestSolveGroups:
         # cost the same, so one survives per paid set, and five paid sets fit
         # under 1000: no frontier holds more than 5 entries.
         # Everyone on level 2 pays 900 once.
-        groups = [_group("v0", [(1, 100), (2, 300), (3, 900)]) for _ in range(14)]
+        groups = [candidate_group("v0", [(1, 100), (2, 300), (3, 900)]) for _ in range(14)]
         groups = [SolveGroup(g.cluster_key, Metered(g.items, lambda: 5)) for g in groups]
         assert solve_groups(groups, 1000.0) == (42.0, 900.0, (2,) * 14)
 
@@ -289,11 +282,11 @@ class TestSolveGroups:
         # is paired with every entry of the frontier it is merged into. Every
         # group's best pick, level 2, is feasible, so the floor is the optimum
         # (42.0) and only the all-level-2 prefix survives each merge
-        groups = [_group("v0", [(1, 100), (2, 300), (3, 900)]) for _ in range(14)]
+        groups = [candidate_group("v0", [(1, 100), (2, 300), (3, 900)]) for _ in range(14)]
         groups = [SolveGroup(g.cluster_key, Metered(g.items, lambda: 5)) for g in groups]
         assert solve_groups(groups, 1000.0) == (42.0, 900.0, (2,) * 14)
         assert [g.items.reads for g in groups] == [1] * 14
-        assert all(len({i.quality_index.pairs for i in g.items}) == 1 for g in groups)
+        assert all(len({m.pairs for m, *_ in g.items}) == 1 for g in groups)
         assert [g.items.scans for g in groups] == [1] * 14
 
     def test_spread_cluster_stays_tractable(self, monkeypatch):
@@ -315,18 +308,18 @@ class TestSolveGroups:
         assert all(abs(m - r.requested_quality) <= 2 for r, m in zip(reqs, res.qualities))
 
     def test_infeasible_returns_none(self):
-        groups = [_group("a", [(1, 100), (2, 200)])]
+        groups = [candidate_group("a", [(1, 100), (2, 200)])]
         assert solve_groups(groups, 50.0) is None
 
     def test_capacity_boundary_is_inclusive(self):
-        groups = [_group("a", [(1, 100), (2, 200)])]
+        groups = [candidate_group("a", [(1, 100), (2, 200)])]
         assert solve_groups(groups, 200.0) == (2.0, 200.0, (1,))
 
     def test_no_groups_is_the_empty_solution(self):
         assert solve_groups([], 100.0) == (0.0, 0.0, ())
 
     def test_zero_cost_item_survives_zero_capacity(self):
-        groups = [_group("a", [(1, 0), (9, 500)])]
+        groups = [candidate_group("a", [(1, 0), (9, 500)])]
         assert solve_groups(groups, 0.0) == (1.0, 0.0, (0,))
 
     def test_full_ties_return_the_smallest_picks(self):
@@ -442,6 +435,17 @@ class TestCphAssign:
                 slow = brute_force_assign(requests, cache, capacity, params)
                 assert fast == slow
 
+    def test_solvers_read_named_and_plain_requests_alike(self):
+        # the engine hands the solvers plain tuples in QualityRequest's field
+        # order; the oracle and the tests build QualityRequest by name
+        for i in range(300):
+            requests, cache, capacity, params = gen_random_instance(Generator([7, i]))
+            assert all(type(r) is QualityRequest for r in requests)
+            plain = [tuple(r) for r in requests]
+            for solve in (cph_assign, buff_assign, brute_force_assign):
+                assert solve(plain, cache, capacity, params) == \
+                    solve(requests, cache, capacity, params), (i, solve.__name__)
+
     def test_brute_force_refuses_instances_past_its_limit(self):
         rates = (1e6, 2e6, 4e6, 8e6, 1.6e7)
         reqs = [_mk_request(c, 0, c, 2) for c in range(9)]
@@ -468,8 +472,9 @@ def test_synchronized_burst_replication_stays_clean(scheme, monkeypatch):
             if key not in first:
                 items = first[key] = Metered(g.items, lambda: math.inf)
             else:
-                paid = {i.quality_index for h in groups if h.cluster_key == key
-                        for i in h.items if i.cost_bps > 0}
+                # levels of (quality_index, cached, cost_bps, ...) items that cost
+                paid = {m for h in groups if h.cluster_key == key
+                        for m, _, cost, *_ in h.items if cost > 0}
                 items = Metered(g.items, lambda f=first[key], k=len(paid):
                                 f.scans * 2 ** k * (2 * k + 1))
             wrapped.append(SolveGroup(key, items))
@@ -497,7 +502,9 @@ def test_engine_solver_calls_match_exhaustive_search(monkeypatch):
     def checked_assign(requests, cache, capacity_bps, params):
         res = cph_assign(requests, cache, capacity_bps, params)
         levels = len(params.ladder.bitrates_bps)
-        space = math.prod(len(tolerated_set(r.requested_quality, params.gamma, levels))
+        # the engine's requests are plain tuples in QualityRequest's order
+        space = math.prod(len(tolerated_set(QualityRequest(*r).requested_quality,
+                                            params.gamma, levels))
                           for r in requests)
         if space > 2 * 10**4:
             counts["skipped"] += 1

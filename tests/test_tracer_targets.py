@@ -42,10 +42,10 @@ def test_every_traced_name_is_in_its_owners_namespace(tracer):
 
 
 def test_traced_replications_count_every_layer(tracer):
-    # one stall-aware and one passthrough replication, run as the benchmark's
-    # traced pass runs them
+    # one replication of each solver and one passthrough replication, run as
+    # the benchmark's traced pass runs them
     cfg = dataclasses.replace(edgestream.ScenarioConfig(), n_clients=3, chunk_count=8,
-                              schemes=("CPH", "CLIENT"), reps=1)
+                              schemes=("CPH", "BUFF", "CLIENT"), reps=1)
     t = tracer.Tracer()
     run = t.wrap(tracer.REPLICATION, edgestream.cli_metrics.run_replication)
     with t.installed(edgestream):
@@ -56,3 +56,6 @@ def test_traced_replications_count_every_layer(tracer):
     assert metrics["buffer_airtime.allocate_airtime.risky"][0] > 0
     assert metrics["buffer_airtime.equal_airtime.calls"][0] > 0
     assert metrics["cph.cph_assign.calls"][0] > 0
+    # read off SolveGroup.cluster_key and BUFF's AssignmentResult.no_valid_config
+    assert metrics["cph.solve_groups.max_cluster"][0] >= 1
+    assert metrics["buff.buff_assign.calls"][0] > 0
