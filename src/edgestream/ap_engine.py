@@ -260,7 +260,7 @@ class ApEngine:
                 self.result.violations.append(
                     f"t={self.now}: quality shift beyond tolerance for client {req.client_id} "
                     f"({req.quality_index} -> {m})")
-            size = levels[m][1]  # chunk bits: the ladder's nominal_size_bits(m)
+            size = levels[m][1]  # chunk bits: rate * tau
             key = (req.video_id, req.chunk_index, m)
             if self.policy.reads_cache and self.cache.contains(*key):
                 self.cache.touch(*key)

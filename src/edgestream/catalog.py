@@ -34,9 +34,6 @@ class QualityLadder:
         if self.chunk_count < 1:
             raise CatalogError("chunk_count must be >= 1")
 
-    def nominal_size_bits(self, quality_index: int) -> float:
-        return self.bitrates_bps[quality_index] * self.chunk_duration_s
-
 
 def make_synthetic_catalog(
     levels: int,

@@ -441,7 +441,7 @@ def gen_random_instance(rng: Generator):
     for req in requests:
         for m in range(levels):
             if rng.random() < 0.25:
-                cache.insert(req.video_id, req.chunk_index, m, ladder.nominal_size_bits(m))
+                cache.insert(req.video_id, req.chunk_index, m, params.levels[m][1])
     if rng.random() < 0.3:
         capacity_bps = rng.uniform(0.0, 3e5 * n_clients)
     else:

@@ -9,7 +9,6 @@ strict; these tests are the contract, not smoke checks.
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 import subprocess
 import sys
@@ -25,7 +24,6 @@ from edgestream.cli_metrics import (
     mean_ci,
     oracle_check,
     run_replication,
-    run_scenario,
     run_sweep,
 )
 from edgestream.cph import solve_groups

@@ -41,7 +41,7 @@ def _prewarmed_cache(catalog_levels=(0,), videos=(0, 1), chunks=12):
     for v in videos:
         for k in range(chunks):
             for m in catalog_levels:
-                cache.insert(v, k, m, ladder.nominal_size_bits(m))
+                cache.insert(v, k, m, ladder.bitrates_bps[m] * ladder.chunk_duration_s)
     return cache
 
 
@@ -291,7 +291,7 @@ def test_late_requester_rides_the_queued_backhaul_job():
     res = engine.run()
     assert res.violations == []
     assert res.all_finished
-    chunk_bits = 4 * ladder.nominal_size_bits(0)
+    chunk_bits = 4 * ladder.bitrates_bps[0] * ladder.chunk_duration_s
     assert res.pipe_bits == pytest.approx(chunk_bits)
     assert res.backhaul_attributed_bits == pytest.approx(2 * chunk_bits)
     assert not engine.fifo
@@ -308,7 +308,7 @@ def test_same_interval_requesters_share_one_backhaul_job():
     assert all([w.client_id for w in j.waiters] == [0, 1] for j in engine.fifo.values())
     res = engine.run()
     assert res.violations == []
-    chunk_bits = 4 * ladder.nominal_size_bits(0)
+    chunk_bits = 4 * ladder.bitrates_bps[0] * ladder.chunk_duration_s
     assert res.pipe_bits == pytest.approx(chunk_bits)
     assert res.backhaul_attributed_bits == pytest.approx(2 * chunk_bits)
     assert not engine.fifo

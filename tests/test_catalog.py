@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from edgestream.catalog import CatalogError, QualityLadder, make_synthetic_catalog, zipf_pmf
+from edgestream.cli_metrics import ScenarioConfig
 
 
 def test_geometric_ladder_endpoints_and_ratio():
@@ -29,9 +30,10 @@ def test_every_video_shares_the_ladder():
 
 
 def test_nominal_chunk_size_is_rate_times_duration():
-    lad = make_synthetic_catalog(3, 1e6, 4e6, 2.0, 10)
-    assert lad.nominal_size_bits(0) == 2e6
-    assert lad.nominal_size_bits(2) == 8e6
+    levels = ScenarioConfig(levels=3, min_bitrate_bps=1e6, max_bitrate_bps=4e6,
+                            chunk_duration_s=2.0, chunk_count=10).solver_params().levels
+    assert levels[0][1] == 2e6
+    assert levels[2][1] == 8e6
 
 
 @pytest.mark.parametrize("kwargs", [

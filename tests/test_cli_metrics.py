@@ -179,25 +179,27 @@ class TestMeanCi:
         assert mean == 5.0 and half == 0.0
 
 
-def _mpmath_t_975(df: int) -> float:
-    """The root of P(T > t) = 0.025 in 50 digits, rounded once to a float."""
+def _rounds_the_quantile(df: int, t: float) -> bool:
+    """Whether `t` is the 0.975 quantile of Student's t correctly rounded: in
+    50 digits, P(T > x) at the midpoints between `t` and its two float
+    neighbours brackets 0.025, so the root rounds to `t` and to no other float."""
     with mpmath.workdps(50):
         nu = mpmath.mpf(df)
 
-        def excess_tail(t):
-            x = nu / (nu + t * t)
-            return mpmath.betainc(nu / 2, 0.5, 0, x, regularized=True) / 2 - mpmath.mpf("0.025")
+        def tail(x):
+            return mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + x * x), regularized=True) / 2
 
-        # the root lies in this bracket for every df >= 1: 12.71 at df = 1, 1.96 as df grows
-        return float(mpmath.findroot(excess_tail, (1.95, 12.8), solver="anderson"))
+        below = (mpmath.mpf(t) + math.nextafter(t, 0.0)) / 2
+        above = (mpmath.mpf(t) + math.nextafter(t, math.inf)) / 2
+        return tail(above) < mpmath.mpf("0.025") < tail(below)
 
 
 class TestStudentT975:
     DFS = [*range(1, 401), 1000, 20_000, 100_000]
 
     def test_correctly_rounded_against_mpmath(self):
-        wrong = [(df, student_t_975(df), want) for df in self.DFS
-                 if student_t_975(df) != (want := _mpmath_t_975(df))]
+        wrong = [(df, t) for df in self.DFS
+                 if not _rounds_the_quantile(df, t := student_t_975(df))]
         assert wrong == []
 
 

@@ -1,8 +1,6 @@
 """Path loss, capacity curve, and client placement."""
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 

@@ -17,6 +17,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("run_*.py"))
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.stem)
@@ -31,28 +32,30 @@ def test_script_writes_its_csv(script, tmp_path):
     assert len(csv.read_text().splitlines()) > 1
 
 
-def _load_bench_pairs():
-    path = ROOT / "scripts" / "bench_pairs.py"
-    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+@pytest.fixture
+def bench_pairs(tmp_path):
+    """scripts/bench_pairs.py as a module, beside two stand-in checkouts in
+    tmp_path: each side holds an empty perfbench/run.py, and the change holds
+    this repository's BENCHMARK.json."""
+    spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                  ROOT / "scripts" / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    for side in module.SIDES:
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
     return module
 
 
 @pytest.mark.parametrize("wrong", [None, "plain", "traced"])
-def test_bench_pairs_exits_1_when_a_run_is_not_correct(tmp_path, monkeypatch, capsys, wrong):
-    bench_pairs = _load_bench_pairs()
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    for side in bench_pairs.SIDES:
-        (tmp_path / side / "perfbench").mkdir(parents=True)
-        (tmp_path / side / "perfbench" / "run.py").write_text("")
-    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(benchmark))
-
+def test_bench_pairs_exits_1_when_a_run_is_not_correct(bench_pairs, tmp_path, monkeypatch, capsys,
+                                                       wrong):
     def fake_run_bench(checkout, workload, seed, seconds, trace=0):
         # one change run reads "correct": false, untraced or traced
         correct = not (checkout.name == "change" and seed == 4 and wrong == "plain"
                        or checkout.name == "change" and trace and wrong == "traced")
-        names = [m["name"] for m in benchmark["end_to_end"]] + ["trace.overhead_ratio"]
+        names = [m["name"] for m in BENCHMARK["end_to_end"]] + ["trace.overhead_ratio"]
         info = {"digest": "d", "src_loc": 1, "layer_share": {}, "ref_loop_ms": 2.5}
         result = {"correct": correct, "failed": int(not correct), "attempted": 1,
                   "metrics": {name: {"value": 1.0, "unit": ""} for name in names}}
@@ -70,18 +73,12 @@ def test_bench_pairs_exits_1_when_a_run_is_not_correct(tmp_path, monkeypatch, ca
     assert ("not correct on sync_burst" in capsys.readouterr().err) is (wrong is not None)
 
 
-def test_bench_pairs_names_the_seeds_whose_digests_differ(tmp_path, monkeypatch, capsys):
-    bench_pairs = _load_bench_pairs()
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    for side in bench_pairs.SIDES:
-        (tmp_path / side / "perfbench").mkdir(parents=True)
-        (tmp_path / side / "perfbench" / "run.py").write_text("")
-    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(benchmark))
-
+def test_bench_pairs_names_the_seeds_whose_digests_differ(bench_pairs, tmp_path, monkeypatch,
+                                                          capsys):
     def fake_run_bench(checkout, workload, seed, seconds, trace=0):
         # the change's output differs from the parent's on seeds 4 and 5 only
         digest = "changed" if checkout.name == "change" and seed in (4, 5) else "same"
-        names = [m["name"] for m in benchmark["end_to_end"]] + ["trace.overhead_ratio"]
+        names = [m["name"] for m in BENCHMARK["end_to_end"]] + ["trace.overhead_ratio"]
         info = {"digest": digest, "src_loc": 1, "layer_share": {}, "ref_loop_ms": 2.5}
         result = {"correct": True, "failed": 0, "attempted": 1,
                   "metrics": {name: {"value": 1.0, "unit": ""} for name in names}}
@@ -105,20 +102,15 @@ def test_bench_pairs_names_the_seeds_whose_digests_differ(tmp_path, monkeypatch,
     ]
 
 
-def test_bench_pairs_scales_and_summarizes_three_traced_runs_per_side(tmp_path, monkeypatch):
-    bench_pairs = _load_bench_pairs()
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    for side in bench_pairs.SIDES:
-        (tmp_path / side / "perfbench").mkdir(parents=True)
-        (tmp_path / side / "perfbench" / "run.py").write_text("")
-    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(benchmark))
+def test_bench_pairs_scales_and_summarizes_three_traced_runs_per_side(bench_pairs, tmp_path,
+                                                                       monkeypatch):
     traced = []
 
     def fake_run_bench(checkout, workload, seed, seconds, trace=0):
         # the k-th traced run of a side takes 3 host seconds in its solver on
         # a host whose loop takes (k + 1) * 2.5 ms, 1.5 ms more for the change:
         # 3 / (k + 1) reference seconds, and 3 * 2.5 / (2.5 * (k + 1) + 1.5)
-        names = [m["name"] for m in benchmark["end_to_end"]]
+        names = [m["name"] for m in BENCHMARK["end_to_end"]]
         if trace:
             traced.append(checkout.name)
             k = traced.count(checkout.name) - 1

@@ -1,9 +1,9 @@
-"""Every module-level import in src/ is used, and none reaches outside the
-standard library and the package: a bare install runs the simulator, and a
-name moved between modules leaves no stale import behind. Every function,
-method and class in src/ is called from src/, perfbench/ or scripts/, so
-src/ holds no code that only the tests run. No linter runs here, so this
-reads the modules with `ast` alone."""
+"""Every module-level import in src/ and tests/ is used, and none in src/
+reaches outside the standard library and the package: a bare install runs
+the simulator, and a name moved between modules leaves no stale import
+behind. Every function, method and class in src/ is called from src/,
+perfbench/ or scripts/, so src/ holds no code that only the tests run. No
+linter runs here, so this reads the modules with `ast` alone."""
 from __future__ import annotations
 
 import ast
@@ -16,6 +16,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "edgestream"
 MODULES = sorted(SRC.glob("*.py"))
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 CALLERS = [*MODULES, *sorted((ROOT / "perfbench").glob("*.py")),
            *sorted((ROOT / "scripts").glob("*.py"))]
 
@@ -38,7 +39,7 @@ def _exported(tree: ast.Module) -> set[str]:
     return set()
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_every_import_is_read_exported_or_marked(path):
     source = path.read_text()
     lines = source.splitlines()
