@@ -15,7 +15,7 @@ if __name__ == "__main__":
     pathlib.Path("results").mkdir(exist_ok=True)
     sys.exit(main([
         "sweep", "--param", "mu_c", "--values", "1.0,1.15,1.3,1.5",
-        "--scheme", "CPH", "--scheme", "BUFF",
+        "--set", "schemes=CPH,BUFF",
         "--out-csv", "results/cache_weight_sweep.csv",
         "--out-json", "results/cache_weight_sweep.json",
         *sys.argv[1:],

@@ -3,7 +3,7 @@
 
 Sweeps N over {1, 5, 10, 20} with 20 replications per point and writes
 results/population_sweep.{csv,json}. Extra CLI flags pass through, e.g.
---reps 5 for a quick look or --jobs 4 on a multicore box.
+--set reps=5 for a quick look or --jobs 4 on a multicore box.
 """
 from __future__ import annotations
 

@@ -14,7 +14,7 @@ from edgestream.cli_metrics import main
 if __name__ == "__main__":
     pathlib.Path("results").mkdir(exist_ok=True)
     sys.exit(main([
-        "run", "--videos", "1",
+        "run", "--set", "n_videos=1",
         "--out-csv", "results/single_video.csv",
         "--out-json", "results/single_video.json",
         *sys.argv[1:],

@@ -46,8 +46,6 @@ CSV_COLUMNS = (
     "scheme", "replication", "seed", "param", "param_value",
 ) + CONFIG_COLUMNS + METRIC_NAMES
 
-SWEEP_PARAMS = ("n_clients", "backhaul_mbps", "mu_c", "gamma", "n_videos")
-
 
 class ConfigError(ValueError):
     pass
@@ -129,8 +127,10 @@ _FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
 
 
 def _parse_value(key: str, raw: str):
-    """One config or sweep value, typed by the ScenarioConfig annotation."""
-    kind = _FIELD_TYPES[key]
+    """One config, --set or sweep value, typed by the ScenarioConfig annotation."""
+    kind = _FIELD_TYPES.get(key)
+    if kind is None:
+        raise ConfigError(f"unknown config key: {key}")
     if kind == tuple[str, ...]:
         return tuple(part.strip() for part in raw.split(",") if part.strip())
     if type(None) in typing.get_args(kind) and raw.lower() in ("none", "null"):
@@ -141,33 +141,37 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"bad value for {key}: {raw!r}") from None
 
 
+def _parse_entries(entries) -> dict:
+    """Typed ScenarioConfig values from `key = value` entries, each given as
+    ((at, ref), text): an error starts with `at`, and a repeated key names
+    its first entry by `ref`. Unknown or repeated keys are errors."""
+    overrides = {}
+    first: dict[str, str] = {}
+    for (at, ref), text in entries:
+        try:
+            if "=" not in text:
+                raise ConfigError("expected key = value")
+            key, raw = (part.strip() for part in text.split("=", 1))
+            if key in first:
+                raise ConfigError(f"{key} is given twice, first on {first[key]}")
+            overrides[key] = _parse_value(key, raw)
+            first[key] = ref
+        except ConfigError as exc:
+            raise ConfigError(f"{at}: {exc}") from None
+    return overrides
+
+
 def load_config(path: str) -> ScenarioConfig:
     """Read `key = value` lines; # starts a comment; unknown or repeated keys
     are errors."""
-    overrides = {}
-    first_line: dict[str, int] = {}
     try:
         with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                try:
-                    if "=" not in text:
-                        raise ConfigError("expected key = value")
-                    key, raw = (part.strip() for part in text.split("=", 1))
-                    if key not in _FIELD_TYPES:
-                        raise ConfigError(f"unknown config key: {key}")
-                    if key in first_line:
-                        raise ConfigError(f"{key} is given twice, first on line "
-                                          f"{first_line[key]}")
-                    first_line[key] = lineno
-                    overrides[key] = _parse_value(key, raw)
-                except ConfigError as exc:
-                    raise ConfigError(f"{path}:{lineno}: {exc}") from None
+            return ScenarioConfig(**_parse_entries(
+                ((f"{path}:{lineno}", f"line {lineno}"), text)
+                for lineno, line in enumerate(fh, start=1)
+                if (text := line.split("#", 1)[0].strip())))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return replace(ScenarioConfig(), **overrides)
 
 
 # ---- single replication ---------------------------------------------
@@ -239,8 +243,8 @@ def run_scenario(cfg: ScenarioConfig, jobs: int = 1):
 
 
 def run_sweep(cfg: ScenarioConfig, param: str, values: list, jobs: int = 1):
-    if param not in SWEEP_PARAMS:
-        raise ConfigError(f"unknown sweep param {param!r}; expected one of {SWEEP_PARAMS}")
+    if param not in _FIELD_TYPES:
+        raise ConfigError(f"unknown sweep param {param!r}")
     if not values:
         raise ConfigError(f"a sweep of {param} needs at least one value")
     tasks = []
@@ -469,30 +473,19 @@ def oracle_check(instances: int, seed: int) -> tuple[int, list[int]]:
 # ---- command line ----------------------------------------------------
 
 
-# override flag (argparse dest) -> the ScenarioConfig field it sets
-_RUN_FLAGS = {"clients": "n_clients", "videos": "n_videos",
-              "backhaul_mbps": "backhaul_mbps", "gamma": "gamma", "mu_c": "mu_c",
-              "reps": "reps", "seed": "base_seed"}
-
-
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="scenario config file (key = value lines)")
-    parser.add_argument("--scheme", action="append", choices=SCHEMES,
-                        help="restrict to a scheme; repeatable")
-    for dest, name in _RUN_FLAGS.items():
-        parser.add_argument("--" + dest.replace("_", "-"), type=_FIELD_TYPES[name])
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="a config line; overrides --config; repeatable")
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out-csv")
     parser.add_argument("--out-json")
 
 
 def _config_from_args(args) -> ScenarioConfig:
+    """The --config file's scenario, with each --set value over it."""
     cfg = load_config(args.config) if args.config else ScenarioConfig()
-    overrides = {name: getattr(args, dest) for dest, name in _RUN_FLAGS.items()
-                 if getattr(args, dest) is not None}
-    if args.scheme:
-        overrides["schemes"] = tuple(args.scheme)
-    return replace(cfg, **overrides)
+    return replace(cfg, **_parse_entries(((f"--set {text}",) * 2, text) for text in args.set))
 
 
 def _finish(cfg, rows, violations, args) -> int:
@@ -520,7 +513,7 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="simulate across parameter values")
     _add_run_flags(p_sweep)
-    p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS)
+    p_sweep.add_argument("--param", required=True, help="the ScenarioConfig field to sweep")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values for the swept parameter")
 
@@ -531,16 +524,6 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            cfg = _config_from_args(args)
-            rows, violations = run_scenario(cfg, jobs=args.jobs)
-            return _finish(cfg, rows, violations, args)
-        if args.command == "sweep":
-            cfg = _config_from_args(args)
-            values = [_parse_value(args.param, p.strip())
-                      for p in args.values.split(",") if p.strip()]
-            rows, violations = run_sweep(cfg, args.param, values, jobs=args.jobs)
-            return _finish(cfg, rows, violations, args)
         if args.command == "oracle-check":
             checked, failures = oracle_check(args.instances, args.seed)
             print(f"checked {checked} instances, {len(failures)} mismatches")
@@ -550,11 +533,17 @@ def main(argv=None) -> int:
                       f"gen_random_instance(edgestream.rng.Generator([{args.seed}, {k}]))")
                 return 3
             return 0
+        cfg = _config_from_args(args)
+        if args.command == "sweep":
+            values = [_parse_value(args.param, p.strip())
+                      for p in args.values.split(",") if p.strip()]
+            rows, violations = run_sweep(cfg, args.param, values, jobs=args.jobs)
+        else:
+            rows, violations = run_scenario(cfg, jobs=args.jobs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return 0
-
+    return _finish(cfg, rows, violations, args)
 
 if __name__ == "__main__":
     sys.exit(main())

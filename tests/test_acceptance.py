@@ -9,6 +9,7 @@ strict; these tests are the contract, not smoke checks.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -24,13 +25,15 @@ from edgestream.cli_metrics import (
     mean_ci,
     oracle_check,
     run_replication,
+    run_scenario,
     run_sweep,
 )
-from edgestream.cph import solve_groups
-from plain_fold import pareto_min, plain_fold
+from edgestream.cph import SolveGroup, solve_groups
+from plain_fold import plain_fold
 from reference_lru import ReferenceLru, keys_by_recency
 from reference_scoring import candidate_group
 from replay_oracle import replay_buffer_projection
+from test_cph import Metered
 
 
 # ---- 1: solver exactness on randomized instances ---------------------
@@ -73,7 +76,12 @@ def test_shared_content_merge_beats_eager_pruning():
 
 
 def test_dominated_point_is_dropped_exactly():
-    assert pareto_min([(20, 850), (7, 950)]) == [(20, 850)]
+    # the best picks cost 10,850, over the capacity, so the floor is -inf and
+    # only dominance can drop (7, 950); b's items then meet one frontier entry
+    b = Metered(candidate_group("b", [(1, 0), (100, 10000)]).items, lambda: math.inf)
+    groups = [candidate_group("a", [(20, 850), (7, 950)]), SolveGroup("b", b)]
+    assert solve_groups(groups, 1000.0) == (21.0, 850.0, (0, 0))
+    assert b.scans == 1
 
 
 # ---- 3: engine invariants over 50 seeded runs --------------------------
@@ -178,12 +186,9 @@ def test_single_video_cache_amplification():
     # request to a cached quality within the tolerance window multiplies them.
     cfg = dataclasses.replace(
         ScenarioConfig(), n_videos=1, schemes=("CPH", "CLIENT-CACHE"))
-    passes = 0
-    for rep in range(cfg.reps):
-        cph = run_replication(cfg, "CPH", rep).cache_bit_hit_ratio
-        cc = run_replication(cfg, "CLIENT-CACHE", rep).cache_bit_hit_ratio
-        if cph >= 2.0 * cc:
-            passes += 1
+    rows, _ = run_scenario(cfg, jobs=min(2, os.cpu_count() or 1))
+    hits = {(r["scheme"], r["replication"]): r["cache_bit_hit_ratio"] for r in rows}
+    passes = sum(hits["CPH", rep] >= 2.0 * hits["CLIENT-CACHE", rep] for rep in range(cfg.reps))
     assert passes >= 18, f"amplification held in only {passes}/20 runs"
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import collections
+import csv
 import dataclasses
 import json
 import math
@@ -153,6 +154,21 @@ class TestLoadConfig:
         assert main(["run", "--config", str(path)]) == 2
         assert "gamma is given twice" in capsys.readouterr().err
 
+    def test_repeated_set_key_names_both(self, capsys):
+        assert main(["run", "--set", "gamma=1", "--set", "n_clients=3", "--set", "gamma=0"]) == 2
+        assert ("config error: --set gamma=0: gamma is given twice, first on --set gamma=1"
+                in capsys.readouterr().err)
+
+    def test_set_overrides_the_config_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "base.cfg"
+        path.write_text("n_clients = 3\nn_videos = 2\n")
+        seen = []
+        monkeypatch.setattr(cm, "run_scenario",
+                            lambda cfg, jobs=1: seen.append(cfg) or ([], []))
+        assert main(["run", "--config", str(path), "--set", "n_clients=1",
+                     "--set", "reps=2"]) == 0
+        assert (seen[0].n_clients, seen[0].n_videos, seen[0].reps) == (1, 2, 2)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "nope.cfg"))
@@ -208,8 +224,8 @@ def test_a_run_with_a_summary_imports_no_scipy_or_numpy(tmp_path):
     code = (
         "import sys\n"
         "from edgestream.cli_metrics import main\n"
-        "assert main(['run', '--scheme', 'CLIENT', '--clients', '1', '--reps', '2',\n"
-        f"             '--out-json', {str(out_json)!r}]) == 0\n"
+        "assert main(['run', '--set', 'schemes=CLIENT', '--set', 'n_clients=1',\n"
+        f"             '--set', 'reps=2', '--out-json', {str(out_json)!r}]) == 0\n"
         "loaded = {'scipy', 'numpy'} & set(sys.modules)\n"
         "assert not loaded, f'{loaded} imported'\n"
     )
@@ -264,7 +280,7 @@ class TestRunScenario:
 class TestRunSweep:
     def test_unknown_param_rejected(self):
         with pytest.raises(ConfigError):
-            run_sweep(TINY, "radius_m", [50.0])
+            run_sweep(TINY, "pareto_cap", [4])  # no ScenarioConfig field
 
     def test_sweep_stamps_param_columns(self):
         cfg = dataclasses.replace(TINY, schemes=("CLIENT",), reps=1)
@@ -408,21 +424,24 @@ class TestOracleReplay:
 class TestMainExitCodes:
     def test_config_error_is_exit_2(self, capsys):
         # mu_c = 0.5 is > 0 but below SolverParams' bound of 1
-        for argv in (["run", "--gamma", "-1"], ["run", "--mu-c", "0.5"],
+        for argv in (["run", "--set", "gamma=-1"], ["run", "--set", "mu_c=0.5"],
                      ["oracle-check", "--instances", "1", "--seed", "-1"],
                      ["oracle-check", "--instances", "-1"],
                      # a repeated sweep value, which would write its rows twice
-                     ["sweep", "--param", "n_clients", "--values", "2,2", "--reps", "2",
-                      "--scheme", "CLIENT"],
-                     ["sweep", "--param", "backhaul_mbps", "--values", "10,10.0", "--reps", "1",
-                      "--clients", "2", "--scheme", "CLIENT"],
+                     ["sweep", "--param", "n_clients", "--values", "2,2", "--set", "reps=2",
+                      "--set", "schemes=CLIENT"],
+                     ["sweep", "--param", "backhaul_mbps", "--values", "10,10.0",
+                      "--set", "reps=1", "--set", "n_clients=2", "--set", "schemes=CLIENT"],
                      # no value at all once the empty items are dropped
-                     ["sweep", "--param", "n_clients", "--values", ","]):
+                     ["sweep", "--param", "n_clients", "--values", ","],
+                     # a swept name that is no ScenarioConfig field, and a --set with no value
+                     ["sweep", "--param", "pareto_cap", "--values", "4"],
+                     ["run", "--set", "gamma"]):
             assert main(argv) == 2
             assert "config error" in capsys.readouterr().err
         # a repeated scheme, which would write each of its rows twice
-        assert main(["run", "--scheme", "CLIENT", "--scheme", "CLIENT", "--reps", "2",
-                     "--clients", "1"]) == 2
+        assert main(["run", "--set", "schemes=CLIENT,CLIENT", "--set", "reps=2",
+                     "--set", "n_clients=1"]) == 2
         assert "scheme 'CLIENT' is given twice" in capsys.readouterr().err
 
     def test_run_success_is_exit_0(self, tmp_path):
@@ -452,7 +471,7 @@ class TestMainExitCodes:
     def test_violations_are_exit_3(self, monkeypatch, capsys):
         monkeypatch.setattr(cm, "run_scenario",
                             lambda cfg, jobs=1: ([], ["fake violation"]))
-        assert main(["run", "--clients", "1"]) == 3
+        assert main(["run", "--set", "n_clients=1"]) == 3
         assert "invariant violation" in capsys.readouterr().err
 
     def test_oracle_check_clean_is_exit_0(self, capsys):
@@ -461,7 +480,7 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("line, flags", [
         *((f"{name} = nan\n", []) for name in FLOAT_FIELDS),
-        ("", ["--seed", "-1"]),
+        ("", ["--set", "base_seed=-1"]),
         # inf is unbounded only for the cache; elsewhere it hangs, crashes or idles
         *((f"{name} = inf\n", []) for name in FINITE_FIELDS),
     ], ids=[*FLOAT_FIELDS, "negative-seed", *(f"{name}-inf" for name in FINITE_FIELDS)])
@@ -484,3 +503,16 @@ class TestMainExitCodes:
         assert code == 0
         lines = out_csv.read_text().splitlines()
         assert len(lines) == 1 + 2  # header + one row per gamma value
+
+    def test_sweep_takes_any_config_field(self, tmp_path):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(
+            "schemes = CLIENT\nn_clients = 2\nn_videos = 2\n"
+            "chunk_count = 8\nreps = 1\n")
+        out_csv = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--param", "t_ap_s",
+                     "--values", "0.5,0.1", "--out-csv", str(out_csv)]) == 0
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["param"], r["param_value"]) for r in rows] == [("t_ap_s", "0.1"),
+                                                                  ("t_ap_s", "0.5")]
