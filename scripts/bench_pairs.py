@@ -15,7 +15,8 @@ plus each side's src/ line count and `git describe --always --dirty`. With
 per side and workload, alternating which side goes first, and records each
 side's layer shares, the median and quartiles of its self times in reference
 seconds (each run's host seconds times 2.5 / its `ref_loop_ms`), and whether
-every per-layer count of BENCHMARK.json is equal over all those runs. With
+every per-layer count of BENCHMARK.json is equal over all those runs, naming
+each count that is not with each side's value. With
 --tier1 it times each side's tier-1 test suite. It changes nothing in either checkout.
 It exits 1, after writing the JSON, when any run's result is not
 "correct": true. A workload whose parent and change digests differ on some
@@ -156,6 +157,9 @@ def traced_workload(checkouts: dict, workload: str, seed: int, counts: list[str]
         every_counts += [{k: m[k] for k in counts if k in m} for m in metrics]
         record[side]["counts"] = every_counts[-1]
     record["counts_equal"] = all(c == every_counts[0] for c in every_counts)
+    # each count that is not equal over every run, with each side's last value
+    record["counts_moved"] = {k: {side: record[side]["counts"].get(k) for side in SIDES}
+                              for k in counts if len({c.get(k) for c in every_counts}) > 1}
     return record
 
 
@@ -219,7 +223,8 @@ def main(argv=None) -> int:
                     "quartiles of each run's self time in reference seconds, scaled by "
                     f"{REF_LOOP_MS:g} / the run's ref_loop_ms; trace.overhead_ratio is "
                     "in reference seconds; counts are the per-layer count metrics of "
-                    "BENCHMARK.json, equal over every run of both sides when counts_equal",
+                    "BENCHMARK.json, equal over every run of both sides when counts_equal; "
+                    "counts_moved names each count that is not, with each side's last value",
             **{w: traced_workload(checkouts, w, args.traced_seed, counts)
                for w in args.workload},
         }

@@ -19,7 +19,9 @@ A client's request gate is tested only once the `next_poll_s` its last
 poll set has come (a delivery polls at once, which resets it), so a gate
 held shut by the buffer, the in-flight cap or the start time is not
 re-tested each interval. The backhaul FIFO is one ordered map keyed by
-chunk, so a rider finds its job with one probe.
+chunk, so a rider finds its job with one probe. An interval in which no
+downlink queue is busy calls no airtime allocator and drains nothing, and a
+segment settles a queue whose head outlasts it with one subtraction.
 
 The engine is deterministic by construction: no randomness, no iteration
 over unordered containers where order can leak into results.
@@ -279,7 +281,8 @@ class ApEngine:
         the interval, in client order. An empty queue would get a share of
         exactly 0 from either allocator and never count as risky, so only the
         busy queues are handed over, by position: each one's room, and for
-        the stall-aware split also its need and whether it is sated."""
+        the stall-aware split also its need and whether it is sated. With no
+        busy queue no allocator is called: the list is empty."""
         capacity = self.capacity
         queues = self.dl_queues
         t_ap_s = self.t_ap_s
@@ -307,6 +310,8 @@ class ApEngine:
                     bits += item.remaining_bits
             busy.append(cid)
             rooms.append(bits / slot)
+        if not busy:
+            return []
         shares = (allocate_airtime(rooms, needs, sated).shares if stall_aware
                   else equal_airtime(rooms))
         total = left_sum(shares)
@@ -339,13 +344,22 @@ class ApEngine:
 
     def _serve_segment(self, t0: float, t1: float,
                        served: list[tuple[int, float, deque[DlItem]]]) -> None:
-        """Drain the served queues over [t0, t1]; deliveries fire in time order."""
-        if t1 <= t0:
+        """Drain the served queues over [t0, t1]; deliveries fire in time order.
+        With nothing served, or a segment no longer than _EPS, nothing moves.
+        A head that finishes past t1 + _EPS is settled with one subtraction;
+        only a queue whose head finishes in the segment takes the loop, and
+        completions are sorted and delivered only when there are some."""
+        open_until = t1 - _EPS
+        if not served or not t0 < open_until:
             return
         completions: list[tuple[float, int, DlItem]] = []
-        open_until = t1 - _EPS
         done_by = t1 + _EPS
         for cid, rate, q in served:
+            if q:
+                head = q[0]
+                if t0 + head.remaining_bits / rate > done_by:  # outlasts the segment
+                    head.remaining_bits -= rate * (t1 - t0)
+                    continue
             cursor = t0
             while q and cursor < open_until:
                 head = q[0]
@@ -358,10 +372,11 @@ class ApEngine:
                 else:
                     head.remaining_bits -= rate * (t1 - cursor)
                     cursor = t1
-        # (time, client) is unique within a segment, so no DlItem is compared
-        completions.sort()
-        for (t, cid, item) in completions:
-            self._deliver(t, cid, item)
+        if completions:
+            # (time, client) is unique within a segment, so no DlItem is compared
+            completions.sort()
+            for (t, cid, item) in completions:
+                self._deliver(t, cid, item)
 
     def _complete_backhaul_job(self, t: float, key: tuple, job: BackhaulJob) -> None:
         self.cache.insert(*key, job.size_bits)

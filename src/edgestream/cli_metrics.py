@@ -161,17 +161,21 @@ def _parse_entries(entries) -> dict:
     return overrides
 
 
-def load_config(path: str) -> ScenarioConfig:
-    """Read `key = value` lines; # starts a comment; unknown or repeated keys
-    are errors."""
-    try:
-        with open(path) as fh:
-            return ScenarioConfig(**_parse_entries(
-                ((f"{path}:{lineno}", f"line {lineno}"), text)
-                for lineno, line in enumerate(fh, start=1)
-                if (text := line.split("#", 1)[0].strip())))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+def load_config(path: str | None, sets: typing.Iterable[str] = ()) -> ScenarioConfig:
+    """The scenario of the `key = value` lines at `path`, if any (# starts a
+    comment), with each `KEY=VALUE` of `sets` over them, validated once merged.
+    An unknown key, or one repeated within the file or within `sets`, is an error."""
+    values = {}
+    if path:
+        try:
+            with open(path) as fh:
+                values = _parse_entries(((f"{path}:{lineno}", f"line {lineno}"), text)
+                                        for lineno, line in enumerate(fh, start=1)
+                                        if (text := line.split("#", 1)[0].strip()))
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from None
+    values.update(_parse_entries(((f"--set {text}",) * 2, text) for text in sets))
+    return ScenarioConfig(**values)
 
 
 # ---- single replication ---------------------------------------------
@@ -482,12 +486,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-json")
 
 
-def _config_from_args(args) -> ScenarioConfig:
-    """The --config file's scenario, with each --set value over it."""
-    cfg = load_config(args.config) if args.config else ScenarioConfig()
-    return replace(cfg, **_parse_entries(((f"--set {text}",) * 2, text) for text in args.set))
-
-
 def _finish(cfg, rows, violations, args) -> int:
     if args.out_csv:
         write_csv(rows, args.out_csv)
@@ -533,7 +531,7 @@ def main(argv=None) -> int:
                       f"gen_random_instance(edgestream.rng.Generator([{args.seed}, {k}]))")
                 return 3
             return 0
-        cfg = _config_from_args(args)
+        cfg = load_config(args.config, args.set)
         if args.command == "sweep":
             values = [_parse_value(args.param, p.strip())
                       for p in args.values.split(",") if p.strip()]

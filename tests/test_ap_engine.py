@@ -2,16 +2,21 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgestream import ap_engine
-from edgestream.ap_engine import SCHEMES, ApEngine
+from edgestream.ap_engine import _EPS, SCHEMES, ApEngine, DlItem
 from edgestream.assign_core import QualityRequest
 from edgestream.cache import LruChunkCache
 from edgestream.catalog import make_synthetic_catalog
 from edgestream.cli_metrics import ScenarioConfig, run_replication
 from reference_airtime import ClientLoad, reference_allocate_airtime
+from reference_drain import reference_serve_segment
 
 
 def _params(ladder, backhaul_bps=1e7, **kw):
@@ -178,6 +183,72 @@ def test_stall_aware_airtime_matches_the_keyed_reference(scheme, monkeypatch):
     assert res.violations == []
     assert res.all_finished
     assert seen["risky"] > 0 and seen["sated"] > 0  # both rules were exercised
+
+
+@pytest.mark.parametrize("scheme", ["CPH", "CPH-EQ"])
+def test_an_interval_without_a_busy_queue_calls_no_allocator(scheme, monkeypatch):
+    # a cold cache sends the first interval's requests to the backhaul, so no
+    # downlink queue is busy while airtime is split; the chunks the backhaul
+    # finishes wait in their queues for the next interval's split
+    def refuse(*args):
+        raise AssertionError("an airtime allocator was called with no busy queue")
+
+    monkeypatch.setattr(ap_engine, "allocate_airtime", refuse)
+    monkeypatch.setattr(ap_engine, "equal_airtime", refuse)
+    engine = _tiny_engine(scheme)
+    assert engine._allocate() == []
+    engine.step_rai()
+    assert any(engine.dl_queues)
+    assert engine.result.violations == []
+
+
+# a segment of length 0, at or below _EPS, or normal
+_SEGMENT_S = st.one_of(st.sampled_from([0.0, _EPS / 2, _EPS, 2 * _EPS]),
+                       st.floats(min_value=1e-6, max_value=5.0))
+# one served queue: its drain rate, where its head finishes relative to t1
+# (None: wherever its drawn bits take it), and the bits of its 0-3 items
+_SERVED_QUEUE = st.tuples(
+    st.floats(min_value=1e3, max_value=1e9),
+    st.one_of(st.none(), st.sampled_from([-_EPS, 0.0, _EPS]),
+              st.floats(min_value=-2 * _EPS, max_value=2 * _EPS)),
+    st.lists(st.floats(min_value=1e3, max_value=1e8), max_size=3),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1e3), _SEGMENT_S,
+       st.lists(_SERVED_QUEUE, max_size=6))
+@example(t0=10.0, segment_s=0.5, raw=[(1e6, _EPS, [1e6, 1e6]), (1e6, -_EPS, [1e6, 1e3]),
+                                      (2e6, None, [])])
+def test_serve_segment_matches_the_reference_drain(t0, segment_s, raw):
+    # the fast paths leave every queue and every head's remaining bits as the
+    # general loop leaves them, bit for bit, and deliver in the same order
+    t1 = t0 + segment_s
+
+    def served():
+        out, tag = [], 0
+        for i, (rate, head_past_t1, sizes) in enumerate(raw):
+            q = deque()
+            for k, bits in enumerate(sizes):
+                remaining = bits
+                if k == 0 and head_past_t1 is not None:
+                    remaining = max((t1 + head_past_t1 - t0) * rate, 1.0)
+                q.append(DlItem(None, tag, bits, remaining, False, 0.0, 0.0))
+                tag += 1
+            out.append((2 * i, rate, q))
+        return out
+
+    def drained(serve):
+        queues, log = served(), []
+        serve(queues, lambda t, cid, item: log.append((t.hex(), cid, item.quality_index)))
+        left = [[(item.quality_index, item.remaining_bits.hex()) for item in q]
+                for _, _, q in queues]
+        return left, log
+
+    fast = drained(lambda queues, deliver: ApEngine._serve_segment(
+        SimpleNamespace(_deliver=deliver), t0, t1, queues))
+    assert fast == drained(lambda queues, deliver: reference_serve_segment(
+        t0, t1, queues, deliver))
 
 
 def test_solver_is_actually_consulted():

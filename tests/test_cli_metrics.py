@@ -169,6 +169,27 @@ class TestLoadConfig:
                      "--set", "reps=2"]) == 0
         assert (seen[0].n_clients, seen[0].n_videos, seen[0].reps) == (1, 2, 2)
 
+    @pytest.mark.parametrize("sets, code, err", [
+        # the file alone is invalid; a --set value over it makes the merge valid
+        (["n_clients=1"], 0, ""),
+        (["n_clients=1", "n_clients=2"],
+         2, "config error: --set n_clients=2: n_clients is given twice, first on --set n_clients=1"),
+        (["n_videos=0"], 2, "config error: n_clients must be > 0"),
+        (["n_clients=-1"], 2, "config error: n_clients must be > 0"),
+    ], ids=["set-wins", "set-repeated", "file-value-invalid", "set-value-invalid"])
+    def test_config_is_validated_once_merged(self, tmp_path, monkeypatch, capsys, sets, code, err):
+        path = tmp_path / "base.cfg"
+        path.write_text("n_clients = 0\nn_videos = 2\n")
+        seen = []
+        monkeypatch.setattr(cm, "run_scenario",
+                            lambda cfg, jobs=1: seen.append(cfg) or ([], []))
+        argv = ["run", "--config", str(path)]
+        for text in sets:
+            argv += ["--set", text]
+        assert main(argv) == code
+        assert err in capsys.readouterr().err
+        assert [(cfg.n_clients, cfg.n_videos) for cfg in seen] == ([(1, 2)] if code == 0 else [])
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "nope.cfg"))

@@ -149,3 +149,29 @@ def test_bench_pairs_scales_and_summarizes_three_traced_runs_per_side(bench_pair
     assert parent["layer_share"] == {"cph": 0.4}
     assert parent["counts"] == change["counts"] == {"cph.solve_groups.calls": 7.0}
     assert record["counts_equal"] is True
+    assert record["counts_moved"] == {}
+
+
+def test_bench_pairs_names_each_count_that_moved(bench_pairs, tmp_path, monkeypatch):
+    def fake_run_bench(checkout, workload, seed, seconds, trace=0):
+        # the change makes fewer allocator calls; every other count stays
+        values = {"cph.solve_groups.calls": 7.0, "buffer_airtime.allocate_airtime.calls":
+                  120.0 if checkout.name == "change" else 504.0, "trace.overhead_ratio": 1.0}
+        names = [m["name"] for m in BENCHMARK["end_to_end"]] + (list(values) if trace else [])
+        info = {"digest": "d", "src_loc": 1, "layer_share": {}, "ref_loop_ms": 2.5}
+        result = {"correct": True, "failed": 0, "attempted": 1,
+                  "metrics": {name: {"value": values.get(name, 1.0), "unit": ""}
+                              for name in names}}
+        return info, result
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run_bench)
+    out = tmp_path / "bench.json"
+    code = bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"), "--label", "x",
+                             "--workload", "sync_burst", "--seeds", "3-4",
+                             "--traced-seed", "1", "--out", str(out)])
+    assert code == 0
+    record = json.loads(out.read_text())["traced"]["sync_burst"]
+    assert record["counts_equal"] is False
+    assert record["counts_moved"] == {
+        "buffer_airtime.allocate_airtime.calls": {"parent": 504.0, "change": 120.0}}
