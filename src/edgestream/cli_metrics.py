@@ -141,11 +141,12 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"bad value for {key}: {raw!r}") from None
 
 
-def _parse_entries(entries) -> dict:
+def _parse_entries(entries) -> tuple[dict, dict]:
     """Typed ScenarioConfig values from `key = value` entries, each given as
-    ((at, ref), text): an error starts with `at`, and a repeated key names
-    its first entry by `ref`. Unknown or repeated keys are errors."""
-    overrides = {}
+    ((at, ref), text), and each key's `at`: an error starts with `at`, and a
+    repeated key names its first entry by `ref`. Unknown or repeated keys are
+    errors."""
+    overrides, origins = {}, {}
     first: dict[str, str] = {}
     for (at, ref), text in entries:
         try:
@@ -156,26 +157,36 @@ def _parse_entries(entries) -> dict:
                 raise ConfigError(f"{key} is given twice, first on {first[key]}")
             overrides[key] = _parse_value(key, raw)
             first[key] = ref
+            origins[key] = at
         except ConfigError as exc:
             raise ConfigError(f"{at}: {exc}") from None
-    return overrides
+    return overrides, origins
 
 
 def load_config(path: str | None, sets: typing.Iterable[str] = ()) -> ScenarioConfig:
     """The scenario of the `key = value` lines at `path`, if any (# starts a
     comment), with each `KEY=VALUE` of `sets` over them, validated once merged.
-    An unknown key, or one repeated within the file or within `sets`, is an error."""
-    values = {}
+    An unknown key, or one repeated within the file or within `sets`, is an
+    error; a failed check that starts with a key names where its value came from."""
+    values, origins = {}, {}
     if path:
         try:
             with open(path) as fh:
-                values = _parse_entries(((f"{path}:{lineno}", f"line {lineno}"), text)
-                                        for lineno, line in enumerate(fh, start=1)
-                                        if (text := line.split("#", 1)[0].strip()))
+                values, origins = _parse_entries(((f"{path}:{lineno}", f"line {lineno}"), text)
+                                                 for lineno, line in enumerate(fh, start=1)
+                                                 if (text := line.split("#", 1)[0].strip()))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
-    values.update(_parse_entries(((f"--set {text}",) * 2, text) for text in sets))
-    return ScenarioConfig(**values)
+    set_values, set_origins = _parse_entries(((f"--set {text}",) * 2, text) for text in sets)
+    values.update(set_values)
+    origins.update(set_origins)
+    try:
+        return ScenarioConfig(**values)
+    except ConfigError as exc:
+        origin = origins.get(str(exc).split(" ", 1)[0])
+        if origin is None:
+            raise
+        raise ConfigError(f"{exc} (from {origin})") from None
 
 
 # ---- single replication ---------------------------------------------

@@ -190,6 +190,19 @@ class TestLoadConfig:
         assert err in capsys.readouterr().err
         assert [(cfg.n_clients, cfg.n_videos) for cfg in seen] == ([(1, 2)] if code == 0 else [])
 
+    @pytest.mark.parametrize("text, sets, err", [
+        ("n_clients = 0\n", [], "n_clients must be > 0 (from {path}:1)"),
+        ("n_clients = 3\n", ["n_clients=0"], "n_clients must be > 0 (from --set n_clients=0)"),
+        # a check on two keys names neither
+        ("b_min_s = 20\n", [], "need 0 < b_min_s < b_max_s"),
+    ], ids=["file-line", "set", "no-single-key"])
+    def test_a_failed_check_names_where_its_key_was_given(self, tmp_path, text, sets, err):
+        path = tmp_path / "f.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path), sets)
+        assert str(info.value) == err.format(path=path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "nope.cfg"))
@@ -370,12 +383,6 @@ class TestOutput:
         assert block["initial_latency_s"]["n"] == 1
         assert block["initial_latency_s"]["mean"] == 1.0
         assert block["mean_bitrate_kbps"]["n"] == 2
-
-
-def test_oracle_check_small_batch():
-    checked, mismatches = oracle_check(25, seed=7)
-    assert checked == 25
-    assert mismatches == []
 
 
 def test_oracle_instances_keep_their_adversarial_shapes():

@@ -2,8 +2,10 @@
 reaches outside the standard library and the package: a bare install runs
 the simulator, and a name moved between modules leaves no stale import
 behind. Every function, method and class in src/ is called from src/,
-perfbench/ or scripts/, so src/ holds no code that only the tests run. No
-linter runs here, so this reads the modules with `ast` alone."""
+perfbench/ or scripts/, so src/ holds no code that only the tests run, and
+every public function and class of a tests/ helper module is read by another
+tests/ module, so a fold leaves no reference behind. No linter runs here, so
+this reads the modules with `ast` alone."""
 from __future__ import annotations
 
 import ast
@@ -17,6 +19,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "edgestream"
 MODULES = sorted(SRC.glob("*.py"))
 TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
+HELPERS = [p for p in TEST_MODULES if not p.name.startswith("test_") and p.name != "conftest.py"]
 CALLERS = [*MODULES, *sorted((ROOT / "perfbench").glob("*.py")),
            *sorted((ROOT / "scripts").glob("*.py"))]
 
@@ -92,3 +95,16 @@ def test_everything_defined_in_src_is_called_outside_the_tests():
                     and node.name not in referenced):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+@pytest.mark.parametrize("path", HELPERS, ids=lambda p: p.name)
+def test_every_test_helper_is_read_by_another_test_module(path):
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for other in TEST_MODULES if other != path
+            for node in ast.walk(ast.parse(other.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    unread = [f"{path.name}:{node.lineno} {node.name}"
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in read]
+    assert unread == []
