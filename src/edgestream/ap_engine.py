@@ -11,9 +11,11 @@ its airtime share of link capacity. Chunk completions are delivered to
 clients at exact sub-interval times.
 
 The solvers only pick qualities; whether a delivery is a cache hit is
-decided here, once, when the request is routed. The client's own
-ChunkRequest travels with it from issue to delivery: a downlink item holds
-it, and a backhaul job holds one per request it serves.
+decided here, once, when the request is routed. The client's own request,
+a plain tuple in ChunkRequest's field order, travels with it from issue to
+delivery and is read by position: a downlink item holds it, and a backhaul
+job holds one per request it serves. Only a scheme that reads the cache
+fills it: a completed download under CLIENT is not inserted.
 
 A client's request gate is tested only once the `next_poll_s` its last
 poll set has come (a delivery polls at once, which resets it), so a gate
@@ -47,7 +49,7 @@ class Policy(NamedTuple):
     # wrapper installed in the module namespace is honoured; None = passthrough
     solver: str | None
     stall_aware: bool  # allocate_airtime, else equal_airtime
-    reads_cache: bool
+    reads_cache: bool  # False: the cache is neither read nor written
 
 
 POLICIES = {
@@ -63,7 +65,7 @@ _EPS = 1e-9
 # buffered chunks at which a playing client is sated: under stall-aware
 # airtime it steps aside until every hungrier queue has all it can use
 SUFFICIENT_CHUNKS = 2.0
-# ChunkRequest's (issue_time_s, client_id, chunk_index)
+# a request's (issue_time_s, client_id, chunk_index), by ChunkRequest's order
 _ISSUE_ORDER = itemgetter(4, 0, 2)
 
 
@@ -216,12 +218,11 @@ class ApEngine:
         share = 1.0 / len(self.clients)
         backlog = left_sum(job.remaining_bits for job in self.fifo.values())
         out = []
-        for r in n1:
-            cid = r.client_id
+        for cid, video_id, chunk_index, quality, _ in n1:
             bits, media = self._queue_snapshot(cid)
             # plain, in QualityRequest's field order: (client, video, chunk, requested
             # quality, buffer, effective rate, queue bits, queue media, backlog)
-            out.append((cid, r.video_id, r.chunk_index, r.quality_index, self.clients[cid].buffer_s,
+            out.append((cid, video_id, chunk_index, quality, self.clients[cid].buffer_s,
                         self.capacity[cid] * share, bits, media, backlog))
         return out
 
@@ -241,7 +242,7 @@ class ApEngine:
     def _assign(self, n1: list[ChunkRequest]) -> tuple[int, ...]:
         """One delivery quality per request of `n1`, in its order."""
         if self.policy.solver is None:
-            return tuple(r.quality_index for r in n1)  # passthrough, no scoring
+            return tuple(r[3] for r in n1)  # passthrough of quality_index, no scoring
         solve = globals()[self.policy.solver]
         result = solve(self._build_requests(n1), self.cache, self._available_backhaul_bps(),
                        self.params)
@@ -258,23 +259,23 @@ class ApEngine:
         tolerance = self.params.gamma if self.policy.solver is not None else 0
         levels = self.params.levels
         for req, m in zip(n1, qualities):
-            if abs(m - req.quality_index) > tolerance:
+            cid, video_id, chunk_index, requested, _ = req
+            if abs(m - requested) > tolerance:
                 self.result.violations.append(
-                    f"t={self.now}: quality shift beyond tolerance for client {req.client_id} "
-                    f"({req.quality_index} -> {m})")
+                    f"t={self.now}: quality shift beyond tolerance for client {cid} "
+                    f"({requested} -> {m})")
             size = levels[m][1]  # chunk bits: rate * tau
-            key = (req.video_id, req.chunk_index, m)
+            key = (video_id, chunk_index, m)
             if self.policy.reads_cache and self.cache.contains(*key):
                 self.cache.touch(*key)
-                self.dl_queues[req.client_id].append(DlItem(
-                    req, m, size, size, True, self.now, 0.0))
+                self.dl_queues[cid].append(DlItem(req, m, size, size, True, self.now, 0.0))
                 continue
             existing = self.fifo.get(key)
             if existing is not None:
                 existing.waiters.append(req)
                 continue
-            self.fifo[key] = BackhaulJob(size_bits=size, remaining_bits=size,
-                                         enqueue_time_s=self.now, waiters=[req])
+            # (size_bits, remaining_bits, enqueue_time_s, waiters)
+            self.fifo[key] = BackhaulJob(size, size, self.now, [req])
 
     def _allocate(self) -> list[tuple[int, float, deque[DlItem]]]:
         """(client id, drain rate, queue) of every client granted airtime for
@@ -322,9 +323,9 @@ class ApEngine:
 
     def _deliver(self, t: float, client_id: int, item: DlItem) -> None:
         client = self.clients[client_id]
-        req = item.req
+        _, video_id, chunk_index, requested, _ = item.req
         res = self.result
-        client.on_chunk_delivered(t, req.chunk_index, item.size_bits)
+        client.on_chunk_delivered(t, chunk_index, item.size_bits)
         res.delivered_chunks += 1
         res.delivered_bits += item.size_bits
         if item.from_cache:
@@ -334,8 +335,8 @@ class ApEngine:
         res.bitrate_sum_bps += self.ladder.bitrates_bps[item.quality_index]
         if self.record_events:
             res.events.append(DeliveryEvent(
-                time_s=t, client_id=client_id, video_id=req.video_id,
-                chunk_index=req.chunk_index, requested_quality=req.quality_index,
+                time_s=t, client_id=client_id, video_id=video_id,
+                chunk_index=chunk_index, requested_quality=requested,
                 delivered_quality=item.quality_index, from_cache=item.from_cache,
                 backhaul_delay_s=item.backhaul_delay_s,
                 dl_delay_s=t - item.enqueue_time_s,
@@ -379,9 +380,10 @@ class ApEngine:
                 self._deliver(t, cid, item)
 
     def _complete_backhaul_job(self, t: float, key: tuple, job: BackhaulJob) -> None:
-        self.cache.insert(*key, job.size_bits)
+        if self.policy.reads_cache:  # a cache no one reads is not filled
+            self.cache.insert(*key, job.size_bits)
         for req in job.waiters:
-            self.dl_queues[req.client_id].append(DlItem(
+            self.dl_queues[req[0]].append(DlItem(
                 req, key[2], job.size_bits, job.size_bits, False, t, t - job.enqueue_time_s))
 
     def step_rai(self) -> None:

@@ -83,9 +83,9 @@ class ScenarioConfig:
             raise ConfigError("schemes must not be empty")
         for i, s in enumerate(self.schemes):
             if s not in SCHEMES:
-                raise ConfigError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
+                raise ConfigError(f"schemes: unknown scheme {s!r}; expected one of {SCHEMES}")
             if s in self.schemes[:i]:  # its rows would be written twice
-                raise ConfigError(f"scheme {s!r} is given twice")
+                raise ConfigError(f"schemes: scheme {s!r} is given twice")
         # an infinite time, rate or distance never finishes or cannot be drawn
         for name, value in vars(self).items():
             if isinstance(value, float) and math.isinf(value) and name != "cache_capacity_bits":
@@ -167,7 +167,8 @@ def load_config(path: str | None, sets: typing.Iterable[str] = ()) -> ScenarioCo
     """The scenario of the `key = value` lines at `path`, if any (# starts a
     comment), with each `KEY=VALUE` of `sets` over them, validated once merged.
     An unknown key, or one repeated within the file or within `sets`, is an
-    error; a failed check that starts with a key names where its value came from."""
+    error; a failed check that starts with a key (or `key:`) names where its
+    value came from."""
     values, origins = {}, {}
     if path:
         try:
@@ -183,7 +184,7 @@ def load_config(path: str | None, sets: typing.Iterable[str] = ()) -> ScenarioCo
     try:
         return ScenarioConfig(**values)
     except ConfigError as exc:
-        origin = origins.get(str(exc).split(" ", 1)[0])
+        origin = origins.get(str(exc).split(" ", 1)[0].rstrip(":"))
         if origin is None:
             raise
         raise ConfigError(f"{exc} (from {origin})") from None
@@ -269,7 +270,10 @@ def run_sweep(cfg: ScenarioConfig, param: str, values: list, jobs: int = 1):
         if label in labels:
             raise ConfigError(f"sweep value {label} of {param} is given twice")
         labels.add(label)
-        sub = replace(cfg, **{param: value})
+        try:
+            sub = replace(cfg, **{param: value})
+        except ConfigError as exc:
+            raise ConfigError(f"{exc} (from --param {param} value {label})") from None
         tasks.extend((sub, scheme, rep, param, label)
                      for scheme in sub.schemes for rep in range(sub.reps))
     return _execute(tasks, jobs)
@@ -544,8 +548,12 @@ def main(argv=None) -> int:
             return 0
         cfg = load_config(args.config, args.set)
         if args.command == "sweep":
-            values = [_parse_value(args.param, p.strip())
-                      for p in args.values.split(",") if p.strip()]
+            values = []
+            for raw in filter(None, (p.strip() for p in args.values.split(","))):
+                try:
+                    values.append(_parse_value(args.param, raw))
+                except ConfigError as exc:
+                    raise ConfigError(f"{exc} (from --param {args.param} value {raw})") from None
             rows, violations = run_sweep(cfg, args.param, values, jobs=args.jobs)
         else:
             rows, violations = run_scenario(cfg, jobs=args.jobs)

@@ -11,7 +11,9 @@ startup latency and session time are measured from that start.
 
 The rate window holds each sample's reciprocal, so a pick is one sum. Each
 poll also records `next_poll_s`, the earliest time its gate can open unless
-a delivery comes first; the engine only advances a client before then.
+a delivery comes first; the engine only advances a client before then. A
+request is a plain tuple in ChunkRequest's field order, read by position
+from issue to delivery.
 """
 from __future__ import annotations
 
@@ -30,6 +32,8 @@ POLL_MARGIN_S = 1e-6  # next_poll_s's rounding margin (maybe_issue_requests)
 
 
 class ChunkRequest(NamedTuple):
+    """One issued chunk request; the client builds plain tuples in this
+    field order, and the engine reads them by position."""
     client_id: int
     video_id: int
     chunk_index: int
@@ -106,7 +110,7 @@ class DashClient:
         """Buffer the in-flight chunk and sample its download rate; a chunk
         that is not in flight raises KeyError."""
         self.advance_to(t)
-        duration = t - self.in_flight.pop(chunk_index).issue_time_s
+        duration = t - self.in_flight.pop(chunk_index)[4]  # issue_time_s
         self.buffer_s += self.ladder.chunk_duration_s
         if duration > 0:
             self.inv_rates.append(1.0 / (size_bits / duration))
@@ -117,7 +121,8 @@ class DashClient:
             self.startup_latency_s = t - self.start_time_s
 
     def maybe_issue_requests(self, t: float) -> list[ChunkRequest]:
-        """All requests the gating rules allow at time t, in chunk order.
+        """All requests the gating rules allow at time t, in chunk order, each
+        a plain tuple in ChunkRequest's field order.
 
         Sets `next_poll_s`, the earliest time a poll can issue unless a
         delivery comes first: the gate's own start comparison before the
@@ -157,7 +162,7 @@ class DashClient:
                 inv = self.inv_rates
                 quality = select_quality(len(inv) / left_sum(inv) if inv else None,
                                          self.ladder.bitrates_bps)
-            req = ChunkRequest(self.client_id, self.video_id, self.next_chunk, quality, t)
+            req = (self.client_id, self.video_id, self.next_chunk, quality, t)
             self.in_flight[self.next_chunk] = req
             self.next_chunk += 1
             issued.append(req)

@@ -15,7 +15,9 @@ from edgestream.assign_core import QualityRequest
 from edgestream.cache import LruChunkCache
 from edgestream.catalog import make_synthetic_catalog
 from edgestream.cli_metrics import ScenarioConfig, run_replication
+from edgestream.client import ChunkRequest
 from reference_engine import ReferenceEngine
+from reference_lru import keys_by_recency
 
 
 def _params(ladder, backhaul_bps=1e7, **kw):
@@ -79,11 +81,18 @@ def test_bit_conservation_across_sources():
 
 
 def test_client_scheme_ignores_cache_entirely():
-    res = _tiny_engine("CLIENT", cache=_prewarmed_cache()).run()
+    cache = _prewarmed_cache()
+    before = keys_by_recency(cache)
+    res = _tiny_engine("CLIENT", cache=cache).run()
     assert res.violations == []
     assert res.cache_bits == 0.0
     assert res.cache_bit_hit_ratio == 0.0
     assert all(not e.from_cache for e in res.events)
+    # neither read nor written: no entry moves and no download is admitted
+    assert keys_by_recency(cache) == before
+    cold = LruChunkCache()
+    assert _tiny_engine("CLIENT", cache=cold).run().all_finished
+    assert keys_by_recency(cold) == []
 
 
 def test_client_cache_serves_hits_without_rewriting():
@@ -316,7 +325,8 @@ def test_late_requester_rides_the_queued_backhaul_job():
                       _params(ladder, 1e5, b_max_s=8.0), record_events=True)
     engine.step_rai()
     engine.step_rai()
-    assert [(key, [w.client_id for w in j.waiters]) for key, j in engine.fifo.items()] == \
+    assert [(key, [ChunkRequest(*w).client_id for w in j.waiters])
+            for key, j in engine.fifo.items()] == \
         [((0, k, 0), [0, 1]) for k in range(4)]
     res = engine.run()
     assert res.violations == []
@@ -335,7 +345,8 @@ def test_same_interval_requesters_share_one_backhaul_job():
                       _params(ladder, 1e5, b_max_s=8.0))
     engine.step_rai()
     assert engine.fifo
-    assert all([w.client_id for w in j.waiters] == [0, 1] for j in engine.fifo.values())
+    assert all([ChunkRequest(*w).client_id for w in j.waiters] == [0, 1]
+               for j in engine.fifo.values())
     res = engine.run()
     assert res.violations == []
     chunk_bits = 4 * ladder.bitrates_bps[0] * ladder.chunk_duration_s

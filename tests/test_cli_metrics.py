@@ -472,6 +472,20 @@ class TestMainExitCodes:
                      "--set", "n_clients=1"]) == 2
         assert "scheme 'CLIENT' is given twice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, parts", [
+        (["run", "--set", "schemes=CPH,CPH"],
+         ["scheme 'CPH' is given twice (from --set schemes=CPH,CPH)"]),
+        (["run", "--set", "schemes=FOO"], ["unknown scheme 'FOO'", "(from --set schemes=FOO)"]),
+        (["sweep", "--param", "n_clients", "--values", "1,0"],
+         ["n_clients must be > 0 (from --param n_clients value 0)"]),
+        (["sweep", "--param", "gamma", "--values", "1,x"],
+         ["bad value for gamma: 'x' (from --param gamma value x)"]),
+    ], ids=["set-scheme-twice", "set-unknown-scheme", "param-invalid", "param-unparsed"])
+    def test_config_error_names_its_source(self, capsys, argv, parts):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert all(part in err for part in parts), err
+
     def test_run_success_is_exit_0(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(

@@ -128,8 +128,8 @@ class TestRequestGating:
         reqs = c.maybe_issue_requests(0.0)
         # buffer 0, in-flight media must reach b_max: ceil(15/2) = 8 chunks
         assert len(reqs) == 8
-        assert [r.chunk_index for r in reqs] == list(range(8))
-        assert all(r.quality_index == 0 for r in reqs)  # cold start
+        assert [ChunkRequest(*r).chunk_index for r in reqs] == list(range(8))
+        assert all(ChunkRequest(*r).quality_index == 0 for r in reqs)  # cold start
 
     def test_silent_before_start_time(self):
         c = _client(start_time_s=5.0)
@@ -164,7 +164,7 @@ class TestRequestGating:
 
     def test_rate_sample_uses_the_in_flight_issue_time(self):
         c = _client(start_time_s=1.0)
-        assert c.maybe_issue_requests(1.0)[0].issue_time_s == 1.0
+        assert ChunkRequest(*c.maybe_issue_requests(1.0)[0]).issue_time_s == 1.0
         c.on_chunk_delivered(1.5, 0, 2e6)
         assert list(c.inv_rates) == [1.0 / (2e6 / (1.5 - 1.0))]
         with pytest.raises(KeyError):
@@ -193,7 +193,19 @@ class TestRequestGating:
         c.advance_to(2.8)                    # buffer drains to ~1.8
         reqs = c.maybe_issue_requests(2.8)
         assert len(reqs) == 1
-        assert reqs[0].chunk_index == 2
+        assert ChunkRequest(*reqs[0]).chunk_index == 2
+
+    def test_requests_are_plain_tuples_in_field_order(self):
+        c = _client(client_id=3, video_id=7, b_max_s=4.0)
+        burst = c.maybe_issue_requests(0.0)
+        c.on_chunk_delivered(0.4, 0, 2e6)
+        c.on_chunk_delivered(0.5, 1, 2e6)
+        c.advance_to(2.5)
+        later = c.maybe_issue_requests(2.5)
+        assert all(type(r) is tuple for r in burst + later)
+        assert ChunkRequest._fields == (
+            "client_id", "video_id", "chunk_index", "quality_index", "issue_time_s")
+        assert burst + later == [(3, 7, 0, 0, 0.0), (3, 7, 1, 0, 0.0), (3, 7, 2, 2, 2.5)]
 
     def test_rate_samples_drive_quality_up(self):
         c = _client(b_max_s=4.0)
@@ -203,7 +215,7 @@ class TestRequestGating:
         c.advance_to(2.5)                    # drain room for one chunk
         reqs = c.maybe_issue_requests(2.5)
         # harmonic(5e6, 4e6) = 4.44 Mbps -> highest level strictly below
-        assert [r.quality_index for r in reqs] == [2]
+        assert [ChunkRequest(*r).quality_index for r in reqs] == [2]
 
 
 def _burst(c: DashClient) -> DashClient:
@@ -324,7 +336,7 @@ class TestPlayout:
         c.on_chunk_delivered(1.0, 0, 2e6)
         c.advance_to(4.0)  # drains 2 s of media, stalls 1 s
         assert c.stall_time_s == pytest.approx(1.0)
-        assert [r.chunk_index for r in c.maybe_issue_requests(4.0)] == [1]
+        assert [ChunkRequest(*r).chunk_index for r in c.maybe_issue_requests(4.0)] == [1]
         c.on_chunk_delivered(4.0, 1, 2e6)
         c.advance_to(5.0)
         assert c.stall_time_s == pytest.approx(1.0)  # no new stall while playing

@@ -130,11 +130,12 @@ def _repro(**kw) -> ScenarioConfig:
 
 def test_cache_at_its_smallest_capacity_survives_a_float_residue():
     # the cache's running used_bits kept a residue after evicting everything,
-    # and the next insert popped from an empty dict (KeyError)
+    # and the next insert popped from an empty dict (KeyError); CLIENT-CACHE,
+    # as CLIENT never writes the cache
     _assert_clean_run(_repro(
         n_clients=4, n_videos=5, levels=5, chunk_count=12, gamma=3, chunk_duration_s=4.0,
         b_min_s=0.76, b_max_s=6.39, backhaul_mbps=20.0, t_ap_s=0.1,
-        cache_capacity_bits=6e7, schemes=("CLIENT",), base_seed=317891))
+        cache_capacity_bits=6e7, schemes=("CLIENT-CACHE",), base_seed=317891))
 
 
 def test_backhaul_drain_check_allows_the_late_finish_clamp():
