@@ -18,7 +18,8 @@ quality, so the tolerance windows slide and a live set holds at most
 2*gamma + 1 levels: at most 2**(2*gamma + 1) paid sets, 32 at gamma = 2.
 A configuration is (paid, cost, -utility, picks), so one keyless sort per
 merge orders it by paid set, cost and utility, and picks are unique. Each
-group's candidates are read once, into rows, before the first merge.
+group's candidates are read once, by the scan that takes the floor below;
+the merge's rows are built from that copy.
 Requests and candidates are read by position (see assign_core); SolveGroup
 and AssignmentResult stay NamedTuples, as perfbench's tracer reads them.
 
@@ -32,10 +33,19 @@ completion of it can reach the utility of a feasible configuration, so the
 optimum stays bitwise the same (solve_groups gives the argument). On a
 synchronized burst most configurations go this way.
 
+Most calls need no merge at all. When the best picks fit the capacity and
+each beats every other candidate of its group by more than the same kind of
+slack, no other configuration can fold to their utility, so they are the
+unique optimum and the floor is returned as it is. Such a call has no tie,
+so its result is exactly brute_force_groups's. The merge runs only when the
+best picks break the capacity, when a group's best is within the slack of
+another pick, or when a utility is not finite.
+
 Exact up to float rounding: costs are summed in group order, so one paid
 set's configurations can differ in the last ulp, and a point dropped as
 dominated can round to a tie that the oracle breaks on picks the other way
-(the open canonical-cost FOUND entry in CHANGES.md).
+(the open canonical-cost FOUND entry in CHANGES.md). A call that ends at
+the floor has neither caveat.
 
 Determinism contract: requests are put into one canonical order and both
 the heuristic and the brute-force oracle accumulate utility and cost by an
@@ -53,7 +63,6 @@ from .cache import LruChunkCache
 
 
 BRUTE_FORCE_LIMIT = 10**6  # most combinations brute_force_assign enumerates
-_UTILITY = itemgetter(3)  # of a (level bit, cost, free, utility, pick) row
 _CHUNK = itemgetter(1, 2)  # (video_id, chunk_index) of a request
 
 
@@ -98,13 +107,69 @@ def solve_groups(groups: Sequence[SolveGroup], capacity_bps: float) -> Best | No
     its dominator was dropped does no better than that dominator. So
     wherever the unbounded merge agrees with brute_force_groups, the result
     is bitwise the same.
+
+    The exit: the floor is returned with no merge when the best picks fit,
+    every utility is finite, and in each group the best utility b exceeds
+    every other candidate's utility x by more than 1e-9 * (1 + S + |x|),
+    where S sums the best utilities' magnitudes. Take any other
+    configuration X, differing from the best picks in some group g, and Y,
+    the best picks with only g's pick swapped for X's. Rounded addition is
+    monotone, so X folds to at most Y's fold. A left fold of n terms lies
+    within gamma(n - 1) times the sum of their magnitudes of the exact sum
+    (Higham, recursive summation), so below about 4e6 terms the slack
+    covers both folds and Y folds strictly below the floor. The best picks
+    are then the unique optimum, and their fold, cost and picks are exactly
+    what brute_force_groups returns, with no tie to break.
     """
-    # each candidate read once: (level bit, cost, free, utility, pick)
-    rows = [[(1 << m, cost, cost <= 0, u, (m,)) for m, _, cost, _, u in g.items]
-            for g in groups]
-    if not all(rows):
-        return None
-    best = [max(row, key=_UTILITY) for row in rows]  # each group's best-utility pick
+    # one scan of each group's items: its first best-utility pick (as max()
+    # picks it) and the highest utility among its other candidates. The best
+    # picks are folded and charged as in brute_force_groups: the floor.
+    scanned = []  # each group's items, read once
+    tops = []  # each group's best pick
+    floor = cost = 0.0
+    magnitude = 1.0  # 1 plus the best utilities' magnitudes summed
+    total = 0.0  # every utility summed: finite only if each one is
+    margin = math.inf  # least best - other - 1e-9 * |other| over the groups
+    fits = True
+    seen = set()
+    for key, items in groups:
+        items = tuple(items)
+        if not items:
+            return None
+        top = items[0]
+        u_top = top[4]
+        total += u_top
+        if len(items) > 1:
+            other = -math.inf
+            for item in items[1:]:
+                u = item[4]
+                total += u
+                if u > u_top:
+                    other, top, u_top = u_top, item, u
+                elif u > other:
+                    other = u
+            gap = u_top - other - 1e-9 * abs(other)
+            if gap < margin:
+                margin = gap
+        scanned.append(items)
+        tops.append(top)
+        floor += u_top
+        magnitude += abs(u_top)
+        if (key, top[0]) not in seen:
+            item_cost = top[2]
+            cost += item_cost
+            if not item_cost <= 0:
+                seen.add((key, top[0]))
+            if cost > capacity_bps:
+                fits = False
+    if not fits or not math.isfinite(floor):
+        floor = -math.inf  # nothing is pruned
+    elif margin > 1e-9 * magnitude and math.isfinite(total):
+        # the exit: every other pick trails its group's best by more than
+        # the slack, so the best picks are the unique optimum
+        return floor, cost, tuple(top[0] for top in tops)
+    # each candidate as (level bit, cost, free, utility, pick)
+    rows = [[(1 << m, c, c <= 0, u, (m,)) for m, _, c, _, u in items] for items in scanned]
     # right to left: live[gi], the levels the groups after gi in its cluster
     # can pick, and rest[gi], the later groups' best utilities summed and 1
     # plus their magnitudes summed
@@ -112,30 +177,15 @@ def solve_groups(groups: Sequence[SolveGroup], capacity_bps: float) -> Best | No
     rest = [(0.0, 1.0)] * len(rows)
     later, magnitude = 0.0, 1.0
     for gi in range(len(rows) - 1, 0, -1):
-        if groups[gi].cluster_key == groups[gi - 1].cluster_key:
+        if groups[gi][0] == groups[gi - 1][0]:
             levels = live[gi]
             for item in rows[gi]:
                 levels |= item[0]
             live[gi - 1] = levels
-        u = best[gi][3]
+        u = tops[gi][4]
         later += u
         magnitude += abs(u)
         rest[gi - 1] = (later, magnitude)
-    # the floor: the best picks folded and charged as in brute_force_groups;
-    # -inf, so nothing is pruned, if they break the capacity
-    floor = cost = 0.0
-    seen = set()
-    for group, (level, item_cost, free, u, _) in zip(groups, best):
-        floor += u
-        if (group.cluster_key, level) not in seen:
-            cost += item_cost
-            if not free:
-                seen.add((group.cluster_key, level))
-        if cost > capacity_bps:
-            floor = -math.inf
-            break
-    if not math.isfinite(floor):
-        floor = -math.inf
     # configuration = (paid, cost, -utility, picks): paid is a bitmask of the
     # live levels already charged in the current cluster, and the layout
     # sorts by paid set, then cost, then utility with no key

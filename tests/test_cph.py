@@ -26,6 +26,7 @@ from edgestream.cph import (
 )
 from edgestream.rng import Generator
 from plain_fold import pareto_min
+from reference_merge import reference_merge
 from reference_scoring import CandidateQuality, candidate_group, tolerated_set
 
 
@@ -59,11 +60,12 @@ class _MeteredBit(int):
 class Metered(tuple):
     """A group's items that count the frontier entries the merge pairs them with.
 
-    solve_groups reads a group's items once (`reads`), then tests every
-    frontier entry's paid set against every item's level bit. The items'
-    quality indices here count those tests, so `scans` is the number of
-    frontier entries the group was merged with, and a frontier that outgrows
-    `limit()` fails at once instead of hanging.
+    solve_groups reads a group's items once (`reads`); if it merges, it then
+    tests every frontier entry's paid set against every item's level bit.
+    The items' quality indices here count those tests, so `scans` is the
+    number of frontier entries the group was merged with (0 when the call
+    stops at its floor), and a frontier that outgrows `limit()` fails at
+    once instead of hanging.
     """
 
     def __new__(cls, items, limit):
@@ -80,6 +82,18 @@ class Metered(tuple):
     @property
     def scans(self):
         return self[0][0].pairs
+
+
+def path_counting(solve, paths):
+    """`solve` wrapped to count, in `paths`, the calls it settles at the
+    floor ("exits") and the calls that merge ("merges"): a merge pairs the
+    first group's items with the initial frontier entry."""
+    def counted(groups, capacity_bps):
+        metered = [SolveGroup(key, Metered(items, lambda: math.inf)) for key, items in groups]
+        best = solve(metered, capacity_bps)
+        paths["merges" if any(g.items.scans for g in metered) else "exits"] += 1
+        return best
+    return counted
 
 
 class TestParetoMin:
@@ -210,6 +224,16 @@ class TestSolveGroups:
               0.0))
     # utilities that sum to zero: the optimum is +0.0 on both sides
     @example((_groups(("a", [(1.0, 0)]), ("b", [(-1.0, 0)])), 0.0))
+    # the best picks fit, but rounding absorbs a's 1.0 into 1e16, so the
+    # cheaper runner-up ties and wins on cost: the slack keeps the exit off
+    @example((_groups(("a", [(0.0, 0), (1.0, 100)]), ("b", [(1e16, 0)])), math.inf))
+    # a best pick within the slack of a runner-up that it does not tie: the
+    # merge runs and still returns the best pick
+    @example((_groups(("a", [(0.5, 0), (0.5 + 1e-12, 100)]), ("b", [(3, 0)])), math.inf))
+    # a single candidate per group: the exit needs no runner-up, and the
+    # merge finds that those candidates do not fit
+    @example((_groups(("a", [(2, 100)]), ("a", [(3, 100)]), ("b", [(1, 50)])), 150.0))
+    @example((_groups(("a", [(2, 100)]), ("a", [(3, 100)]), ("b", [(1, 50)])), 149.0))
     def test_bounded_merge_matches_exhaustive_fold_bitwise(self, instance):
         # pruning against the floor keeps the optimum bit for bit. An optimum
         # of -inf ties every feasible configuration, where the unpruned merge
@@ -220,20 +244,57 @@ class TestSolveGroups:
         assert _bits(solve_groups(groups, capacity)) == _bits(best)
 
     def test_merge_reads_each_candidate_once_per_group(self):
-        # 3^14 unpruned configurations. Configurations with the same paid set
-        # cost the same, so one survives per paid set, and five paid sets fit
-        # under 1000: no frontier holds more than 5 entries. Everyone on
-        # level 2 pays 900 once.
-        # Each group's items are read once, and every item is paired with
-        # every entry of the frontier it is merged into. Every group's best
-        # pick, level 2, is feasible, so the floor is the optimum (42.0) and
-        # only the all-level-2 prefix survives each merge
+        # 3^14 unpruned configurations. Every group's best pick, level 2, is
+        # feasible (everyone on level 2 pays 900 once) and beats the others
+        # by far more than the slack, so the solver returns it at the floor:
+        # each group's items are read once and no merge pairs them with
+        # anything
         groups = [candidate_group("v0", [(1, 100), (2, 300), (3, 900)]) for _ in range(14)]
         groups = [SolveGroup(g.cluster_key, Metered(g.items, lambda: 5)) for g in groups]
         assert solve_groups(groups, 1000.0) == (42.0, 900.0, (2,) * 14)
         assert [g.items.reads for g in groups] == [1] * 14
         assert all(len({m.pairs for m, *_ in g.items}) == 1 for g in groups)
-        assert [g.items.scans for g in groups] == [1] * 14
+        assert [g.items.scans for g in groups] == [0] * 14
+
+    def test_merge_reads_each_candidate_once_when_the_best_picks_break_the_capacity(self):
+        # the same 3^14 instance under 899: level 2 no longer fits, the floor
+        # is -inf and the merge runs unpruned. Configurations with the same
+        # paid set cost the same, so one survives per paid set: {0} and {1}
+        # after the first group, then {0, 1} too, so no frontier holds more
+        # than 3 entries. Each group's items are still read once, by the
+        # scan, and every item is paired with every entry of the frontier it
+        # is merged into
+        groups = [candidate_group("v0", [(1, 100), (2, 300), (3, 900)]) for _ in range(14)]
+        groups = [SolveGroup(g.cluster_key, Metered(g.items, lambda: 3)) for g in groups]
+        assert solve_groups(groups, 899.0) == (28.0, 300.0, (1,) * 14)
+        assert [g.items.reads for g in groups] == [1] * 14
+        assert all(len({m.pairs for m, *_ in g.items}) == 1 for g in groups)
+        assert [g.items.scans for g in groups] == [1, 2] + [3] * 12
+
+    def test_exit_reads_each_group_once_and_merges_nothing(self):
+        # two shared-download clusters and a singleton: every best pick fits
+        # and beats its group's other picks by far more than the slack, so
+        # no frontier entry is paired with any item
+        groups = _groups(("v0", [(1, 100), (4, 300), (2, 900)]),
+                         ("v0", [(3, 100), (5, 300)]),
+                         ("v1", [(7, 0), (1, 50), (2, 80)]),
+                         ("v2", [(6, 200)]))
+        metered = [SolveGroup(g.cluster_key, Metered(g.items, lambda: 0)) for g in groups]
+        assert solve_groups(metered, 500.0) == brute_force_groups(groups, 500.0) \
+            == (22.0, 500.0, (1, 1, 0, 0))
+        assert [g.items.reads for g in metered] == [1] * 4
+        assert [m.pairs for g in metered for m, *_ in g.items] == [0] * 9
+
+    def test_a_utility_that_is_not_finite_sends_the_call_to_the_merge(self):
+        # a's best pick, level 2, fits and beats level 0 by far more than the
+        # slack, but level 1's utility is not finite, so the merge runs; with
+        # nan it returns what brute force meets first, as the exit would not
+        for bad in (math.nan, -math.inf):
+            groups = _groups(("a", [(0.0, 200), (bad, 0), (1.0, 0)]), ("b", [(2.0, 0)]))
+            paths = {"exits": 0, "merges": 0}
+            best = path_counting(solve_groups, paths)(groups, 100.0)
+            assert _bits(best) == _bits(brute_force_groups(groups, 100.0))
+            assert paths == {"exits": 0, "merges": 1}
 
     def test_spread_cluster_stays_tractable(self, monkeypatch):
         # 24 warm requests for one chunk spread over a 19-level ladder, with
@@ -435,6 +496,33 @@ def test_synchronized_burst_replication_stays_clean(scheme, monkeypatch):
     assert result.violations == []
     assert result.solver_calls > 0
     assert result.solver_fallbacks == 0
+
+
+def test_engine_burst_calls_match_the_unbounded_merge(monkeypatch):
+    # ROADMAP item 14: 20 synchronized clients of one video make solver calls
+    # far beyond brute force, and each is compared bit for bit with the merge
+    # that has no floor, no bound and no exit. Both the calls the exit
+    # settles and the calls that merge must occur, or the check has drifted
+    # out of its regime
+    counts = {"beyond_brute_force": 0, "exits": 0, "merges": 0}
+    solve = path_counting(cph.solve_groups, counts)
+    mismatches = []
+
+    def checked_solve(groups, capacity_bps):
+        best = solve(groups, capacity_bps)
+        space = math.prod(len(items) for _, items in groups)
+        counts["beyond_brute_force"] += space > cph.BRUTE_FORCE_LIMIT
+        if _bits(best) != _bits(reference_merge(groups, capacity_bps)):
+            mismatches.append((len(groups), capacity_bps))
+        return best
+
+    monkeypatch.setattr(cph, "solve_groups", checked_solve)
+    cfg = dataclasses.replace(ScenarioConfig(), n_clients=20, n_videos=1,
+                              start_offset_max_s=0.0, chunk_count=60)
+    assert run_replication(cfg, "CPH", rep=0).violations == []
+    assert mismatches == []
+    assert counts["beyond_brute_force"] > 0, counts
+    assert counts["exits"] > 0 and counts["merges"] > 0, counts
 
 
 def test_engine_solver_calls_match_exhaustive_search(monkeypatch):

@@ -149,7 +149,7 @@ def test_backhaul_drain_check_allows_the_late_finish_clamp():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP items 1(b) and 4: the stall-aware allocator gives each risky client "
+    "ROADMAP item 1: the stall-aware allocator gives each risky client "
     "only the airtime its buffer deficit needs and idles the rest, so three clients "
     "just under b_min_s each drain a sliver of a chunk and the run ends unfinished"))
 def test_stall_aware_allocator_finishes_when_every_busy_client_is_risky():
